@@ -1,24 +1,40 @@
 """Exact linear algebra over the rationals.
 
-Every computation in this package reduces to small dense linear systems
-over Q. Floating point never enters: scalars are `fractions.Fraction`,
-and plain ints are accepted anywhere a scalar is expected.
+Floating point never enters: scalars are `fractions.Fraction`, and
+plain ints are accepted anywhere a scalar is expected. A `Matrix` is a
+dense tuple of Fraction rows that stores its column count, so a matrix
+with no rows (or no columns) keeps its shape.
+
+Every reduction goes through one sparse, fraction-free eliminator.
+Each nonzero row is scaled by the lcm of its denominators into a
+primitive row of ints stored as {column: value}. Columns are cleared
+leftmost first, taking as pivot the sparsest row with a nonzero in the
+column; each combination a*row - b*pivot is divided by the gcd of its
+entries (row-content normalisation of Bareiss' integer-preserving
+elimination, Math. Comp. 22 (1968)). Back-substitution stays in ints,
+and rows become Fractions only in the final, canonical output.
 
 Subspaces are stored in reduced row echelon form. RREF is a canonical
 representative of a row space, so two subspaces are equal iff their
-stored bases are equal entrywise; all complement and quotient
-constructions below are deterministic functions of that canonical form.
+stored bases are equal entrywise, whichever pivot rows the eliminator
+chose; all complement and quotient constructions below are
+deterministic functions of that canonical form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
 
 Vector = tuple[Fraction, ...]
+
+SparseRow = dict[int, int]  # column -> nonzero int
+
+_ZERO = Fraction(0)
 
 
 def rat(value, den: Optional[int] = None) -> Fraction:
@@ -47,29 +63,35 @@ def scale_vector(c, v: Sequence[Fraction]) -> Vector:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix of Fractions, entries stored row-major."""
+    """Immutable dense matrix of Fractions, entries stored row-major.
+
+    cols is stored, so a matrix without rows keeps its width; when
+    omitted it is read off the first row (0 if there is none). Every
+    row has cols entries.
+    """
 
     entries: tuple[tuple[Fraction, ...], ...]
+    cols: Optional[int] = None
+
+    def __post_init__(self):
+        if self.cols is None:
+            object.__setattr__(self, "cols", len(self.entries[0]) if self.entries else 0)
 
     @staticmethod
-    def from_rows(rows: Iterable[Iterable]) -> "Matrix":
-        return Matrix(tuple(tuple(Fraction(e) for e in row) for row in rows))
+    def from_rows(rows: Iterable[Iterable], cols: Optional[int] = None) -> "Matrix":
+        return Matrix(tuple(tuple(Fraction(e) for e in row) for row in rows), cols)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(tuple((Fraction(0),) * cols for _ in range(rows)))
+        return Matrix(tuple((Fraction(0),) * cols for _ in range(rows)), cols)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
+        return Matrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)), n)
 
     @property
     def rows(self) -> int:
         return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -85,7 +107,8 @@ class Matrix:
         return all(e == 0 for row in self.entries for e in row)
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)))
+        return Matrix(tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
+                      self.rows)
 
     def flatten(self) -> Vector:
         """Row-major flattening; the End-coordinate convention."""
@@ -94,59 +117,130 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} + {other.shape}")
-        return Matrix(tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
+        return Matrix(tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
+                      self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(tuple(tuple(-e for e in row) for row in self.entries))
+        return Matrix(tuple(tuple(-e for e in row) for row in self.entries), self.cols)
 
     def scale(self, c) -> "Matrix":
         c = Fraction(c)
-        return Matrix(tuple(tuple(c * e for e in row) for row in self.entries))
+        return Matrix(tuple(tuple(c * e for e in row) for row in self.entries), self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
+        if not self.cols:
+            return Matrix.zeros(self.rows, other.cols)
         cols = other.transpose().entries
-        return Matrix(tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.entries))
+        return Matrix(tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.entries),
+                      other.cols)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         """Matrix times column vector."""
         if len(v) != self.cols:
             raise ValueError(f"length mismatch: {self.shape} applied to {len(v)}")
+        if not self.cols:
+            return zero_vector(self.rows)
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
     def stack(self, other: "Matrix") -> "Matrix":
         """Rows of self followed by rows of other."""
-        if self.rows and other.rows and self.cols != other.cols:
+        if self.cols != other.cols:
             raise ValueError(f"column mismatch: {self.shape} stacked on {other.shape}")
-        return Matrix(self.entries + other.entries)
+        return Matrix(self.entries + other.entries, self.cols)
+
+
+def _primitive(row: SparseRow) -> SparseRow:
+    g = gcd(*row.values())
+    return row if g == 1 else {j: v // g for j, v in row.items()}
+
+
+def _integer_rows(m: Matrix) -> list[SparseRow]:
+    """The nonzero rows of m, each cleared of denominators and made primitive."""
+    out = []
+    for row in m.entries:
+        nz = [(j, e) for j, e in enumerate(row) if e]
+        if nz:
+            den = lcm(*(e.denominator for _, e in nz))
+            out.append(_primitive({j: e.numerator * (den // e.denominator) for j, e in nz}))
+    return out
+
+
+def _echelon(rows: list[SparseRow]) -> list[tuple[int, SparseRow]]:
+    """Forward elimination: (pivot column, row) pairs, columns ascending.
+
+    Rows wait in buckets keyed by their leading column. When a column
+    comes up, every row with a nonzero there is in its bucket; the
+    sparsest becomes the pivot and the others are combined with it.
+    """
+    by_lead: dict[int, list[SparseRow]] = {}
+    for row in rows:
+        by_lead.setdefault(min(row), []).append(row)
+    out = []
+    while by_lead:
+        c = min(by_lead)
+        group = by_lead.pop(c)
+        pivot = min(group, key=len)
+        out.append((c, pivot))
+        for row in group:
+            if row is pivot:
+                continue
+            g = gcd(pivot[c], row[c])
+            a, b = pivot[c] // g, row[c] // g
+            new = dict(row) if a == 1 else {j: a * v for j, v in row.items()}
+            for j, v in pivot.items():
+                w = new.get(j, 0) - b * v
+                if w:
+                    new[j] = w
+                else:
+                    del new[j]
+            if new:
+                new = _primitive(new)
+                by_lead.setdefault(min(new), []).append(new)
+    return out
+
+
+def _back_substitute(echelon: list[tuple[int, SparseRow]]) -> list[tuple[int, SparseRow]]:
+    """Clear every pivot column above its pivot, still in primitive ints.
+
+    Rows are reduced bottom-up, so each row meets only reduced rows,
+    which vanish at every other pivot column; one combination clears
+    all of a row's off-pivot entries at once.
+    """
+    reduced: dict[int, SparseRow] = {}
+    for c, row in reversed(echelon):
+        hits = [(j, v) for j, v in row.items() if j != c and j in reduced]
+        if hits:
+            scale = lcm(*(reduced[j][j] for j, _ in hits))
+            new = {k: scale * v for k, v in row.items()}
+            for j, v in hits:
+                f = v * (scale // reduced[j][j])
+                for k, w in reduced[j].items():
+                    new[k] = new.get(k, 0) - f * w
+            row = _primitive({k: v for k, v in new.items() if v})
+        reduced[c] = row
+    return [(c, reduced[c]) for c, _ in echelon]
+
+
+def _to_fraction_rows(rref: list[tuple[int, SparseRow]], ncols: int) -> Matrix:
+    """The canonical Fraction RREF: each row divided by its pivot entry."""
+    out = []
+    for c, row in rref:
+        lead = row[c]
+        dense = [_ZERO] * ncols
+        for j, v in row.items():
+            dense[j] = Fraction(v, lead)
+        out.append(tuple(dense))
+    return Matrix(tuple(out), ncols)
 
 
 def _rref_with_pivots(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [inv * e for e in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    kept = tuple(tuple(rows[i]) for i in range(r))
-    return Matrix(kept), tuple(pivots)
+    rref = _back_substitute(_echelon(_integer_rows(m)))
+    return _to_fraction_rows(rref, m.cols), tuple(c for c, _ in rref)
 
 
 def rref_canonicalize(m: Matrix) -> Matrix:
@@ -159,7 +253,7 @@ def rref_canonicalize(m: Matrix) -> Matrix:
 
 
 def rank(m: Matrix) -> int:
-    return rref_canonicalize(m).rows
+    return len(_echelon(_integer_rows(m)))
 
 
 def kernel(m: Matrix) -> "Subspace":
@@ -181,7 +275,7 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
     """One exact solution x of a x = b, or None if inconsistent."""
     if len(b) != a.rows:
         raise ValueError(f"length mismatch: {a.shape} vs rhs {len(b)}")
-    aug = Matrix(tuple(row + (bv,) for row, bv in zip(a.entries, b)))
+    aug = Matrix(tuple(row + (bv,) for row, bv in zip(a.entries, b)), a.cols + 1)
     rref, pivots = _rref_with_pivots(aug)
     if a.cols in pivots:
         return None
@@ -196,11 +290,11 @@ def inverse(m: Matrix) -> Matrix:
     n = m.rows
     if m.cols != n:
         raise ValueError(f"not square: {m.shape}")
-    aug = Matrix(tuple(row + ident for row, ident in zip(m.entries, Matrix.identity(n).entries)))
+    aug = Matrix(tuple(row + ident for row, ident in zip(m.entries, Matrix.identity(n).entries)), 2 * n)
     rref, pivots = _rref_with_pivots(aug)
     if len(pivots) < n or pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix(tuple(row[n:] for row in rref.entries))
+    return Matrix(tuple(row[n:] for row in rref.entries), n)
 
 
 @dataclass(frozen=True)
@@ -216,15 +310,15 @@ class Subspace:
 
     @staticmethod
     def span(ambient_dim: int, rows: Iterable[Iterable]) -> "Subspace":
-        rows = [tuple(Fraction(e) for e in row) for row in rows]
+        rows = [tuple(row) for row in rows]  # the eliminator reads ints and Fractions alike
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError(f"row length {len(row)} != ambient {ambient_dim}")
-        return Subspace(ambient_dim, rref_canonicalize(Matrix(tuple(rows))))
+        return Subspace(ambient_dim, rref_canonicalize(Matrix(tuple(rows), ambient_dim)))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix(()))
+        return Subspace(ambient_dim, Matrix.zeros(0, ambient_dim))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
@@ -299,37 +393,6 @@ def complement(s: Subspace, within: Subspace) -> Subspace:
         if coords is None:
             raise ValueError("subspace is not contained in the given space")
         coord_rows.append(coords)
-    _, pivots = _rref_with_pivots(Matrix(tuple(coord_rows)))
+    _, pivots = _rref_with_pivots(Matrix(tuple(coord_rows), within.dim))
     keep = [j for j in range(within.dim) if j not in pivots]
     return Subspace.span(within.ambient_dim, [within.basis.entries[j] for j in keep])
-
-
-def quotient_coords(v: Sequence[Fraction], mod: Subspace, within: Subspace) -> Vector:
-    """Coordinates of the class [v] in within/mod.
-
-    The coordinate frame is the canonical complement of mod inside
-    within, so the result has length dim(within) - dim(mod), vanishes
-    iff v lies in mod, and for mod = 0 reduces to coordinates in
-    within's own basis. Raises if v is outside within.
-    """
-    comp = complement(mod, within)
-    full = mod.basis.stack(comp.basis)
-    coeffs = solve(full.transpose(), tuple(Fraction(e) for e in v))
-    if coeffs is None:
-        raise ValueError("vector is not in the given space")
-    return tuple(coeffs[mod.dim:])
-
-
-def lift_quotient_coords(coords: Sequence[Fraction], mod: Subspace, within: Subspace) -> Vector:
-    """The canonical representative in within of a class given in
-
-    quotient_coords' frame: the combination of the canonical complement
-    basis with the given coefficients.
-    """
-    comp = complement(mod, within)
-    if len(coords) != comp.dim:
-        raise ValueError(f"length {len(coords)} != quotient dim {comp.dim}")
-    out = zero_vector(within.ambient_dim)
-    for c, row in zip(coords, comp.basis.entries):
-        out = add_vectors(out, scale_vector(c, row))
-    return out

@@ -198,7 +198,8 @@ class HomogeneousMap:
     def to_matrix(self) -> Matrix:
         """Full target_dim x source_dim matrix in global coordinates."""
         cols = [self.apply_basis(j) for j in range(self.source.total_dim)]
-        return Matrix(tuple(tuple(col[r] for col in cols) for r in range(self.target.total_dim)))
+        return Matrix(tuple(tuple(col[r] for col in cols) for r in range(self.target.total_dim)),
+                      self.source.total_dim)
 
     def add(self, other: "HomogeneousMap") -> "HomogeneousMap":
         if (self.source, self.target, self.degree) != (other.source, other.target, other.degree):

@@ -84,7 +84,7 @@ def _parse_matrix(obj: Any, rows: int, cols: int, where: str) -> Matrix:
         raise _fail(f"{where}: expected a {rows}x{cols} matrix")
     return Matrix.from_rows(
         [[parse_rational(e, f"{where}[{i}][{j}]") for j, e in enumerate(row)]
-         for i, row in enumerate(obj)])
+         for i, row in enumerate(obj)], cols)
 
 
 def _emit_matrix(m: Matrix) -> list:

@@ -212,8 +212,7 @@ def der0_basis(alg: GradedLieAlgebra) -> list[HomogeneousMap]:
     if not units:
         return []
     constraints = _derivation_constraint_columns(alg, units)
-    # a one-dimensional algebra has no basis pairs, hence no constraints
-    ker = kernel(constraints) if constraints.rows else Subspace.full(len(units))
+    ker = kernel(constraints)
     return [hom_from_coords(alg.space, alg.space, 0, row) for row in ker.basis.entries]
 
 

@@ -183,9 +183,8 @@ def _solve_level(tower: _Tower) -> ProlongationLevel:
                     col = [c + e for c, e in zip(col, action[w][a])]
                 columns[u].extend(col)
 
-    # with fewer than two basis vectors in m there are no constraints
-    carrier = kernel(Matrix.from_rows(columns).transpose()) if columns[0] else \
-        Subspace.full(nunits)
+    # with fewer than two basis vectors in m the system has no rows
+    carrier = kernel(Matrix.from_rows(columns).transpose())
     basis = tuple(hom_from_coords(neg.space, below, degree, row)
                   for row in carrier.basis.entries)
     level = ProlongationLevel(degree, below, carrier, basis)

@@ -168,20 +168,12 @@ def partial1(m0: GradedLieAlgebra, a: Union[GradedMap, HomogeneousMap]) -> Vecto
     return tuple(out)
 
 
-def _matrix_from_cols(nrows: int, cols: Sequence[Sequence[Fraction]]) -> Matrix:
-    # a height-0 or width-0 matrix degenerates to Matrix(()); callers
-    # must take widths from their own layout in that case
-    if nrows == 0 or not cols:
-        return Matrix.zeros(nrows, len(cols))
-    return Matrix.from_rows(cols).transpose()
-
-
 def partial1_matrix(m0: GradedLieAlgebra) -> tuple[TorsionSpace, Matrix]:
     """Matrix of the first boundary map over the degree-1 unit maps."""
     tor = torsion_space1(m0)
     units = hom_basis(m0.space, m0.space, 1)
     cols = [partial1(m0, u) for u in units]
-    return tor, _matrix_from_cols(tor.total_dim, cols)
+    return tor, Matrix.from_rows(cols, tor.total_dim).transpose()
 
 
 class _Evaluator:
@@ -259,7 +251,7 @@ def partial_np1_matrix(result: ProlongationResult,
                     pos += tor.hom_block_dim
                 cols.append(col)
 
-    return tor, _matrix_from_cols(tor.total_dim, cols), tuple(layout)
+    return tor, Matrix.from_rows(cols, tor.total_dim).transpose(), tuple(layout)
 
 
 def partial_np1(result: ProlongationResult, n: int,
@@ -374,19 +366,15 @@ def kernel_reports(result: ProlongationResult, n: int) -> KernelReport:
         if not injective:
             messages.append("Hom summand present but torsion target is zero")
     else:
-        if gl_cols:
-            gl_matrix = Matrix.from_rows([row[:gl_cols] for row in matrix.entries])
-            ker = kernel(gl_matrix)
-        else:
-            ker = Subspace.zero(0)
+        ker = kernel(Matrix.from_rows([row[:gl_cols] for row in matrix.entries], gl_cols))
         injective = True
         if hom_cols:
-            hom_matrix = Matrix.from_rows([row[gl_cols:] for row in matrix.entries])
+            hom_matrix = Matrix.from_rows([row[gl_cols:] for row in matrix.entries], hom_cols)
             bad = kernel(hom_matrix).dim
             injective = bad == 0
             if not injective:
                 messages.append(f"boundary map has a {bad}-dim kernel on the Hom summand")
-        r = _matrix_rank(matrix)
+        r = rank(matrix)
     embedded = _embedded_level_span(result, n + 1)
     matches = ker == embedded
     if not matches:
@@ -468,7 +456,7 @@ def tower_report(result: ProlongationResult, base_dim: Optional[int] = None) -> 
         r_n = result.dim_g(n)
         running += r_n
         tor, matrix, layout = partial_np1_matrix(result, n)
-        r = _matrix_rank(matrix)
+        r = rank(matrix)
         hom_dims = sum(layout[1:])
         rows.append(TowerRow(
             n=n,
@@ -488,7 +476,3 @@ def tower_report(result: ProlongationResult, base_dim: Optional[int] = None) -> 
         dim_g0=len(result.g0),
         rows=tuple(rows),
     )
-
-
-def _matrix_rank(m: Matrix) -> int:
-    return rank(m) if m.cols and m.rows else 0

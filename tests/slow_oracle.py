@@ -5,16 +5,53 @@ from the base algebra into the whole tower built so far. Degree
 homogeneity is imposed as extra constraint rows rather than by
 restricting to graded blocks, and evaluation is spelled out from first
 principles. The engine under test must reproduce these dimensions
-exactly; this module must stay independent of tanaka.prolong and
-tanaka.torsion.
+exactly; this module must stay independent of tanaka.prolong,
+tanaka.torsion and the eliminator of tanaka.exact_linear, so it
+carries its own dense Fraction Gauss-Jordan reduction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from tanaka.exact_linear import Matrix, kernel
+from tanaka.exact_linear import Matrix
 from tanaka.lie import GradedLieAlgebra
+
+
+def dense_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Textbook Gauss-Jordan over Fractions: (nonzero RREF rows, pivot columns)."""
+    rows = [[Fraction(e) for e in r] for r in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [inv * e for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def dense_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """RREF basis of {x : rows x = 0}."""
+    rref, pivots = dense_rref(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -rref[r][f]
+        basis.append(v)
+    return dense_rref(basis, ncols)[0]
 
 
 class SlowTower:
@@ -121,9 +158,8 @@ class SlowTower:
                         # minus [a, A(b)] = + [A(b), a]
                         row[uidx(w, b)] += bracket_cols[(w, a)][t]
                     constraint_rows.append(row)
-        ker = kernel(Matrix.from_rows(constraint_rows))
         basis = []
-        for vec in ker.basis.entries:
+        for vec in dense_kernel(constraint_rows, unknowns):
             basis.append(Matrix.from_rows(
                 [[vec[uidx(w, a)] for a in range(self.nm)] for w in range(rows_dim)]))
         self.levels.append(basis)
@@ -160,7 +196,7 @@ def slow_der0_dim(m: GradedLieAlgebra) -> int:
                     bw_a = m.bracket_basis(w, a)
                     row[uidx(w, b)] += bw_a[t]
                 rows.append(row)
-    return kernel(Matrix.from_rows(rows)).dim
+    return len(dense_kernel(rows, unknowns))
 
 
 def slow_prolong_dims(m0: GradedLieAlgebra, depth: int) -> list[int]:

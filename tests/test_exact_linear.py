@@ -2,21 +2,22 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from slow_oracle import dense_kernel, dense_rref
 from tanaka.exact_linear import (
     Matrix,
     Subspace,
     complement,
     inverse,
     kernel,
-    lift_quotient_coords,
-    quotient_coords,
     rank,
     rat,
     rref_canonicalize,
     solve,
 )
+from tanaka.filtered import FilteredSpace
 
 Scalars = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 Dims = st.integers(1, 5)
@@ -55,16 +56,21 @@ def test_complement_uses_nonpivot_rule():
     assert c == Subspace.span(3, [[0, 1, 0], [0, 0, 1]])
 
 
+def _quotient(within: Subspace, mod: Subspace) -> FilteredSpace:
+    """within/mod is the step V_1/V_2 of the filtration full >= within >= mod."""
+    return FilteredSpace.make(0, [Subspace.full(within.ambient_dim), within, mod])
+
+
 def test_quotient_coords_worked_example():
     mod = Subspace.span(3, [[0, 0, 1]])
     v = (rat(1), rat(2), rat(3))
-    assert quotient_coords(v, mod, Subspace.full(3)) == (rat(1), rat(2))
+    assert _quotient(Subspace.full(3), mod).quotient_of(v, 1, 1) == (rat(1), rat(2))
 
 
 def test_quotient_coords_zero_mod_gives_basis_coords():
     within = Subspace.span(3, [[1, 0, 1], [0, 1, 0]])
     v = (rat(2), rat(-1), rat(2))
-    assert quotient_coords(v, Subspace.zero(3), within) == (rat(2), rat(-1))
+    assert _quotient(within, Subspace.zero(3)).quotient_of(v, 1, 1) == (rat(2), rat(-1))
 
 
 def test_subspace_equality_is_representation_free():
@@ -111,18 +117,19 @@ def test_complement_splits_ambient(m):
 @settings(max_examples=200, derandomize=True)
 @given(matrices(), st.data())
 def test_quotient_coords_vanish_exactly_on_mod(m, data):
-    """quotient_coords is zero precisely on elements of mod."""
+    """Quotient coordinates are zero precisely on elements of mod."""
     mod = Subspace(m.cols, rref_canonicalize(m))
     full = Subspace.full(m.cols)
+    space = _quotient(full, mod)
     coeffs = [data.draw(Scalars) for _ in range(mod.dim)]
     v = [Fraction(0)] * m.cols
     for c, row in zip(coeffs, mod.basis.entries):
         v = [a + c * b for a, b in zip(v, row)]
-    assert all(e == 0 for e in quotient_coords(tuple(v), mod, full))
+    assert all(e == 0 for e in space.quotient_of(tuple(v), 1, 1))
     if mod.dim < m.cols:
         outside = complement(mod, full).basis.entries[0]
         shifted = tuple(a + b for a, b in zip(v, outside))
-        assert any(e != 0 for e in quotient_coords(shifted, mod, full))
+        assert any(e != 0 for e in space.quotient_of(shifted, 1, 1))
 
 
 @settings(max_examples=200, derandomize=True)
@@ -130,10 +137,9 @@ def test_quotient_coords_vanish_exactly_on_mod(m, data):
 def test_lift_inverts_quotient_coords(m, data):
     """Lifting quotient coordinates lands in the same class."""
     mod = Subspace(m.cols, rref_canonicalize(m))
-    full = Subspace.full(m.cols)
+    space = _quotient(Subspace.full(m.cols), mod)
     v = tuple(data.draw(Scalars) for _ in range(m.cols))
-    q = quotient_coords(v, mod, full)
-    lifted = lift_quotient_coords(q, mod, full)
+    lifted = space.quotient_lift(space.quotient_of(v, 1, 1), 1, 1)
     assert mod.contains(tuple(a - b for a, b in zip(v, lifted)))
 
 
@@ -155,7 +161,107 @@ def test_inverse_round_trip():
 
 
 def test_inverse_rejects_singular():
-    import pytest
-
     with pytest.raises(ValueError):
         inverse(Matrix.from_rows([[1, 2], [2, 4]]))
+
+
+# Degenerate shapes: a matrix keeps its width with no rows, and its
+# height with no columns.
+
+def test_zero_row_matrix_keeps_its_width():
+    assert Matrix.zeros(0, 5).shape == (0, 5)
+
+
+def test_kernel_of_zero_row_matrix_is_everything():
+    assert kernel(Matrix.zeros(0, 5)) == Subspace.full(5)
+
+
+def test_product_through_empty_inner_dimension():
+    assert Matrix.zeros(2, 0) @ Matrix.zeros(0, 3) == Matrix.zeros(2, 3)
+
+
+def test_solve_without_equations_returns_zero_vector():
+    assert solve(Matrix.zeros(0, 3), ()) == (rat(0), rat(0), rat(0))
+
+
+def test_stack_rejects_width_mismatch_of_empty_matrix():
+    with pytest.raises(ValueError):
+        Matrix.zeros(0, 5).stack(Matrix.zeros(2, 3))
+
+
+# The sparse fraction-free core against the dense Fraction reduction of
+# the slow oracle.
+
+Huge = st.builds(Fraction, st.integers(1 << 60, 1 << 72), st.integers(1 << 60, 1 << 72)).map(
+    lambda q: q if q.numerator % 2 else -q)
+
+
+@st.composite
+def oracle_matrices(draw, square=False):
+    """Sparse rational matrices, including 0-row, 0-column and all-zero
+
+    ones, duplicated (scaled) rows, and entries of 60 bits or more.
+    """
+    r = draw(st.integers(0, 6))
+    c = r if square else draw(st.integers(0, 6))
+    density = draw(st.integers(0, 4))  # of 4; 0 gives the zero matrix
+    entry = st.one_of(Scalars, Huge) if draw(st.booleans()) else Scalars
+    rows = [[draw(entry) if draw(st.integers(1, 4)) <= density else Fraction(0)
+             for _ in range(c)] for _ in range(r)]
+    if rows and not square:
+        for i in draw(st.lists(st.integers(0, r - 1), max_size=3)):
+            k = draw(Scalars)
+            rows.insert(draw(st.integers(0, len(rows))), [k * e for e in rows[i]])
+    return Matrix.from_rows(rows, c)
+
+
+def _dense_solve(m: Matrix, b):
+    rows = [list(row) + [bv] for row, bv in zip(m.entries, b)]
+    rref, pivots = dense_rref(rows, m.cols + 1)
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for r, p in enumerate(pivots):
+        x[p] = rref[r][m.cols]
+    return tuple(x)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(oracle_matrices())
+def test_rref_rank_kernel_match_dense_oracle(m):
+    """Same canonical RREF, rank and kernel basis as dense Gauss-Jordan."""
+    dense, pivots = dense_rref(list(m.entries), m.cols)
+    assert rref_canonicalize(m) == Matrix.from_rows(dense, m.cols)
+    assert rank(m) == len(pivots)
+    assert kernel(m).basis == Matrix.from_rows(dense_kernel(list(m.entries), m.cols), m.cols)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(oracle_matrices(), st.data())
+def test_solve_matches_dense_oracle(m, data):
+    """Consistent systems give the oracle's solution; inconsistent ones None."""
+    x = tuple(data.draw(st.one_of(Scalars, Huge)) for _ in range(m.cols))
+    b = m.apply(x)
+    got = solve(m, b)
+    assert got == _dense_solve(m, b)
+    assert m.apply(got) == b
+    left = dense_kernel(list(m.transpose().entries), m.rows)
+    if left:
+        # b + y with y^T m = 0 and y != 0 has y^T (b + y) = |y|^2 != 0
+        bad = tuple(u + v for u, v in zip(b, left[0]))
+        assert solve(m, bad) is None
+        assert _dense_solve(m, bad) is None
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(oracle_matrices(square=True))
+def test_inverse_matches_dense_oracle(m):
+    """inverse agrees with the oracle's reduction of [m | I], or both fail."""
+    n = m.rows
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rref, pivots = dense_rref([list(row) + e for row, e in zip(m.entries, ident)], 2 * n)
+    if pivots[:n] != list(range(n)):
+        with pytest.raises(ValueError):
+            inverse(m)
+        return
+    assert inverse(m) == Matrix.from_rows([row[n:] for row in rref], n)
