@@ -14,6 +14,10 @@ entries (row-content normalisation of Bareiss' integer-preserving
 elimination, Math. Comp. 22 (1968)). Back-substitution stays in ints,
 and rows become Fractions only in the final, canonical output.
 
+Callers that evaluate brackets and maps work on sparse rows
+{index: Fraction}: `add_scaled` accumulates them, `densify` turns one
+into a Vector, and `Matrix.from_columns` assembles sparse columns.
+
 Subspaces are stored in reduced row echelon form. RREF is a canonical
 representative of a row space, so two subspaces are equal iff their
 stored bases are equal entrywise, whichever pivot rows the eliminator
@@ -26,13 +30,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 Rational = Fraction
 
 Vector = tuple[Fraction, ...]
 
 SparseRow = dict[int, int]  # column -> nonzero int
+
+Sparse = Mapping[int, Fraction]  # index -> nonzero Fraction
+
+NO_TERMS: Sparse = MappingProxyType({})  # the shared, read-only empty row
 
 _ZERO = Fraction(0)
 
@@ -61,6 +70,27 @@ def scale_vector(c, v: Sequence[Fraction]) -> Vector:
     return tuple(c * a for a in v)
 
 
+def add_scaled(acc: dict[int, Fraction], c, row: Sparse, shift: int = 0) -> None:
+    """acc += c * row in place, row's indices moved by shift; entries
+
+    that cancel are removed, so acc keeps only nonzeros.
+    """
+    for j, v in row.items():
+        j += shift
+        w = acc.get(j, 0) + c * v
+        if w:
+            acc[j] = w
+        else:
+            acc.pop(j, None)
+
+
+def densify(row: Sparse, n: int) -> Vector:
+    out = [_ZERO] * n
+    for j, v in row.items():
+        out[j] = Fraction(v)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Immutable dense matrix of Fractions, entries stored row-major.
@@ -80,6 +110,15 @@ class Matrix:
     @staticmethod
     def from_rows(rows: Iterable[Iterable], cols: Optional[int] = None) -> "Matrix":
         return Matrix(tuple(tuple(Fraction(e) for e in row) for row in rows), cols)
+
+    @staticmethod
+    def from_columns(columns: Sequence[Sparse], rows: int) -> "Matrix":
+        """The rows x len(columns) matrix whose j-th column is columns[j]."""
+        out = [[_ZERO] * len(columns) for _ in range(rows)]
+        for j, col in enumerate(columns):
+            for i, v in col.items():
+                out[i][j] = Fraction(v)
+        return Matrix(tuple(map(tuple, out)), len(columns))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":

@@ -7,7 +7,9 @@ component's basis in label order.
 
 A homogeneous map of degree d sends V^i into W^{i+d} and is stored as
 one dense block per source degree; blocks whose source or target
-component is absent are identically zero and are not stored.
+component is absent are identically zero and are not stored. The
+sparse image of each source basis vector is computed once and cached
+(`HomogeneousMap.columns`); evaluation reads only those nonzeros.
 
 Coordinates on the space Hom^d(U, W) itself (used whenever a subspace
 of maps is computed) enumerate elementary units as: source degree
@@ -19,9 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exact_linear import Matrix, Subspace, Vector, add_vectors, zero_vector
+from .exact_linear import (Matrix, Sparse, Subspace, Vector, add_scaled, add_vectors, densify,
+                           zero_vector)
 
 
 @dataclass(frozen=True)
@@ -179,21 +183,34 @@ class HomogeneousMap:
     def is_zero(self) -> bool:
         return all(m.is_zero() for _, m in self.blocks)
 
-    def apply(self, v: Sequence[Fraction]) -> Vector:
-        out = zero_vector(self.target.total_dim)
+    @cached_property
+    def columns(self) -> tuple[Sparse, ...]:
+        """Sparse image {target index: value} of each source basis vector,
+
+        in global coordinates; shared, so callers must not mutate it.
+        """
+        cols: list[dict[int, Fraction]] = [{} for _ in range(self.source.total_dim)]
         for i, block in self.blocks:
-            local = self.source.component_of_vector(v, i)
-            image = block.apply(local)
-            out = add_vectors(out, self.target.embed_component(i + self.degree, image))
-        return out
+            src, tgt = self.source.offset(i), self.target.offset(i + self.degree)
+            for r, row in enumerate(block.entries):
+                for c, e in enumerate(row):
+                    if e:
+                        cols[src + c][tgt + r] = e
+        return tuple(cols)
+
+    def apply(self, v: Sequence[Fraction]) -> Vector:
+        if len(v) != self.source.total_dim:
+            raise ValueError(f"length mismatch: map on dim {self.source.total_dim} "
+                             f"applied to {len(v)}")
+        out: dict[int, Fraction] = {}
+        for j, c in enumerate(v):
+            if c:
+                add_scaled(out, c, self.columns[j])
+        return densify(out, self.target.total_dim)
 
     def apply_basis(self, index: int) -> Vector:
         """Image of the index-th global basis vector of the source."""
-        i = self.source.degree_of_index(index)
-        if self.target.dim(i + self.degree) == 0:
-            return zero_vector(self.target.total_dim)
-        col = index - self.source.offset(i)
-        return self.target.embed_component(i + self.degree, self.block(i).col(col))
+        return densify(self.columns[index], self.target.total_dim)
 
     def to_matrix(self) -> Matrix:
         """Full target_dim x source_dim matrix in global coordinates."""
@@ -229,21 +246,29 @@ def hom_space_dim(source: GradedSpace, target: GradedSpace, degree: int) -> int:
                for i in HomogeneousMap.present_source_degrees(source, target, degree))
 
 
-def hom_basis(source: GradedSpace, target: GradedSpace, degree: int) -> list[HomogeneousMap]:
-    """Elementary units of Hom^degree(source, target) in the fixed frame:
+def hom_units(source: GradedSpace, target: GradedSpace, degree: int) -> list[tuple[int, int]]:
+    """The elementary units of Hom^degree(source, target) as (source index,
 
-    source degree ascending, then source basis index, then target basis
-    index.
+    target index) pairs of global coordinates, in the fixed frame: source
+    degree ascending, then source basis index, then target basis index.
     """
     units = []
     for i in HomogeneousMap.present_source_degrees(source, target, degree):
-        rows, cols = target.dim(i + degree), source.dim(i)
-        for s in range(cols):
-            for t in range(rows):
-                block = [[Fraction(1) if (r == t and c == s) else Fraction(0)
-                          for c in range(cols)] for r in range(rows)]
-                units.append(HomogeneousMap.make(source, target, degree, {i: Matrix.from_rows(block)}))
+        src, tgt = source.offset(i), target.offset(i + degree)
+        for s in range(source.dim(i)):
+            for t in range(target.dim(i + degree)):
+                units.append((src + s, tgt + t))
     return units
+
+
+def hom_basis(source: GradedSpace, target: GradedSpace, degree: int) -> list[HomogeneousMap]:
+    """Elementary units of Hom^degree(source, target) as maps, in the
+
+    hom_units frame.
+    """
+    n = hom_space_dim(source, target, degree)
+    return [hom_from_coords(source, target, degree, [int(j == k) for j in range(n)])
+            for k in range(n)]
 
 
 def hom_coords(f: HomogeneousMap) -> Vector:
@@ -265,12 +290,10 @@ def hom_from_coords(source: GradedSpace, target: GradedSpace, degree: int,
     pos = 0
     for i in HomogeneousMap.present_source_degrees(source, target, degree):
         rows, cols = target.dim(i + degree), source.dim(i)
-        block = [[Fraction(0)] * cols for _ in range(rows)]
-        for s in range(cols):
-            for t in range(rows):
-                block[t][s] = Fraction(coords[pos])
-                pos += 1
-        blocks[i] = Matrix.from_rows(block)
+        # coordinates run source index outer, target index inner
+        blocks[i] = Matrix(tuple(tuple(Fraction(coords[pos + s * rows + t]) for s in range(cols))
+                                 for t in range(rows)), cols)
+        pos += rows * cols
     return HomogeneousMap.make(source, target, degree, blocks)
 
 

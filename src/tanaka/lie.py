@@ -11,16 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .exact_linear import (
+    NO_TERMS,
     Matrix,
+    Sparse,
     Subspace,
     Vector,
-    add_vectors,
+    add_scaled,
+    densify,
     inverse,
     kernel,
-    scale_vector,
     solve,
     zero_vector,
 )
@@ -31,6 +33,7 @@ from .graded import (
     hom_coords,
     hom_from_coords,
     hom_space_dim,
+    hom_units,
 )
 
 
@@ -41,22 +44,30 @@ class GradedLieAlgebra:
     brackets holds [e_a, e_b] for global basis indices a < b as full
     coordinate vectors; only nonzero brackets need to be stored.
     Antisymmetry is by construction; grading and Jacobi are checked by
-    validate().
+    validate(). A sparse table of both orientations, [e_a, e_b] as
+    {index: value} for every nonzero pair, backs all evaluation.
     """
 
     space: GradedSpace
     brackets: tuple[tuple[tuple[int, int], Vector], ...]
     _table: dict = field(init=False, compare=False, repr=False, hash=False, default=None)
+    _ad: tuple = field(init=False, compare=False, repr=False, hash=False, default=None)
 
     def __post_init__(self):
         table = {}
+        ad: tuple[dict[int, Sparse], ...] = tuple({} for _ in range(self.space.total_dim))
         for (a, b), value in self.brackets:
             if not (0 <= a < b < self.space.total_dim):
                 raise ValueError(f"bad bracket pair ({a}, {b})")
             if (a, b) in table:
                 raise ValueError(f"duplicate bracket pair ({a}, {b})")
             table[(a, b)] = value
+            row = {k: Fraction(e) for k, e in enumerate(value) if e}
+            if row:
+                ad[a][b] = row
+                ad[b][a] = {k: -e for k, e in row.items()}
         object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_ad", ad)
 
     @staticmethod
     def from_bracket_dict(space: GradedSpace,
@@ -91,6 +102,10 @@ class GradedLieAlgebra:
             return zero_vector(self.space.total_dim)
         return tuple(-e for e in value)
 
+    def bracket_row(self, a: int, b: int) -> Sparse:
+        """[e_a, e_b] as a sparse row; shared, so callers must not mutate it."""
+        return self._ad[a].get(b, NO_TERMS)
+
     @property
     def min_degree(self) -> int:
         return min(self.space.degrees)
@@ -111,24 +126,26 @@ class GradedLieAlgebra:
         return GradedLieAlgebra(sub, tuple(sorted(brackets)))
 
 
-def _basis_vec(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+def bilinear_eval(bracket: Callable[[int, int], Sparse], n: int,
+                  u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
+    """Sum of u_a v_b bracket(a, b) over the nonzeros of u and v, where
+
+    bracket(a, b) is [e_a, e_b] as a sparse row; u and v have length n.
+    """
+    if len(u) != n or len(v) != n:
+        raise ValueError(f"length mismatch: bracket on dim {n} applied to {len(u)} and {len(v)}")
+    out: dict[int, Fraction] = {}
+    vs = [(b, e) for b, e in enumerate(v) if e]
+    for a, c in enumerate(u):
+        if c:
+            for b, e in vs:
+                add_scaled(out, c * e, bracket(a, b))
+    return densify(out, n)
 
 
 def bracket_eval(alg: GradedLieAlgebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     """Bilinear extension of the bracket table to arbitrary vectors."""
-    n = alg.space.total_dim
-    out = zero_vector(n)
-    for a in range(n):
-        ua = Fraction(u[a])
-        if ua == 0:
-            continue
-        for b in range(n):
-            vb = Fraction(v[b])
-            if vb == 0 or a == b:
-                continue
-            out = add_vectors(out, scale_vector(ua * vb, alg.bracket_basis(a, b)))
-    return out
+    return bilinear_eval(alg.bracket_row, alg.space.total_dim, u, v)
 
 
 def validate(alg: GradedLieAlgebra) -> list[str]:
@@ -146,13 +163,17 @@ def validate(alg: GradedLieAlgebra) -> list[str]:
                     f"not homogeneous of degree {target}")
                 break
     n = space.total_dim
+    ad = alg._ad
     for a in range(n):
         for b in range(a + 1, n):
             for c in range(b + 1, n):
-                acc = bracket_eval(alg, alg.bracket_basis(a, b), _basis_vec(n, c))
-                acc = add_vectors(acc, bracket_eval(alg, alg.bracket_basis(b, c), _basis_vec(n, a)))
-                acc = add_vectors(acc, bracket_eval(alg, alg.bracket_basis(c, a), _basis_vec(n, b)))
-                if any(e != 0 for e in acc):
+                # [[a, b], c] + [[b, c], a] + [[c, a], b]
+                acc: dict[int, Fraction] = {}
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    for k, e in ad[x].get(y, NO_TERMS).items():
+                        if z in ad[k]:
+                            add_scaled(acc, e, ad[k][z])
+                if acc:
                     problems.append(
                         f"Jacobi fails on ({space.label_of_index(a)}, "
                         f"{space.label_of_index(b)}, {space.label_of_index(c)})")
@@ -184,35 +205,48 @@ def is_fundamental(alg: GradedLieAlgebra) -> bool:
     return True
 
 
-def _derivation_constraint_columns(alg: GradedLieAlgebra,
-                                   units: Sequence[HomogeneousMap]) -> Matrix:
-    """Constraint matrix whose kernel picks out the derivations among
+def derivation_constraints(alg: GradedLieAlgebra, act: Sequence[Sequence[Sparse]],
+                           units: Sequence[tuple[int, int]], n_target: int) -> Matrix:
+    """Constraint matrix whose kernel picks out the derivations of alg
 
-    the span of the given unit maps: one column per unit, rows stack
-    A[e_a, e_b] - [A e_a, e_b] - [e_a, A e_b] over basis pairs a < b.
+    among the span of the unit maps e_src -> e_w (one column per unit).
+    Values lie in a space of dimension n_target on which alg acts
+    through act[w][b] = [e_w, e_b]. Rows stack, over basis pairs a < b
+    of alg in lexicographic order, the n_target coordinates of
+    A[e_a, e_b] - [A e_a, e_b] - [e_a, A e_b].
     """
     n = alg.space.total_dim
+    pair_row: dict[tuple[int, int], int] = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            pair_row[(a, b)] = len(pair_row) * n_target
+    # the pairs whose bracket has a nonzero coefficient on each index
+    hits: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+    for (a, b), row in pair_row.items():
+        for k, e in alg.bracket_row(a, b).items():
+            hits[k].append((row, e))
     cols = []
-    for u in units:
-        col: list[Fraction] = []
-        images = [u.apply_basis(i) for i in range(n)]
-        for a in range(n):
-            for b in range(a + 1, n):
-                lhs = u.apply(alg.bracket_basis(a, b))
-                rhs = add_vectors(bracket_eval(alg, images[a], _basis_vec(n, b)),
-                                  bracket_eval(alg, _basis_vec(n, a), images[b]))
-                col.extend(f - g for f, g in zip(lhs, rhs))
+    for src, w in units:
+        # A[e_a, e_b] on the unit's target coordinate; one entry per pair
+        col = {row + w: e for row, e in hits[src]}
+        for b in range(src + 1, n):
+            # minus [A(e_src), e_b] = -[e_w, e_b]
+            add_scaled(col, -1, act[w][b], pair_row[(src, b)])
+        for a in range(src):
+            # minus [e_a, A(e_src)] = +[e_w, e_a]
+            add_scaled(col, 1, act[w][a], pair_row[(a, src)])
         cols.append(col)
-    return Matrix.from_rows(cols).transpose()
+    return Matrix.from_columns(cols, len(pair_row) * n_target)
 
 
 def der0_basis(alg: GradedLieAlgebra) -> list[HomogeneousMap]:
     """Canonical basis of the degree-0 derivations, as homogeneous maps."""
-    units = hom_basis(alg.space, alg.space, 0)
+    units = hom_units(alg.space, alg.space, 0)
     if not units:
         return []
-    constraints = _derivation_constraint_columns(alg, units)
-    ker = kernel(constraints)
+    n = alg.space.total_dim
+    act = [[alg.bracket_row(w, b) for b in range(n)] for w in range(n)]
+    ker = kernel(derivation_constraints(alg, act, units, n))
     return [hom_from_coords(alg.space, alg.space, 0, row) for row in ker.basis.entries]
 
 

@@ -15,23 +15,36 @@ corresponding geometric structure.
 Tower coordinate convention: the graded space of m_s lists m's
 components first (ascending degree), then g^0, then g^1 ... g^s, so
 every m_(s-1) coordinate vector is a prefix of an m_s one.
+
+Evaluation reads only nonzero structure constants. The tower keeps an
+action table act[w][b] = [e_w, e_b] of sparse rows {index: Fraction},
+extended as each level is pushed; the solver assembles its constraint
+columns from it, and the mandatory re-substitution of every solved
+level evaluates each basis map from its own sparse columns and the
+table, never from the constraint columns. The extended bracket is
+built once per ProlongationResult and memoised with the result's
+full-depth tower, so every caller (tower report, kernel reports,
+boundary maps) shares one copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exact_linear import Matrix, Subspace, Vector, add_vectors, kernel, scale_vector, zero_vector
-from .graded import (
-    GradedSpace,
-    HomogeneousMap,
-    hom_coords,
-    hom_from_coords,
-    hom_space_dim,
+from .exact_linear import NO_TERMS, Sparse, Subspace, Vector, add_scaled, densify, kernel
+from .graded import GradedSpace, HomogeneousMap, hom_from_coords, hom_units
+from .lie import (
+    G0Spec,
+    GradedLieAlgebra,
+    adjoin_g0,
+    bilinear_eval,
+    derivation_constraints,
+    is_fundamental,
+    resolve_g0,
+    validate,
 )
-from .lie import G0Spec, GradedLieAlgebra, adjoin_g0, is_fundamental, resolve_g0, validate
 
 
 class LevelInconsistency(Exception):
@@ -73,7 +86,13 @@ class ProlongationStatus:
 
 
 class _Tower:
-    """Shared evaluation context: m, the g^0 action, computed levels."""
+    """Shared evaluation context: m, the g^0 action, computed levels.
+
+    act[w][b] is [e_w, e_b] as a sparse row, for every basis vector e_w
+    of the tower built so far and e_b of m; the value lies in the levels
+    below e_w's, so its indices are valid in every larger tower. Rows
+    are appended as levels are pushed.
+    """
 
     def __init__(self, negative: GradedLieAlgebra, g0: Sequence[HomogeneousMap],
                  g0_labels: Sequence[str]):
@@ -83,6 +102,9 @@ class _Tower:
         self.levels: list[ProlongationLevel] = []
         self.nm = negative.space.total_dim
         self._spaces: list[GradedSpace] = [self._build_space(0)]
+        self.act: list[Sequence[Sparse]] = [
+            [negative.bracket_row(w, b) for b in range(self.nm)] for w in range(self.nm)]
+        self.act.extend(d.columns for d in self.g0)
 
     def _build_space(self, s: int) -> GradedSpace:
         labels = {d: self.negative.space.labels(d) for d in self.negative.space.degrees}
@@ -105,42 +127,10 @@ class _Tower:
     def push(self, level: ProlongationLevel) -> None:
         self.levels.append(level)
         self._spaces.append(self._build_space(len(self.levels)))
+        self.act.extend(A.columns for A in level.basis)
 
     def space(self, s: int) -> GradedSpace:
         return self._spaces[s]
-
-    def dim(self, s: int) -> int:
-        return self.space(s).total_dim
-
-    def action_on_m(self, w: int, b: int, s: int) -> Vector:
-        """[e_w, e_b] for the w-th basis vector of m_s and e_b in m,
-
-        padded to m_s coordinates (the value lies in m_(s-1)).
-        """
-        n = self.dim(s)
-        if w < self.nm:
-            return _pad(self.negative.bracket_basis(w, b), n)
-        pos = self.nm
-        if w < pos + len(self.g0):
-            return _pad(self.g0[w - pos].apply_basis(b), n)
-        pos += len(self.g0)
-        for level in self.levels[:s]:
-            if w < pos + level.dim:
-                return _pad(level.basis[w - pos].apply_basis(b), n)
-            pos += level.dim
-        raise IndexError(w)
-
-    def eval_z_on_m(self, z: Sequence[Fraction], b: int, s: int) -> Vector:
-        """[z, e_b] for z an m_s coordinate vector."""
-        out = zero_vector(self.dim(s))
-        for w, c in enumerate(z):
-            if c != 0:
-                out = add_vectors(out, scale_vector(c, self.action_on_m(w, b, s)))
-        return out
-
-
-def _pad(v: Sequence[Fraction], n: int) -> Vector:
-    return tuple(v) + (Fraction(0),) * (n - len(v))
 
 
 def _solve_level(tower: _Tower) -> ProlongationLevel:
@@ -148,43 +138,12 @@ def _solve_level(tower: _Tower) -> ProlongationLevel:
     r = len(tower.levels)
     neg = tower.negative
     below = tower.space(r)
-    nm, n_below = tower.nm, below.total_dim
     degree = r + 1
-    nunits = hom_space_dim(neg.space, below, degree)
-    if nunits == 0:
+    units = hom_units(neg.space, below, degree)
+    if not units:
         return ProlongationLevel(degree, below, Subspace.zero(0), ())
-
-    # unit u = (source index a, target index w); enumerate in the hom frame
-    unit_index: list[tuple[int, int]] = []
-    for i in HomogeneousMap.present_source_degrees(neg.space, below, degree):
-        for a_local in range(neg.space.dim(i)):
-            a = neg.space.offset(i) + a_local
-            for w_local in range(below.dim(i + degree)):
-                w = below.offset(i + degree) + w_local
-                unit_index.append((a, w))
-
-    # action table [e_w, e_b] for every tower coordinate w and m basis b
-    action = [[tower.action_on_m(w, b, r) for b in range(nm)] for w in range(n_below)]
-
-    columns: list[list[Fraction]] = [[] for _ in range(nunits)]
-    for a in range(nm):
-        for b in range(a + 1, nm):
-            ab = neg.bracket_basis(a, b)
-            for u, (src, w) in enumerate(unit_index):
-                col = [Fraction(0)] * n_below
-                if ab[src] != 0:
-                    # A[a,b] contributes on the unit's target coordinate
-                    col[w] += ab[src]
-                if src == a:
-                    # minus [A(e_a), e_b] = -[e_w, e_b]
-                    col = [c - e for c, e in zip(col, action[w][b])]
-                if src == b:
-                    # minus [e_a, A(e_b)] = +[e_w, e_a]
-                    col = [c + e for c, e in zip(col, action[w][a])]
-                columns[u].extend(col)
-
     # with fewer than two basis vectors in m the system has no rows
-    carrier = kernel(Matrix.from_rows(columns).transpose())
+    carrier = kernel(derivation_constraints(neg, tower.act, units, below.total_dim))
     basis = tuple(hom_from_coords(neg.space, below, degree, row)
                   for row in carrier.basis.entries)
     level = ProlongationLevel(degree, below, carrier, basis)
@@ -195,18 +154,26 @@ def _solve_level(tower: _Tower) -> ProlongationLevel:
 def _reverify_level(tower: _Tower, level: ProlongationLevel) -> None:
     """Re-substitute every basis element into the defining identity.
 
-    Runs on each solved level; failure marks an internal bug, never bad
-    input.
+    Each map is evaluated from its own sparse columns and the tower's
+    action table, not from the constraint system. Runs on each solved
+    level; failure marks an internal bug, never bad input.
     """
     neg = tower.negative
     nm = tower.nm
-    r = level.degree - 1
+    act = tower.act
     for A in level.basis:
+        images = A.columns
         for a in range(nm):
             for b in range(a + 1, nm):
-                lhs = A.apply(neg.bracket_basis(a, b))
-                rhs = add_vectors(tower.eval_z_on_m(A.apply_basis(a), b, r),
-                                  tuple(-e for e in tower.eval_z_on_m(A.apply_basis(b), a, r)))
+                lhs: dict[int, Fraction] = {}
+                for k, e in neg.bracket_row(a, b).items():
+                    add_scaled(lhs, e, images[k])
+                # [A e_a, e_b] + [e_a, A e_b] = [A e_a, e_b] - [A e_b, e_a]
+                rhs: dict[int, Fraction] = {}
+                for w, c in images[a].items():
+                    add_scaled(rhs, c, act[w][b])
+                for w, c in images[b].items():
+                    add_scaled(rhs, -c, act[w][a])
                 if lhs != rhs:
                     raise LevelInconsistency(
                         f"level {level.degree} basis element fails the bracket "
@@ -262,7 +229,9 @@ def prolong(m: GradedLieAlgebra, g0: Union[G0Spec, Sequence[HomogeneousMap]],
             break
     if status is None:
         status = ProlongationStatus("truncated", None, max_degree)
-    return ProlongationResult(base, m, g0_basis, tuple(tower.levels), status)
+    result = ProlongationResult(base, m, g0_basis, tuple(tower.levels), status)
+    result._memo["tower"] = tower
+    return result
 
 
 @dataclass(frozen=True)
@@ -272,6 +241,8 @@ class ProlongationResult:
     g0: tuple[HomogeneousMap, ...]
     levels: tuple[ProlongationLevel, ...]
     status: ProlongationStatus
+    # the full-depth tower and the extended bracket, each built once
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -299,17 +270,20 @@ class ProlongationResult:
             raise ValueError(f"level {s} not computed")
         return self.levels[s - 1]
 
-    def _tower(self, s: Optional[int] = None) -> _Tower:
-        tower = _Tower(self.negative, self.g0, self.base.space.labels(0) if self.g0 else ())
-        for level in self.levels[: self.depth if s is None else s]:
-            tower.push(level)
+    def _tower(self) -> _Tower:
+        tower = self._memo.get("tower")
+        if tower is None:
+            tower = _Tower(self.negative, self.g0, self.base.space.labels(0) if self.g0 else ())
+            for level in self.levels:
+                tower.push(level)
+            self._memo["tower"] = tower
         return tower
 
     def tower_space(self, s: int) -> GradedSpace:
         """Graded space of m_s = m + g^0 + ... + g^s."""
         if not 0 <= s <= self.depth:
             raise ValueError(f"level {s} not computed")
-        return self._tower(s).space(s)
+        return self._tower().space(s)
 
 
 def order_and_bound(result: ProlongationResult, base_dim: Optional[int] = None) -> tuple[int, int]:
@@ -336,7 +310,8 @@ class ExtendedBracket:
 
     table covers in-range basis pairs a < b; pairs of positive levels
     whose degrees sum beyond the computed depth are listed in
-    out_of_range instead.
+    out_of_range instead. Lookups and evaluation read a sparse table of
+    both orientations built from it.
     """
 
     space: GradedSpace
@@ -345,36 +320,29 @@ class ExtendedBracket:
     out_of_range: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_lookup", dict(self.table))
+        rows: dict[tuple[int, int], Sparse] = {}
+        for (a, b), value in self.table:
+            row = {k: e for k, e in enumerate(value) if e}
+            rows[(a, b)] = row
+            rows[(b, a)] = {k: -e for k, e in row.items()}
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_escaped", frozenset(self.out_of_range))
 
+    def row(self, a: int, b: int) -> Sparse:
+        """[e_a, e_b] as a sparse row; shared, so callers must not mutate it."""
+        if (a, b) in self._escaped or (b, a) in self._escaped:
+            raise ValueError(f"bracket ({min(a, b)}, {max(a, b)}) lands above degree {self.depth}")
+        return self._rows.get((a, b), NO_TERMS)
+
     def bracket_basis(self, a: int, b: int) -> Vector:
-        if a == b:
-            return zero_vector(self.space.total_dim)
-        sign = 1
-        if a > b:
-            a, b, sign = b, a, -1
-        if (a, b) in self._escaped:
-            raise ValueError(f"bracket ({a}, {b}) lands above degree {self.depth}")
-        value = self._lookup.get((a, b))
-        if value is None:
-            return zero_vector(self.space.total_dim)
-        return tuple(sign * e for e in value)
+        return densify(self.row(a, b), self.space.total_dim)
 
     def in_range(self, a: int, b: int) -> bool:
         key = (a, b) if a < b else (b, a)
         return key not in self._escaped
 
     def bracket_eval(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        out = zero_vector(self.space.total_dim)
-        for a, c in enumerate(u):
-            if c == 0:
-                continue
-            for b, e in enumerate(v):
-                if e == 0 or a == b:
-                    continue
-                out = add_vectors(out, scale_vector(c * e, self.bracket_basis(a, b)))
-        return out
+        return bilinear_eval(self.row, self.space.total_dim, u, v)
 
 
 def jacobi_failures(eb: ExtendedBracket) -> list[tuple[int, int, int]]:
@@ -391,27 +359,22 @@ def jacobi_failures(eb: ExtendedBracket) -> list[tuple[int, int, int]]:
     for a in range(n):
         for b in range(a + 1, n):
             for c in range(b + 1, n):
-                terms = []
+                total: dict[int, Fraction] = {}
+                checked = True
                 for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
                     if not eb.in_range(y, z):
+                        checked = False
                         break
-                    inner = eb.bracket_basis(y, z)
-                    if any(e != 0 and not eb.in_range(x, w)
-                           for w, e in enumerate(inner)):
+                    inner = eb.row(y, z)
+                    if any(not eb.in_range(x, w) for w in inner):
+                        checked = False
                         break
-                    terms.append(eb.bracket_eval(_unit(n, x), inner))
-                if len(terms) < 3:
-                    continue
-                total = add_vectors(terms[0], add_vectors(terms[1], terms[2]))
-                if any(e != 0 for e in total):
+                    # [e_x, [e_y, e_z]]
+                    for w, e in inner.items():
+                        add_scaled(total, e, eb.row(x, w))
+                if checked and total:
                     bad.append((a, b, c))
     return bad
-
-
-def _unit(n: int, i: int) -> Vector:
-    out = [Fraction(0)] * n
-    out[i] = Fraction(1)
-    return tuple(out)
 
 
 def extended_bracket(result: ProlongationResult) -> ExtendedBracket:
@@ -424,9 +387,18 @@ def extended_bracket(result: ProlongationResult) -> ExtendedBracket:
     pairs beyond the order land in a vanished level and are verified
     to evaluate to zero. On a truncated tower, pairs of positive
     levels whose degrees sum past the computed depth are reported in
-    out_of_range instead.
+    out_of_range instead. Computed once per result and memoised.
     """
+    eb = result._memo.get("bracket")
+    if eb is None:
+        eb = _build_extended_bracket(result)
+        result._memo["bracket"] = eb
+    return eb
+
+
+def _build_extended_bracket(result: ProlongationResult) -> ExtendedBracket:
     tower = result._tower()
+    act = tower.act
     depth = result.depth
     order = result.status.order
     space = tower.space(depth)
@@ -434,137 +406,104 @@ def extended_bracket(result: ProlongationResult) -> ExtendedBracket:
     nm = tower.nm
     r0 = len(result.g0)
 
-    # tower index ranges per level s >= 0
-    def level_range(s: int) -> range:
-        if s == 0:
-            return range(nm, nm + r0)
-        start = nm + r0 + sum(result.dims[: s - 1])
-        return range(start, start + result.dims[s - 1])
+    # level of each non-negative tower coordinate
+    level_of = [0] * (nm + r0)
+    for s, d in enumerate(result.dims, start=1):
+        level_of.extend([s] * d)
 
-    def level_of(idx: int) -> int:
-        # level of a non-negative tower coordinate
-        if idx < nm + r0:
-            return 0
-        pos = nm + r0
-        for s, d in enumerate(result.dims, start=1):
-            if idx < pos + d:
-                return s
-            pos += d
-        raise IndexError(idx)
+    memo: dict[tuple[int, int], Sparse] = {}
 
-    memo: dict[tuple[int, int], Vector] = {}
-
-    def bracket_pos_pos(a: int, b: int) -> Vector:
+    def bracket_pos_pos(a: int, b: int) -> Sparse:
         """[e_a, e_b] for tower indices of non-negative levels, a < b."""
         if (a, b) in memo:
             return memo[(a, b)]
-        sa, sb = level_of(a), level_of(b)
+        sa, sb = level_of[a], level_of[b]
         if sa == 0 and sb == 0:
-            value = _pad(result.base.bracket_basis(a, b), n)
+            value = result.base.bracket_row(a, b)
             memo[(a, b)] = value
             return value
         s = sa + sb
-        f1_vals = [tower.action_on_m(a, x, depth) for x in range(nm)]
-        f2_vals = [tower.action_on_m(b, x, depth) for x in range(nm)]
         cols = []
         for x in range(nm):
-            acc = zero_vector(n)
+            acc: dict[int, Fraction] = {}
             # [f1(x), f2] summed over the coordinates of f1(x)
-            for w, c in enumerate(f1_vals[x]):
-                if c == 0:
-                    continue
+            for w, c in act[a][x].items():
                 if w < nm:
-                    term = tuple(-e for e in tower.action_on_m(b, w, depth))
+                    add_scaled(acc, -c, act[b][w])
                 else:
-                    term = pair_bracket(w, b)
-                acc = add_vectors(acc, scale_vector(c, term))
+                    add_pair(acc, c, w, b)
             # [f1, f2(x)] summed over the coordinates of f2(x)
-            for w, c in enumerate(f2_vals[x]):
-                if c == 0:
-                    continue
+            for w, c in act[b][x].items():
                 if w < nm:
-                    term = tower.action_on_m(a, w, depth)
+                    add_scaled(acc, c, act[a][w])
                 else:
-                    term = pair_bracket(a, w)
-                acc = add_vectors(acc, scale_vector(c, term))
+                    add_pair(acc, c, a, w)
             cols.append(acc)
         if order is not None and s > order:
             # the target level vanished; the formula must agree
-            if any(e != 0 for col in cols for e in col):
+            if any(cols):
                 raise LevelInconsistency(
                     f"bracket of levels {sa} and {sb} is nonzero past the order")
-            value = zero_vector(n)
+            value = NO_TERMS
         else:
-            value = _express_in_level(result, tower, s, cols)
+            value = _express_in_level(result, s, cols)
         memo[(a, b)] = value
         return value
 
-    def pair_bracket(a: int, b: int) -> Vector:
-        if a == b:
-            return zero_vector(n)
+    def add_pair(acc: dict[int, Fraction], c: Fraction, a: int, b: int) -> None:
+        """acc += c [e_a, e_b] for non-negative levels."""
         if a < b:
-            return bracket_pos_pos(a, b)
-        return tuple(-e for e in bracket_pos_pos(b, a))
+            add_scaled(acc, c, bracket_pos_pos(a, b))
+        elif a > b:
+            add_scaled(acc, -c, bracket_pos_pos(b, a))
 
     table: dict[tuple[int, int], Vector] = {}
     out_of_range: list[tuple[int, int]] = []
     for a in range(n):
         for b in range(a + 1, n):
             if b < nm:
-                value = _pad(result.negative.bracket_basis(a, b), n)
+                value = result.negative.bracket_row(a, b)
             elif a < nm:
                 # [x, z] = -z(x) for z in g^s
-                value = tuple(-e for e in tower.action_on_m(b, a, depth))
+                value = {k: -e for k, e in act[b][a].items()}
             else:
-                if order is None and level_of(a) + level_of(b) > depth:
+                if order is None and level_of[a] + level_of[b] > depth:
                     out_of_range.append((a, b))
                     continue
-                value = pair_bracket(a, b)
-            if any(e != 0 for e in value):
-                table[(a, b)] = value
+                value = bracket_pos_pos(a, b)
+            if value:
+                table[(a, b)] = densify(value, n)
     return ExtendedBracket(space, depth, tuple(sorted(table.items())), tuple(out_of_range))
 
 
-def _express_in_level(result: ProlongationResult, tower: _Tower, s: int,
-                      cols: Sequence[Vector]) -> Vector:
-    """Re-express a map m -> m_(s-1), given by its value columns, as a
+def _express_in_level(result: ProlongationResult, s: int, cols: Sequence[Sparse]) -> Sparse:
+    """Re-express a map m -> m_(s-1), given by its sparse value columns,
 
-    tower vector supported on the degree-s block (coefficients over the
-    computed level-s basis); requires s >= 1.
+    as a sparse tower vector on the degree-s block (coefficients over
+    the computed level-s basis); requires s >= 1. A value outside the
+    degree-(i+s) block of a degree-i column raises LevelInconsistency.
     """
-    n = tower.dim(result.depth)
-    nm = tower.nm
     if s > result.depth:
         raise LevelInconsistency(f"bracket lands in uncomputed level {s}")
     level = result.levels[s - 1]
-    n_below = level.space_below.total_dim
-    blocks: dict[int, list[list[Fraction]]] = {}
+    below = level.space_below
+    n_below = below.total_dim
     neg_space = result.negative.space
+    coords: list[Fraction] = []
     for i in neg_space.degrees:
         tgt = i + s
-        if level.space_below.dim(tgt) == 0:
-            for x in range(neg_space.offset(i), neg_space.offset(i) + neg_space.dim(i)):
-                if any(e != 0 for e in cols[x]):
+        rows = below.dim(tgt)
+        start = below.offset(tgt) if rows else 0
+        for x in range(neg_space.offset(i), neg_space.offset(i) + neg_space.dim(i)):
+            for t in cols[x]:
+                if t >= n_below:
+                    raise LevelInconsistency("bracket value escapes m_(s-1)")
+                if not start <= t < start + rows:
                     raise LevelInconsistency("bracket value outside the graded block")
-            continue
-        rows = level.space_below.dim(tgt)
-        start = level.space_below.offset(tgt)
-        block = []
-        for rr in range(rows):
-            block.append([cols[neg_space.offset(i) + c][start + rr]
-                          for c in range(neg_space.dim(i))])
-        blocks[i] = block
-    for x in range(nm):
-        for t, e in enumerate(cols[x]):
-            if e != 0 and t >= n_below:
-                raise LevelInconsistency("bracket value escapes m_(s-1)")
-    f = HomogeneousMap.make(neg_space, level.space_below, s,
-                            {i: Matrix.from_rows(b) for i, b in blocks.items()})
-    coords = level.carrier.coords_of(hom_coords(f))
-    if coords is None:
+            if rows:
+                coords.extend(cols[x].get(start + t, 0) for t in range(rows))
+    found = level.carrier.coords_of(coords)
+    if found is None:
         raise LevelInconsistency(f"bracket value is not in the computed g^{s}")
-    out = [Fraction(0)] * n
-    start = nm + len(result.g0) + sum(result.dims[: s - 1])
-    for t, c in enumerate(coords):
-        out[start + t] = c
-    return tuple(out)
+    start = result.negative.space.total_dim + len(result.g0) + sum(result.dims[: s - 1])
+    return {start + t: c for t, c in enumerate(found) if c}

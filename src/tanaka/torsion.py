@@ -20,21 +20,28 @@ Hom summand.
 
 Boundary matrices are assembled from the extended bracket, not from
 the solver's constraint systems, so the kernel comparisons genuinely
-cross-validate two code paths.
+cross-validate two code paths. One evaluator serves the matrices and
+the single-element maps partial1/partial_np1: it reads a map through
+the sparse images of basis vectors (a unit (source, target) pair for a
+matrix column, the element's cached columns otherwise) and brackets
+through the sparse lookups of the memoised extended bracket.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .exact_linear import (
+    NO_TERMS,
     Matrix,
+    Sparse,
     Subspace,
     Vector,
-    add_vectors,
+    add_scaled,
     complement,
+    densify,
     kernel,
     rank,
 )
@@ -42,12 +49,12 @@ from .graded import (
     GradedMap,
     GradedSpace,
     HomogeneousMap,
-    hom_basis,
     hom_coords,
     hom_space_dim,
+    hom_units,
 )
-from .lie import GradedLieAlgebra, bracket_eval
-from .prolong import ExtendedBracket, ProlongationResult, extended_bracket
+from .lie import GradedLieAlgebra
+from .prolong import ProlongationResult, extended_bracket
 
 
 @dataclass(frozen=True)
@@ -136,8 +143,49 @@ def torsion_space(result: ProlongationResult, n: int) -> TorsionSpace:
     return torsion_space1(result.base) if n == 0 else torsion_space_np1(result, n)
 
 
-def _component_block(space: GradedSpace, v: Sequence[Fraction], degree: int) -> list[Fraction]:
-    return list(space.component_of_vector(v, degree))
+def _pair_blocks(tor: TorsionSpace) -> list[tuple[int, int, int, int, int]]:
+    """(a, b, first row, block start, block dim) for each wedge pair: the
+
+    pair's rows hold the component of degree deg(a) + deg(b) + level of
+    the tower space, which starts at block start.
+    """
+    space = tor.space
+    out = []
+    row = 0
+    for a, b in tor.pairs_m:
+        dim = tor.pair_m_dim(a, b)
+        d = space.degree_of_index(a) + space.degree_of_index(b) + tor.level
+        out.append((a, b, row, space.offset(d), dim))
+        row += dim
+    return out
+
+
+def _gl_torsion(blocks: Sequence[tuple[int, int, int, int, int]],
+                bracket: Callable[[int, int], Sparse],
+                images: Mapping[int, Sparse]) -> dict[int, Fraction]:
+    """Torsion rows (dA)(a ^ b) = A[a, b] - [A(a), b] - [a, A(b)] of the map
+
+    A with the given sparse images of basis vectors (absent: zero),
+    brackets read through bracket(x, y).
+    """
+    out: dict[int, Fraction] = {}
+    for a, b, row, start, dim in blocks:
+        val: dict[int, Fraction] = {}
+        for k, e in bracket(a, b).items():
+            if k in images:
+                add_scaled(val, e, images[k])
+        for w, c in images.get(a, NO_TERMS).items():
+            add_scaled(val, -c, bracket(w, b))
+        for w, c in images.get(b, NO_TERMS).items():
+            add_scaled(val, -c, bracket(a, w))
+        for k, e in val.items():
+            if start <= k < start + dim:
+                out[row + k - start] = e
+    return out
+
+
+def _images(a: HomogeneousMap) -> dict[int, Sparse]:
+    return {j: col for j, col in enumerate(a.columns) if col}
 
 
 def partial1(m0: GradedLieAlgebra, a: Union[GradedMap, HomogeneousMap]) -> Vector:
@@ -153,49 +201,62 @@ def partial1(m0: GradedLieAlgebra, a: Union[GradedMap, HomogeneousMap]) -> Vecto
         if a.degree != 1:
             raise ValueError(f"expected degree 1, got {a.degree}")
         a1 = a
+    if (a1.source, a1.target) != (m0.space, m0.space):
+        raise ValueError("expected an endomorphism of m + g^0")
     tor = torsion_space1(m0)
-    space = m0.space
-    n = space.total_dim
-    out: list[Fraction] = []
-    for x, y in tor.pairs_m:
-        ex = tuple(Fraction(1 if i == x else 0) for i in range(n))
-        ey = tuple(Fraction(1 if i == y else 0) for i in range(n))
-        val = a1.apply(m0.bracket_basis(x, y))
-        val = add_vectors(val, tuple(-e for e in bracket_eval(m0, a1.apply_basis(x), ey)))
-        val = add_vectors(val, tuple(-e for e in bracket_eval(m0, ex, a1.apply_basis(y))))
-        d = space.degree_of_index(x) + space.degree_of_index(y) + 1
-        out.extend(_component_block(space, val, d))
-    return tuple(out)
+    return densify(_gl_torsion(_pair_blocks(tor), m0.bracket_row, _images(a1)), tor.total_dim)
 
 
 def partial1_matrix(m0: GradedLieAlgebra) -> tuple[TorsionSpace, Matrix]:
     """Matrix of the first boundary map over the degree-1 unit maps."""
     tor = torsion_space1(m0)
-    units = hom_basis(m0.space, m0.space, 1)
-    cols = [partial1(m0, u) for u in units]
-    return tor, Matrix.from_rows(cols, tor.total_dim).transpose()
+    blocks = _pair_blocks(tor)
+    cols = [_gl_torsion(blocks, m0.bracket_row, {p: {q: 1}})
+            for p, q in hom_units(m0.space, m0.space, 1)]
+    return tor, Matrix.from_columns(cols, tor.total_dim)
 
 
-class _Evaluator:
-    """Bracket evaluation on a tower truncated at level n, backed by the
+class _Boundary:
+    """The level-(n+1) boundary map, evaluated on sparse images.
 
-    extended bracket of the full result (pairs used here never leave
-    the computed range).
+    Brackets come from the memoised extended bracket of the full result;
+    the pairs used here never leave its computed range.
     """
 
     def __init__(self, result: ProlongationResult, n: int):
-        self.eb: ExtendedBracket = extended_bracket(result)
-        self.dim_n = result.tower_space(n).total_dim
-        self.dim_full = self.eb.space.total_dim
+        self.tor = tor = torsion_space_np1(result, n)
+        self.bracket = extended_bracket(result).row
+        self.blocks = _pair_blocks(tor)
+        self.top = result.level(n).basis
+        # rows of each (x, w) Hom pair, grouped by w; values lie in g^(n-1)
+        self.hom_rows: dict[int, list[tuple[int, int]]] = {}
+        pos = tor.part_dims[0]
+        for x, w in tor.pairs_hom:
+            self.hom_rows.setdefault(w, []).append((x, pos))
+            pos += tor.hom_block_dim
+        self.hom_start = tor.space.offset(n - 1) if tor.pairs_hom else 0
 
-    def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        pu = tuple(u) + (Fraction(0),) * (self.dim_full - len(u))
-        pv = tuple(v) + (Fraction(0),) * (self.dim_full - len(v))
-        return self.eb.bracket_eval(pu, pv)[: self.dim_n]
+    def gl(self, images: Mapping[int, Sparse]) -> dict[int, Fraction]:
+        """Rows of dA for A in gl_{n+1}(m_n), given by its sparse images."""
+        return _gl_torsion(self.blocks, self.bracket, images)
 
+    def hom(self, images: Mapping[int, Sparse]) -> dict[int, Fraction]:
+        """Rows of dE for E in sum_i Hom(g^i, g^n); images[w] holds E(e_w)
 
-def _unit_vector(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+        over the g^n basis. (dE)(x ^ w) = -[x, E(w)] = E(w)(x), read in
+        the degree n-1 block.
+        """
+        out: dict[int, Fraction] = {}
+        dim = self.tor.hom_block_dim
+        for w, image in images.items():
+            for x, pos in self.hom_rows.get(w, ()):
+                val: dict[int, Fraction] = {}
+                for t, c in image.items():
+                    add_scaled(val, c, self.top[t].columns[x])
+                for k, e in val.items():
+                    if self.hom_start <= k < self.hom_start + dim:
+                        out[pos + k - self.hom_start] = e
+        return out
 
 
 def partial_np1_matrix(result: ProlongationResult,
@@ -207,51 +268,18 @@ def partial_np1_matrix(result: ProlongationResult,
     index outer, target index inner. The layout tuple gives the column
     count of each summand: (gl, hom_0, ..., hom_{n-1}).
     """
-    tor = torsion_space_np1(result, n)
-    space = tor.space
-    nm = tor.nm
-    level = n + 1
-    ev = _Evaluator(result, n)
-    neg = result.negative
-
-    cols: list[list[Fraction]] = []
-    for unit in hom_basis(space, space, level):
-        col: list[Fraction] = []
-        for a, b in tor.pairs_m:
-            ab = tuple(neg.bracket_basis(a, b)) + (Fraction(0),) * (space.total_dim - nm)
-            val = unit.apply(ab)
-            val = add_vectors(val, tuple(-e for e in ev.bracket(
-                unit.apply_basis(a), _unit_vector(space.total_dim, b))))
-            val = add_vectors(val, tuple(-e for e in ev.bracket(
-                _unit_vector(space.total_dim, a), unit.apply_basis(b))))
-            d = space.degree_of_index(a) + space.degree_of_index(b) + level
-            col.extend(_component_block(space, val, d))
-        col.extend([Fraction(0)] * tor.part_dims[1])
-        cols.append(col)
+    bd = _Boundary(result, n)
+    space = bd.tor.space
+    cols = [bd.gl({p: {q: 1}}) for p, q in hom_units(space, space, n + 1)]
     layout = [len(cols)]
-
-    first_dim = tor.part_dims[0]
     r_n = space.dim(n)
     for i in range(n):
         r_i = space.dim(i)
         layout.append(r_i * r_n)
         for w_local in range(r_i):
             w = space.offset(i) + w_local
-            for t_local in range(r_n):
-                a_t = result.level(n).basis[t_local]
-                col = [Fraction(0)] * tor.total_dim
-                pos = first_dim
-                for x, w2 in tor.pairs_hom:
-                    if w2 == w:
-                        # -[x, E(w)] = A_t(x), a g^{n-1} value
-                        val = a_t.apply_basis(x)
-                        block = _component_block(result.tower_space(n - 1), val, n - 1)
-                        for r, e in enumerate(block):
-                            col[pos + r] = e
-                    pos += tor.hom_block_dim
-                cols.append(col)
-
-    return tor, Matrix.from_rows(cols, tor.total_dim).transpose(), tuple(layout)
+            cols.extend(bd.hom({w: {t: 1}}) for t in range(r_n))
+    return bd.tor, Matrix.from_columns(cols, bd.tor.total_dim), tuple(layout)
 
 
 def partial_np1(result: ProlongationResult, n: int,
@@ -262,22 +290,24 @@ def partial_np1(result: ProlongationResult, n: int,
     gl_part may be a graded map with parts of degree >= n+1 (only the
     degree-(n+1) part enters), a single homogeneous map of that
     degree, or None; hom_parts[i] is the matrix of a map g^i -> g^n
-    (rows indexed by the g^n basis).
+    (rows indexed by the g^n basis). The boundary formula is evaluated
+    on the element's sparse columns; the matrix is not built.
     """
-    tor, matrix, layout = partial_np1_matrix(result, n)
-    space = tor.space
+    bd = _Boundary(result, n)
+    space = bd.tor.space
     level = n + 1
+    images: dict[int, Sparse] = {}
     if isinstance(gl_part, GradedMap):
         if any(d < level for d in gl_part.part_degrees):
             raise ValueError(f"expected parts of degree >= {level}")
-        a_top = gl_part.part(level)
-    elif gl_part is None:
-        a_top = HomogeneousMap.zero(space, space, level)
-    else:
+        gl_part = gl_part.part(level)
+    if gl_part is not None:
         if gl_part.degree != level:
             raise ValueError(f"expected degree {level}, got {gl_part.degree}")
-        a_top = gl_part
-    coords: list[Fraction] = list(hom_coords(a_top))
+        if (gl_part.source, gl_part.target) != (space, space):
+            raise ValueError(f"expected an endomorphism of m_{n}")
+        images = _images(gl_part)
+    hom_images: dict[int, Sparse] = {}
     r_n = space.dim(n)
     for i in range(n):
         r_i = space.dim(i)
@@ -285,12 +315,11 @@ def partial_np1(result: ProlongationResult, n: int,
         if mat.shape != (r_n, r_i):
             raise ValueError(f"hom part {i} must be {r_n}x{r_i}")
         for w in range(r_i):
-            for t in range(r_n):
-                coords.append(mat.entries[t][w])
-    assert len(coords) == sum(layout)
-    if tor.total_dim == 0:
-        return ()
-    return matrix.apply(coords)
+            hom_images[space.offset(i) + w] = {t: mat.entries[t][w]
+                                               for t in range(r_n) if mat.entries[t][w]}
+    out = bd.gl(images)
+    out.update(bd.hom(hom_images))
+    return densify(out, bd.tor.total_dim)
 
 
 def gl_tail_dim(space: GradedSpace, p: int) -> int:

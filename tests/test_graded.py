@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tanaka.exact_linear import Matrix
@@ -14,6 +15,7 @@ from tanaka.graded import (
     hom_coords,
     hom_from_coords,
     hom_space_dim,
+    hom_units,
     unipotent_inverse,
     wedge_basis,
 )
@@ -63,6 +65,17 @@ def test_hom_coords_round_trip():
         assert hom_from_coords(TwoOne, TwoOne, 0, coords) == u
 
 
+def test_hom_units_name_the_hom_basis():
+    """Each unit pair (source, target) is the one nonzero of that unit map."""
+    for degree in (-1, 0, 1):
+        pairs = hom_units(TwoOne, TwoOne, degree)
+        units = hom_basis(TwoOne, TwoOne, degree)
+        assert len(pairs) == len(units)
+        for (src, tgt), u in zip(pairs, units):
+            assert [dict(col) for col in u.columns] == [
+                {tgt: 1} if j == src else {} for j in range(TwoOne.total_dim)]
+
+
 def test_wedge_basis_by_degree():
     assert wedge_basis(TwoOne, -2) == [(1, 2)]
     assert wedge_basis(TwoOne, -3) == [(0, 1), (0, 2)]
@@ -85,6 +98,15 @@ def test_apply_matches_matrix(data):
     f = data.draw(homogeneous_maps(space, space, degree))
     v = tuple(data.draw(Scalars) for _ in range(space.total_dim))
     assert f.apply(v) == f.to_matrix().apply(v)
+
+
+def test_apply_rejects_wrong_length():
+    f = HomogeneousMap.make(TwoOne, TwoOne, 1, {-2: Matrix.from_rows([[1], [2]])})
+    with pytest.raises(ValueError, match="length"):
+        f.apply((Fraction(1),) * 2)
+    with pytest.raises(ValueError, match="length"):
+        f.apply((Fraction(1),) * 4)
+    assert f.apply((1, 0, 0)) == (Fraction(0), Fraction(1), Fraction(2))
 
 
 @settings(max_examples=100, derandomize=True)

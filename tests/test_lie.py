@@ -59,6 +59,16 @@ def test_bracket_eval_is_bilinear():
     assert left == tuple(x + y for x, y in zip(uv, bracket_eval(alg, u, w)))
 
 
+def test_bracket_eval_rejects_wrong_length():
+    alg = make_algebra("heisenberg3")
+    ok = (Fraction(0), Fraction(1), Fraction(0))
+    for bad in ((Fraction(1),) * 2, ok + (Fraction(1),)):
+        with pytest.raises(ValueError, match="length"):
+            bracket_eval(alg, bad, ok)
+        with pytest.raises(ValueError, match="length"):
+            bracket_eval(alg, ok, bad)
+
+
 def test_validate_accepts_catalog_algebras():
     for name in ("abelian2", "heisenberg5", "free_235"):
         assert validate(make_algebra(name)) == []

@@ -1,6 +1,7 @@
 """Prolongation engine tests: catalog regressions, the slow-path oracle,
 incremental stepping, and the laws of the extended bracket."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,13 @@ import pytest
 from slow_oracle import slow_prolong_dims
 from tanaka.catalog import make_algebra
 from tanaka.exact_linear import Matrix, Subspace
-from tanaka.graded import HomogeneousMap, hom_coords, hom_space_dim
+from tanaka.graded import HomogeneousMap, hom_basis, hom_coords, hom_space_dim
 from tanaka.lie import G0Spec, adjoin_g0
 from tanaka.prolong import (
+    LevelInconsistency,
+    _build_tower,
+    _express_in_level,
+    _reverify_level,
     extended_bracket,
     jacobi_failures,
     order_and_bound,
@@ -265,3 +270,67 @@ def test_first_level_grows_with_g0():
     assert _first_level_in_bigger_g0(so, co)
     assert _first_level_in_bigger_g0(so, gl)
     assert _first_level_in_bigger_g0(co, gl)
+
+
+def test_extended_bracket_is_built_once_per_result():
+    res = prolong(make_algebra("heisenberg3"), G0Spec("der0"), max_degree=2)
+    assert extended_bracket(res) is extended_bracket(res)
+    assert res.tower_space(1) is res.tower_space(1)
+
+
+def test_extended_bracket_eval_rejects_wrong_length():
+    eb = extended_bracket(prolong(make_algebra("free_235"), G0Spec("der0"), max_degree=10))
+    n = eb.space.total_dim
+    ok = (Fraction(1),) + (Fraction(0),) * (n - 1)
+    for bad in (ok[:-1], ok + (Fraction(1),)):
+        with pytest.raises(ValueError, match="length"):
+            eb.bracket_eval(bad, ok)
+        with pytest.raises(ValueError, match="length"):
+            eb.bracket_eval(ok, bad)
+
+
+def test_express_in_level_rejects_off_block_values():
+    """A degree -1 column of a level-1 value must lie in g^0; a stray
+
+    entry in m_-2 (still inside m_0) is an inconsistency, not a zero.
+    """
+    res = prolong(make_algebra("heisenberg3"), G0Spec("der0"), max_degree=2)
+    nm = res.negative.space.total_dim
+    assert _express_in_level(res, 1, [{} for _ in range(nm)]) == {}
+    x = res.negative.space.offset(-1)
+    z = res.negative.space.offset(-2)
+    cols = [{} for _ in range(nm)]
+    cols[x] = {z: Fraction(1)}
+    with pytest.raises(LevelInconsistency, match="graded block"):
+        _express_in_level(res, 1, cols)
+
+
+def test_resubstitution_catches_a_perturbed_basis_map():
+    """A level-1 basis map plus a unit map outside g^1 fails the check."""
+    m = make_algebra("heisenberg3")
+    res = prolong(m, G0Spec("der0"), max_degree=1)
+    level = res.level(1)
+    below = level.space_below
+    unit = next(u for u in hom_basis(m.space, below, 1)
+                if not level.carrier.contains(hom_coords(u)))
+    perturbed = level.basis[0].add(unit)
+    bad = replace(level, basis=(perturbed,) + level.basis[1:])
+    with pytest.raises(LevelInconsistency, match="bracket identity"):
+        _reverify_level(_build_tower(m, res.g0), bad)
+    _reverify_level(_build_tower(m, res.g0), level)
+
+
+def test_extended_bracket_catches_a_truncated_carrier():
+    """g^0 holds the grading element, which brackets onto every g^2 basis
+
+    map; dropping one row of the g^2 carrier must make that value fail
+    its membership solve.
+    """
+    res = prolong(make_algebra("heisenberg3"), G0Spec("der0"), max_degree=2)
+    g2 = res.level(2)
+    rows = g2.carrier.basis.entries[:-1]
+    lost = replace(g2, carrier=Subspace(g2.carrier.ambient_dim,
+                                        Matrix(rows, g2.carrier.ambient_dim)))
+    broken = replace(res, levels=(res.level(1), lost))
+    with pytest.raises(LevelInconsistency, match="computed g\\^2"):
+        extended_bracket(broken)
