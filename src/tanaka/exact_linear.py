@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
@@ -63,11 +64,6 @@ def zero_vector(n: int) -> Vector:
 
 def add_vectors(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def scale_vector(c, v: Sequence[Fraction]) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
 
 
 def add_scaled(acc: dict[int, Fraction], c, row: Sparse, shift: int = 0) -> None:
@@ -172,19 +168,22 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        if not self.cols:
-            return Matrix.zeros(self.rows, other.cols)
-        cols = other.transpose().entries
-        return Matrix(tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.entries),
-                      other.cols)
+        nonzeros = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [_ZERO] * other.cols
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in nonzeros[k]:
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return Matrix(tuple(out), other.cols)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         """Matrix times column vector."""
         if len(v) != self.cols:
             raise ValueError(f"length mismatch: {self.shape} applied to {len(v)}")
-        if not self.cols:
-            return zero_vector(self.rows)
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        return tuple(sum((a * b for a, b in zip(row, v) if a and b), _ZERO) for row in self.entries)
 
     def stack(self, other: "Matrix") -> "Matrix":
         """Rows of self followed by rows of other."""
@@ -368,6 +367,10 @@ class Subspace:
         return self.basis.rows
 
     def pivots(self) -> tuple[int, ...]:
+        return self._pivots
+
+    @cached_property
+    def _pivots(self) -> tuple[int, ...]:
         # basis is RREF, so each row's pivot is its first nonzero entry
         return tuple(next(j for j, e in enumerate(row) if e != 0) for row in self.basis.entries)
 
@@ -382,13 +385,15 @@ class Subspace:
         """
         if len(v) != self.ambient_dim:
             raise ValueError(f"length {len(v)} != ambient {self.ambient_dim}")
-        v = tuple(Fraction(e) for e in v)
+        v = tuple(e if type(e) is Fraction else Fraction(e) for e in v)
         coeffs = tuple(v[p] for p in self.pivots())
         residual = list(v)
         for c, row in zip(coeffs, self.basis.entries):
-            if c != 0:
-                residual = [a - c * b for a, b in zip(residual, row)]
-        if any(e != 0 for e in residual):
+            if c:
+                for j, b in enumerate(row):
+                    if b:
+                        residual[j] -= c * b
+        if any(residual):
             return None
         return coeffs
 

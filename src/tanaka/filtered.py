@@ -14,27 +14,25 @@ reproduces a fixed graded frame u: m^i -> V_i/V_{i+1}.
 
 All quotients V_i/V_{i+m} use coordinates in the canonical
 pivot-complement basis of V_{i+m} inside V_i, so the identities of
-the calculus are exact matrix identities.
+the calculus are exact matrix identities. A FilteredSpace caches, per
+quotient, the quotient coordinates of V_i's RREF basis rows (each
+solved once), so `quotient_of` is a membership check in V_i plus one
+combination of cached rows; and, per pair of quotients, the matrix
+`transfer` of the map induced by inclusion. The action, the lifts,
+the transition and the projection check of MLift.make are products of
+these blocks, never a lift-then-solve per column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-from .exact_linear import (
-    Matrix,
-    Subspace,
-    Vector,
-    add_vectors,
-    complement,
-    rank,
-    scale_vector,
-    solve,
-    zero_vector,
-)
-from .graded import GradedMap, GradedSpace
+from .exact_linear import Matrix, Subspace, Vector, complement, rank, solve
+from .graded import GradedMap, GradedSpace, HomogeneousMap
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -46,9 +44,11 @@ class FilteredSpace:
     high: int
     chain: tuple[Subspace, ...]
     _frames: dict = field(init=False, compare=False, repr=False, default=None)
+    _transfers: dict = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_frames", {})
+        object.__setattr__(self, "_transfers", {})
 
     @staticmethod
     def make(low: int, parts: Sequence[Subspace]) -> "FilteredSpace":
@@ -65,11 +65,9 @@ class FilteredSpace:
         return FilteredSpace(ambient, low, low + len(parts) - 1, tuple(parts))
 
     def part(self, i: int) -> Subspace:
-        if i < self.low:
-            return Subspace.full(self.ambient_dim)
         if i > self.high:
             return Subspace.zero(self.ambient_dim)
-        return self.chain[i - self.low]
+        return self.chain[max(i - self.low, 0)]  # chain[0] is the full space
 
     def gr_dim(self, i: int) -> int:
         return self.part(i).dim - self.part(i + 1).dim
@@ -82,35 +80,78 @@ class FilteredSpace:
     def quotient_dim(self, i: int, m: int) -> int:
         return self.part(i).dim - self.part(i + m).dim
 
-    def _frame(self, i: int, m: int):
-        """Cached (V_{i+m}, canonical complement, stacked basis) triple."""
+    def _frame(self, i: int, m: int) -> "_Frame":
         lo, hi = self.low, self.high + 1
         key = (min(max(i, lo), hi), min(max(i + m, lo), hi))
         frame = self._frames.get(key)
         if frame is None:
             mod, within = self.part(i + m), self.part(i)
             comp = complement(mod, within)
-            frame = (mod, comp, mod.basis.stack(comp.basis).transpose())
+            stacked = mod.basis.stack(comp.basis).transpose()
+            rows = []
+            for row in within.basis.entries:
+                coeffs = solve(stacked, row)
+                if coeffs is None:
+                    raise ValueError("vector is not in the given space")
+                rows.append(coeffs[mod.dim:])
+            frame = _Frame(within, tuple(rows), comp)
             self._frames[key] = frame
         return frame
 
     def quotient_of(self, v: Sequence[Fraction], i: int, m: int) -> Vector:
         """Coordinates of v + V_{i+m} in V_i/V_{i+m}; v must lie in V_i."""
-        mod, _, stacked = self._frame(i, m)
-        coeffs = solve(stacked, tuple(Fraction(e) for e in v))
-        if coeffs is None:
+        frame = self._frame(i, m)
+        coords = frame.within.coords_of(v)
+        if coords is None:
             raise ValueError("vector is not in the given space")
-        return tuple(coeffs[mod.dim:])
+        return _combination(coords, frame.quotient_rows, frame.comp.dim)
 
     def quotient_lift(self, coords: Sequence[Fraction], i: int, m: int) -> Vector:
         """Canonical representative in V_i of a V_i/V_{i+m} coordinate vector."""
-        _, comp, _ = self._frame(i, m)
+        comp = self._frame(i, m).comp
         if len(coords) != comp.dim:
             raise ValueError(f"length {len(coords)} != quotient dim {comp.dim}")
-        out = zero_vector(self.ambient_dim)
-        for c, row in zip(coords, comp.basis.entries):
-            out = add_vectors(out, scale_vector(c, row))
-        return out
+        return _combination(coords, comp.basis.entries, self.ambient_dim)
+
+    def transfer(self, a: int, ma: int, b: int, mb: int) -> Matrix:
+        """Matrix of V_a/V_{a+ma} -> V_b/V_{b+mb} induced by inclusion;
+
+        needs V_a <= V_b and V_{a+ma} <= V_{b+mb}. Built once per
+        argument tuple: column c is the checked quotient_of of the lift of
+        the c-th unit vector, which is the c-th complement basis row.
+        """
+        key = (a, ma, b, mb)
+        t = self._transfers.get(key)
+        if t is None:
+            cols = [self.quotient_of(row, b, mb)
+                    for row in self._frame(a, ma).comp.basis.entries]
+            t = Matrix(tuple(cols), self.quotient_dim(b, mb)).transpose()
+            self._transfers[key] = t
+        return t
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """Cached data of the quotient V_i/V_{i+m}: V_i itself, the quotient
+
+    coordinates of each of its RREF basis rows, and the canonical
+    complement of V_{i+m} in V_i whose basis gives those coordinates.
+    """
+
+    within: Subspace
+    quotient_rows: tuple[Vector, ...]
+    comp: Subspace
+
+
+def _combination(coeffs: Sequence[Fraction], rows: Sequence[Vector], n: int) -> Vector:
+    """sum_r coeffs[r] * rows[r], skipping zero coefficients and entries."""
+    out = [_ZERO] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, e in enumerate(row):
+                if e:
+                    out[j] += c * e
+    return tuple(out)
 
 
 def _parts_tuple(low: int, high: int,
@@ -164,7 +205,11 @@ class QuasiGradation:
         for i, h in stored:
             if h.add(space.part(i + 1)) != space.part(i):
                 raise ValueError(f"H'^{i} + V_{i + 1} is not V_{i}")
-            if h.intersect(space.part(i + 1)) != space.part(i + degree):
+            # given the first axiom, dim(H'^i ^ V_{i+1}) is this difference,
+            # and the intersection contains V_{i+m} iff H'^i does
+            mod = space.part(i + degree)
+            if (not h.contains_subspace(mod)
+                    or h.dim + space.part(i + 1).dim - space.part(i).dim != mod.dim):
                 raise ValueError(f"H'^{i} ^ V_{i + 1} is not V_{i + degree}")
         return QuasiGradation(space, degree, stored)
 
@@ -204,6 +249,9 @@ class GradedFrame:
             if block is None or block.shape != (g, g) or rank(block) != g:
                 raise ValueError(f"frame block at degree {i} must be {g}x{g} invertible")
             stored.append((i, block))
+        extra = set(blocks) - {i for i, _ in stored}
+        if extra:
+            raise ValueError(f"blocks at degrees without model component: {sorted(extra)}")
         return GradedFrame(space, model, tuple(stored))
 
     def block(self, i: int) -> Matrix:
@@ -232,11 +280,8 @@ class MLift:
             block = blocks.get(i)
             if block is None or block.shape != shape:
                 raise ValueError(f"lift block at degree {i} must have shape {shape}")
-            for c in range(block.cols):
-                rep = space.quotient_lift(block.col(c), i, degree)
-                if space.quotient_of(rep, i, 1) != frame.block(i).col(c):
-                    raise ValueError(
-                        f"lift block at degree {i} does not project onto the frame")
+            if space.transfer(i, degree, i, 1) @ block != frame.block(i):
+                raise ValueError(f"lift block at degree {i} does not project onto the frame")
             stored.append((i, block))
         extra = set(blocks) - {i for i, _ in stored}
         if extra:
@@ -327,19 +372,16 @@ def mlift_of_quasi(q: QuasiGradation, u: GradedFrame) -> MLift:
     blocks = {}
     for i in model.degrees:
         h_basis = q.part(i).basis.entries
-        proj = Matrix.from_rows(
-            [space.quotient_of(h, i, 1) for h in h_basis]).transpose()
-        cols = []
+        image = Matrix(tuple(space.quotient_of(h, i, m) for h in h_basis),
+                       space.quotient_dim(i, m)).transpose()
+        proj = space.transfer(i, m, i, 1) @ image
+        sols = []
         for c in range(model.dim(i)):
             sol = solve(proj, u.block(i).col(c))
             if sol is None:
                 raise ValueError(f"H'^{i} does not surject onto V_{i}/V_{i + 1}")
-            rep = zero_vector(space.ambient_dim)
-            for coeff, h in zip(sol, h_basis):
-                rep = add_vectors(rep, tuple(coeff * e for e in h))
-            cols.append(space.quotient_of(rep, i, m))
-        rows = space.quotient_dim(i, m)
-        blocks[i] = Matrix.from_rows([[col[r] for col in cols] for r in range(rows)])
+            sols.append(sol)
+        blocks[i] = image @ Matrix(tuple(sols), len(h_basis)).transpose()
     return MLift.make(u, m, blocks)
 
 
@@ -368,8 +410,23 @@ def _check_action_argument(a: GradedMap, model: GradedSpace) -> None:
         raise ValueError("action argument must be an endomorphism of the model")
     if any(d < 0 for d in a.part_degrees):
         raise ValueError("action argument has a negative-degree part")
-    if a.part(0).to_matrix() != Matrix.identity(model.total_dim):
+    if any(b != Matrix.identity(b.rows) for _, b in a.part(0).blocks):
         raise ValueError("action argument must have identity degree-0 part")
+
+
+def _action_block(f: MLift, parts: Mapping[int, HomogeneousMap], i: int,
+                  upto: int) -> Matrix:
+    """Degree-i block of sum_{j=0}^{upto} f_{i+j,m} F^{i+j} A^j, A^j = parts[j];
+
+    parts[0] must be the identity, so the j = 0 term is F^i itself.
+    """
+    space, model, m = f.frame.space, f.frame.model, f.degree
+    acc = f.block(i)
+    for j in range(1, upto + 1):
+        part = parts.get(j)
+        if part is not None and model.dim(i + j):
+            acc = acc + space.transfer(i + j, m, i, m) @ (f.block(i + j) @ part.block(i))
+    return acc
 
 
 def act_quasi(f: MLift, a: GradedMap) -> MLift:
@@ -377,30 +434,11 @@ def act_quasi(f: MLift, a: GradedMap) -> MLift:
 
     j running over 0..m-1; parts of A of degree >= m are ignored.
     """
-    frame = f.frame
-    space, model = frame.space, frame.model
-    _check_action_argument(a, model)
-    m = f.degree
-    blocks = {}
-    for i in model.degrees:
-        cols = []
-        for c in range(model.dim(i)):
-            x = model.embed_component(i, [Fraction(1 if t == c else 0)
-                                          for t in range(model.dim(i))])
-            acc = zero_vector(space.quotient_dim(i, m))
-            for j in range(m):
-                if model.dim(i + j) == 0:
-                    continue
-                y = model.component_of_vector(a.part(j).apply(x), i + j)
-                if all(e == 0 for e in y):
-                    continue
-                shifted = f.block(i + j).apply(y)
-                rep = space.quotient_lift(shifted, i + j, m)
-                acc = add_vectors(acc, space.quotient_of(rep, i, m))
-            cols.append(acc)
-        rows = space.quotient_dim(i, m)
-        blocks[i] = Matrix.from_rows([[col[r] for col in cols] for r in range(rows)])
-    return MLift.make(frame, m, blocks)
+    _check_action_argument(a, f.frame.model)
+    parts = dict(a.parts)
+    return MLift.make(f.frame, f.degree,
+                      {i: _action_block(f, parts, i, f.degree - 1)
+                       for i in f.frame.model.degrees})
 
 
 def transition(f1: MLift, f2: MLift) -> GradedMap:
@@ -416,55 +454,25 @@ def transition(f1: MLift, f2: MLift) -> GradedMap:
         raise ValueError("lifts are not over the same frame and degree")
     frame, m = f1.frame, f1.degree
     space, model = frame.space, frame.model
-    from .graded import HomogeneousMap
-
     ident = HomogeneousMap.make(
         model, model, 0, {i: Matrix.identity(model.dim(i)) for i in model.degrees})
     parts: dict[int, HomogeneousMap] = {0: ident}
-
-    def known_action_block(i: int, upto: int) -> list[Vector]:
-        """Columns of sum_{j=0}^{upto} f_{i+j,m} F1^{i+j}(A^j x)."""
-        cols = []
-        for c in range(model.dim(i)):
-            x = model.embed_component(i, [Fraction(1 if t == c else 0)
-                                          for t in range(model.dim(i))])
-            acc = zero_vector(space.quotient_dim(i, m))
-            for j in range(0, upto + 1):
-                if j not in parts or model.dim(i + j) == 0:
-                    continue
-                y = model.component_of_vector(parts[j].apply(x), i + j)
-                if all(e == 0 for e in y):
-                    continue
-                rep = space.quotient_lift(f1.block(i + j).apply(y), i + j, m)
-                acc = add_vectors(acc, space.quotient_of(rep, i, m))
-            cols.append(acc)
-        return cols
-
     for d in range(1, m):
         blocks = {}
         for i in model.degrees:
             if model.dim(i + d) == 0:
                 continue
-            have = known_action_block(i, d - 1)
-            # columns of y -> F1^{i+d}(y) mod V_{i+d+1}, an injective map
-            carry = []
-            for t in range(model.dim(i + d)):
-                unit = [Fraction(1 if s == t else 0) for s in range(model.dim(i + d))]
-                rep = space.quotient_lift(f1.block(i + d).apply(unit), i + d, m)
-                carry.append(space.quotient_of(rep, i, d + 1))
-            carrier = Matrix.from_rows(carry).transpose()
-            sol_cols = []
+            have = _action_block(f1, parts, i, d - 1)
+            # y -> F1^{i+d}(y) mod V_{i+d+1}, an injective map
+            carrier = space.transfer(i + d, m, i, d + 1) @ f1.block(i + d)
+            goal = space.transfer(i, m, i, d + 1) @ (f2.block(i) - have)
+            sols = []
             for c in range(model.dim(i)):
-                goal_rep = space.quotient_lift(f2.block(i).col(c), i, m)
-                have_rep = space.quotient_lift(have[c], i, m)
-                diff = tuple(g - h for g, h in zip(goal_rep, have_rep))
-                sol = solve(carrier, space.quotient_of(diff, i, d + 1))
+                sol = solve(carrier, goal.col(c))
                 if sol is None:
                     raise ValueError("no transition: filtration invariants violated")
-                sol_cols.append(sol)
-            blocks[i] = Matrix.from_rows(
-                [[sol_cols[c][t] for c in range(model.dim(i))]
-                 for t in range(model.dim(i + d))])
+                sols.append(sol)
+            blocks[i] = Matrix(tuple(sols), model.dim(i + d)).transpose()
         if blocks:
             parts[d] = HomogeneousMap.make(model, model, d, blocks)
 

@@ -361,29 +361,15 @@ def resolve_g0(spec: G0Spec, alg: GradedLieAlgebra) -> list[HomogeneousMap]:
 def _check_commutator_closed(space: GradedSpace, basis: Sequence[HomogeneousMap]) -> None:
     amb = hom_space_dim(space, space, 0)
     span = Subspace.span(amb, [hom_coords(f) for f in basis])
-    mats = [f.to_matrix() for f in basis]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            f = _endomorphism_to_hom0(space, comm)
-            if f is None or span.coords_of(hom_coords(f)) is None:
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if span.coords_of(_commutator_coords(basis[i], basis[j])) is None:
                 raise ValueError("degree-0 part is not closed under commutator")
 
 
-def _endomorphism_to_hom0(space: GradedSpace, m: Matrix) -> Optional[HomogeneousMap]:
-    """Reinterpret a full endomorphism matrix as a degree-0 map, or None
-
-    if it has entries outside the degree-diagonal blocks.
-    """
-    blocks = {}
-    for d in space.degrees:
-        start, dim = space.offset(d), space.dim(d)
-        blocks[d] = Matrix.from_rows([row[start: start + dim]
-                                      for row in m.entries[start: start + dim]])
-    rebuilt = HomogeneousMap.make(space, space, 0, blocks)
-    if rebuilt.to_matrix() != m:
-        return None
-    return rebuilt
+def _commutator_coords(f: HomogeneousMap, g: HomogeneousMap) -> Vector:
+    """hom_coords of [f, g] = f g - g f for degree-0 maps, formed blockwise."""
+    return hom_coords(f.compose(g).add(g.compose(f).scale(-1)))
 
 
 def adjoin_g0(alg: GradedLieAlgebra, g0: Sequence[HomogeneousMap],
@@ -422,12 +408,10 @@ def adjoin_g0(alg: GradedLieAlgebra, g0: Sequence[HomogeneousMap],
             img = f.apply_basis(a)
             if any(e != 0 for e in img):
                 by_pair[(a, n_old + i)] = tuple(-e for e in img) + (Fraction(0),) * r
-    mats = [f.to_matrix() for f in g0]
+    gens = gen_coords.transpose()
     for i in range(r):
         for j in range(i + 1, r):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            f = _endomorphism_to_hom0(space, comm)
-            in_gens = None if f is None else solve(gen_coords.transpose(), hom_coords(f))
+            in_gens = solve(gens, _commutator_coords(g0[i], g0[j]))
             if in_gens is None:
                 raise ValueError("degree-0 part is not closed under commutator")
             vec = [Fraction(0)] * (n_old + r)

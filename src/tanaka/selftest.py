@@ -139,7 +139,7 @@ def run_filtered_suite(seed: int, cases: int = 200) -> SuiteReport:
         checks += 1
         counter[label] = counter.get(label, 0) + 1
         if not ok and len(failures) < 25:
-            failures.append(f"case {case} ({label})")
+            failures.append(f"seed {seed} case {case} ({label})")
 
     for case in range(cases):
         model = GradedSpace.from_dims(rng.choice(MODEL_SHAPES))

@@ -1,10 +1,12 @@
 """Filtered spaces, quasi-gradations, lifts, and the unipotent action."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from tanaka.exact_linear import Matrix, Subspace
+import tanaka.selftest
+from tanaka.exact_linear import Matrix, Subspace, complement, solve
 from tanaka.filtered import (
     AdaptedGradation,
     FilteredSpace,
@@ -106,6 +108,73 @@ def test_quotient_coordinates_round_trip():
             assert space.quotient_of(rep, i, m) == coords
 
 
+def test_quotient_of_rejects_vectors_outside_the_space():
+    model = _model21()
+    space, _ = make_filtered_from_graded(model, Matrix.identity(3))
+    # V_{-1} is spanned by e2, e3
+    with pytest.raises(ValueError):
+        space.quotient_of((1, 0, 0), -1, 1)
+    with pytest.raises(ValueError):
+        space.quotient_of((1, 0, 0), -1, 2)
+    assert space.quotient_of((0, 3, 0), -1, 1) == (3, 0)
+
+
+def _fresh_quotient_of(space, v, i, m):
+    """V_i/V_{i+m} coordinates by a solve on the stacked basis, no cache."""
+    mod = space.part(i + m)
+    comp = complement(mod, space.part(i))
+    coeffs = solve(mod.basis.stack(comp.basis).transpose(), v)
+    assert coeffs is not None
+    return coeffs[mod.dim:]
+
+
+def _fresh_quotient_lift(space, coords, i, m):
+    comp = complement(space.part(i + m), space.part(i))
+    out = [Fraction(0)] * space.ambient_dim
+    for c, row in zip(coords, comp.basis.entries):
+        out = [a + c * b for a, b in zip(out, row)]
+    return tuple(out)
+
+
+def _random_filtration(rng, dims):
+    model = GradedSpace.from_dims(dims)
+    space, _ = make_filtered_from_graded(model, tanaka.selftest._random_triangular(rng, model))
+    return space
+
+
+def _random_vector_in(rng, sub):
+    out = [Fraction(0)] * sub.ambient_dim
+    for row in sub.basis.entries:
+        c = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+        out = [a + c * b for a, b in zip(out, row)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cached_quotient_maps_agree_with_a_fresh_solve(seed):
+    rng = random.Random(seed)
+    dims = rng.choice(({-3: 1, -2: 1, -1: 2}, {-2: 2, -1: 2}, {-1: 1, 0: 1, 1: 2},
+                       {-3: 2, -1: 1, 0: 1}))
+    space = _random_filtration(rng, dims)
+    lo, hi = space.low, space.high
+    steps = [(i, m) for i in range(lo - 1, hi + 2) for m in range(1, hi - lo + 3)]
+    for i, m in steps:
+        for _ in range(3):
+            v = _random_vector_in(rng, space.part(i))
+            assert space.quotient_of(v, i, m) == _fresh_quotient_of(space, v, i, m)
+    for a, ma in steps:
+        for b, mb in steps:
+            if b > a or b + mb > a + ma:
+                continue
+            t = space.transfer(a, ma, b, mb)
+            assert t.shape == (space.quotient_dim(b, mb), space.quotient_dim(a, ma))
+            x = tuple(Fraction(rng.randint(-4, 4)) for _ in range(t.cols))
+            lifted = _fresh_quotient_lift(space, x, a, ma)
+            assert space.quotient_lift(x, a, ma) == lifted
+            assert t.apply(x) == _fresh_quotient_of(space, lifted, b, mb)
+            assert space.transfer(a, ma, b, mb) is t  # built once
+
+
 def test_projection_at_the_same_degree_is_identity():
     model, t, space, u = _fixture()
     h = _column_gradation(space, model, t)
@@ -142,6 +211,43 @@ def test_quasi_gradation_axioms_are_enforced():
         QuasiGradation.make(space, 1, bad)
     with pytest.raises(ValueError):
         AdaptedGradation.make(space, {-2: space.part(-1), -1: space.part(-1)})
+
+
+def _identity_chain3():
+    """Coordinate filtration of Q^3 with one basis vector per degree -3, -2, -1."""
+    model = GradedSpace.from_dims({-3: 1, -2: 1, -1: 1})
+    space, _ = make_filtered_from_graded(model, Matrix.identity(3))
+    return space
+
+
+def test_quasi_gradation_parts_must_contain_the_deeper_step():
+    space = _identity_chain3()
+    e2, e3 = Subspace.span(3, [(0, 1, 0)]), Subspace.span(3, [(0, 0, 1)])
+    good = {-3: Subspace.span(3, [(1, 0, 0), (0, 0, 1)]), -2: e2, -1: e3}
+    assert QuasiGradation.make(space, 2, good).degree == 2
+    # right dimension and H'^-3 + V_-2 = V_-3, but V_-1 = span(e3) is not inside
+    bad = {**good, -3: Subspace.span(3, [(1, 0, 0), (0, 1, 0)])}
+    with pytest.raises(ValueError, match="V_-1"):
+        QuasiGradation.make(space, 2, bad)
+    # contains V_-1 but is too big: the intersection with V_-2 is all of V_-2
+    with pytest.raises(ValueError, match="V_-1"):
+        QuasiGradation.make(space, 2, {**good, -3: Subspace.full(3)})
+
+
+def test_graded_frame_rejects_stray_blocks():
+    model = _model21()
+    space, u = make_filtered_from_graded(model, Matrix.identity(3))
+    blocks = {-2: Matrix.identity(1), -1: Matrix.identity(2)}
+    assert GradedFrame.make(space, model, blocks) == u
+    with pytest.raises(ValueError, match="without model component"):
+        GradedFrame.make(space, model, {**blocks, 5: Matrix.from_rows([[7]])})
+    # a degree inside the range where gr(V) vanishes
+    gap = GradedSpace.from_dims({-3: 1, -1: 1})
+    gap_space, gap_frame = make_filtered_from_graded(gap, Matrix.identity(2))
+    gap_blocks = {-3: Matrix.identity(1), -1: Matrix.identity(1)}
+    assert GradedFrame.make(gap_space, gap, gap_blocks) == gap_frame
+    with pytest.raises(ValueError, match="without model component"):
+        GradedFrame.make(gap_space, gap, {**gap_blocks, -2: Matrix.from_rows([[1]])})
 
 
 def test_identity_fixture_lift_blocks_are_inclusions():
@@ -226,6 +332,17 @@ def test_degree_one_transition_is_trivial():
     assert transition(f1, f1).is_identity()
 
 
+def test_transition_reapplies_the_action():
+    model, t, space, u = _fixture()
+    f1 = full_lift(_column_gradation(space, model, t), u)
+    # built without MLift.make: the degree -1 block no longer projects onto
+    # the frame, which only re-applying the solved class can see
+    bad = MLift(f1.frame, f1.degree,
+                tuple((i, b.scale(2) if i == -1 else b) for i, b in f1.blocks))
+    with pytest.raises(ValueError, match="no transition"):
+        transition(f1, bad)
+
+
 def test_compatibility_detects_the_fiber():
     model, t, space, u = _fixture()
     h = _column_gradation(space, model, t)
@@ -245,3 +362,10 @@ def test_seeded_property_suite_passes():
     assert report.cases == 200
     assert report.checks >= 200
     assert report.failures == ()
+
+
+def test_suite_failures_name_the_seed(monkeypatch):
+    monkeypatch.setattr(tanaka.selftest, "_parts_below", lambda b, m: ("bogus",))
+    report = run_filtered_suite(seed=3, cases=1)
+    assert report.failures == (
+        "seed 3 case 0 (same projection implies transition in degrees >= m)",)

@@ -190,6 +190,17 @@ def test_explicit_generators_are_checked():
         resolve_g0(G0Spec(generators=(e12, e21)), ab2)
 
 
+def test_adjoin_g0_rejects_generators_not_closed_under_commutator():
+    ab2 = make_algebra("abelian2")
+    e12 = HomogeneousMap.make(ab2.space, ab2.space, 0,
+                              {-1: Matrix.from_rows([[0, 1], [0, 0]])})
+    e21 = HomogeneousMap.make(ab2.space, ab2.space, 0,
+                              {-1: Matrix.from_rows([[0, 0], [1, 0]])})
+    # [e12, e21] = diag(1, -1) lies outside span(e12, e21)
+    with pytest.raises(ValueError, match="closed under commutator"):
+        adjoin_g0(ab2, [e12, e21])
+
+
 def test_adjoin_g0_structure():
     heis = make_algebra("heisenberg3")
     basis = resolve_g0(G0Spec("der0"), heis)
