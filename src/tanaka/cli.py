@@ -23,8 +23,8 @@ from .jsonio import (
     AlgebraInputError,
     LoadedAlgebra,
     emit_g0_generators,
-    emit_rational,
     emit_result,
+    generator_doc,
     parse_algebra,
     parse_g0,
 )
@@ -75,17 +75,29 @@ def _load_algebra(config: RunConfig) -> LoadedAlgebra:
     return loaded if loaded.name else LoadedAlgebra(source, loaded.algebra, loaded.violations)
 
 
+def _require_valid(loaded: LoadedAlgebra) -> Optional[int]:
+    """Gate of der0 and the prolonging commands: an invalid algebra exits 1
+
+    with its violations on stderr; None means proceed.
+    """
+    if not loaded.violations:
+        return None
+    for v in loaded.violations:
+        print(f"violation: {v}", file=sys.stderr)
+    print(f"invalid algebra: {loaded.name}", file=sys.stderr)
+    return 1
+
+
 def _require_usable(loaded: LoadedAlgebra, out: TextIO) -> Optional[int]:
-    """Shared gate for the computing commands; None means proceed."""
-    if loaded.violations:
-        for v in loaded.violations:
-            print(f"violation: {v}", file=sys.stderr)
-        print(f"invalid algebra: {loaded.name}", file=sys.stderr)
-        return 1
-    if not is_fundamental(loaded.algebra):
+    """Shared gate for the prolonging commands: valid, then fundamental;
+
+    None means proceed.
+    """
+    failed = _require_valid(loaded)
+    if failed is None and not is_fundamental(loaded.algebra):
         print(f"not fundamental: {loaded.name}", file=sys.stderr)
         return 1
-    return None
+    return failed
 
 
 def _resolve_g0(config: RunConfig, alg: GradedLieAlgebra):
@@ -155,23 +167,16 @@ def cmd_check(config: RunConfig, out: TextIO) -> int:
 
 def cmd_der0(config: RunConfig, out: TextIO) -> int:
     loaded = _load_algebra(config)
-    if loaded.violations:
-        for v in loaded.violations:
-            print(f"violation: {v}", file=sys.stderr)
-        print(f"invalid algebra: {loaded.name}", file=sys.stderr)
-        return 1
+    failed = _require_valid(loaded)
+    if failed is not None:
+        return failed
     basis = der0_basis(loaded.algebra)
     if config.fmt == "json":
         out.write(emit_g0_generators(basis))
         return 0
     print(f"dim der0 = {len(basis)}", file=out)
     for i, gen in enumerate(basis, start=1):
-        blocks = []
-        for d in gen.source.degrees:
-            block = gen.block(d)
-            if block.rows and block.cols:
-                rows = [[emit_rational(e) for e in row] for row in block.entries]
-                blocks.append(f"{d}: {rows}")
+        blocks = (f"{d}: {rows}" for d, rows in generator_doc(gen).items())
         print(f"D{i}: " + "; ".join(blocks), file=out)
     return 0
 

@@ -241,6 +241,22 @@ class HomogeneousMap:
         return HomogeneousMap.make(other.source, self.target, degree, blocks)
 
 
+def fresh_labels(space: GradedSpace, stem: str, count: int) -> tuple[str, ...]:
+    """Labels stem1 .. stem<count>, each extended by "_" until it is new
+
+    to space and to the labels before it.
+    """
+    taken = {lab for _, labels in space.components for lab in labels}
+    out = []
+    for i in range(1, count + 1):
+        label = f"{stem}{i}"
+        while label in taken:
+            label += "_"
+        taken.add(label)
+        out.append(label)
+    return tuple(out)
+
+
 def hom_space_dim(source: GradedSpace, target: GradedSpace, degree: int) -> int:
     return sum(source.dim(i) * target.dim(i + degree)
                for i in HomogeneousMap.present_source_degrees(source, target, degree))

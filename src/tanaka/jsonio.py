@@ -74,6 +74,14 @@ def emit_rational(q: Fraction) -> Any:
     return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _load_json(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _fail(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") \
+            from exc
+
+
 def _dumps(obj: Any) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
@@ -132,11 +140,7 @@ def parse_algebra(text: str) -> LoadedAlgebra:
 
     AlgebraInputError, mathematical ones land in violations.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _fail(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") \
-            from exc
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise _fail("top level: expected an object")
     extra = set(doc) - {"name", "degrees", "brackets"}
@@ -233,11 +237,7 @@ def emit_algebra(alg: GradedLieAlgebra, name: str = "") -> str:
 def parse_g0(obj: Any, algebra: GradedLieAlgebra) -> G0Spec:
     """Degree-0 document: {"preset": .., "form": ..} or {"generators": [..]}."""
     if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
-            raise _fail(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") \
-                from exc
+        obj = _load_json(obj)
     if not isinstance(obj, dict):
         raise _fail("g0 document: expected an object")
     space = algebra.space
@@ -284,10 +284,11 @@ def parse_g0(obj: Any, algebra: GradedLieAlgebra) -> G0Spec:
 
 
 def emit_g0_generators(maps: Sequence[HomogeneousMap]) -> str:
-    return _dumps({"generators": [_generator_doc(g) for g in maps]})
+    return _dumps({"generators": [generator_doc(g) for g in maps]})
 
 
-def _generator_doc(g: HomogeneousMap) -> dict:
+def generator_doc(g: HomogeneousMap) -> dict:
+    """The nonempty blocks of a homogeneous map, keyed by source degree."""
     doc = {}
     for d in g.source.degrees:
         block = g.block(d)
@@ -298,15 +299,7 @@ def _generator_doc(g: HomogeneousMap) -> dict:
 
 def _level_doc(result: ProlongationResult, s: int) -> dict:
     level = result.level(s)
-    basis = []
-    for a in level.basis:
-        doc = {}
-        for d in result.negative.space.degrees:
-            block = a.block(d)
-            if block.rows and block.cols:
-                doc[str(d)] = _emit_matrix(block)
-        basis.append(doc)
-    return {"degree": s, "dim": level.dim, "basis": basis}
+    return {"degree": s, "dim": level.dim, "basis": [generator_doc(a) for a in level.basis]}
 
 
 def result_document(result: ProlongationResult,
@@ -368,11 +361,7 @@ def parse_result(text: str) -> dict:
     plain-data form, so emit_result_document(parse_result(s)) == s for
     any s this module emitted.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _fail(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") \
-            from exc
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise _fail("top level: expected an object")
     required = {"algebra", "g0", "status", "dim_g0", "dims", "levels", "base_dim"}

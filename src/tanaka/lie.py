@@ -5,6 +5,13 @@ graded space with degrees in [-k, 0] and a bracket table on basis
 pairs. The negative part plays the role of the symbol algebra; a
 degree-0 part, when present, acts on the negative part by degree-0
 derivations and the mixed brackets are that action.
+
+Derivations of every degree come from one solver, `derivations`: der0
+is its degree-0 case, acting through the algebra's own bracket table,
+and each prolongation level g^(s+1) its degree-(s+1) case, acting
+through the tower's. Every solved basis map is re-substituted into the
+defining identity from its own sparse columns (`resubstitute`), and
+explicit g^0 generators are checked by the same re-substitution.
 """
 
 from __future__ import annotations
@@ -23,12 +30,12 @@ from .exact_linear import (
     densify,
     inverse,
     kernel,
-    solve,
     zero_vector,
 )
 from .graded import (
     GradedSpace,
     HomogeneousMap,
+    fresh_labels,
     hom_basis,
     hom_coords,
     hom_from_coords,
@@ -44,30 +51,33 @@ class GradedLieAlgebra:
     brackets holds [e_a, e_b] for global basis indices a < b as full
     coordinate vectors; only nonzero brackets need to be stored.
     Antisymmetry is by construction; grading and Jacobi are checked by
-    validate(). A sparse table of both orientations, [e_a, e_b] as
-    {index: value} for every nonzero pair, backs all evaluation.
+    validate(). act[a][b] is [e_a, e_b] as a sparse row {index: value},
+    for both orientations of every pair; it backs all evaluation.
     """
 
     space: GradedSpace
     brackets: tuple[tuple[tuple[int, int], Vector], ...]
     _table: dict = field(init=False, compare=False, repr=False, hash=False, default=None)
-    _ad: tuple = field(init=False, compare=False, repr=False, hash=False, default=None)
+    act: tuple = field(init=False, compare=False, repr=False, hash=False, default=None)
 
     def __post_init__(self):
+        n = self.space.total_dim
         table = {}
-        ad: tuple[dict[int, Sparse], ...] = tuple({} for _ in range(self.space.total_dim))
+        act = [[NO_TERMS] * n for _ in range(n)]
         for (a, b), value in self.brackets:
-            if not (0 <= a < b < self.space.total_dim):
+            if not (0 <= a < b < n):
                 raise ValueError(f"bad bracket pair ({a}, {b})")
             if (a, b) in table:
                 raise ValueError(f"duplicate bracket pair ({a}, {b})")
+            if len(value) != n:
+                raise ValueError(f"bracket ({a}, {b}) has {len(value)} coordinates, expected {n}")
             table[(a, b)] = value
             row = {k: Fraction(e) for k, e in enumerate(value) if e}
             if row:
-                ad[a][b] = row
-                ad[b][a] = {k: -e for k, e in row.items()}
+                act[a][b] = row
+                act[b][a] = {k: -e for k, e in row.items()}
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_ad", ad)
+        object.__setattr__(self, "act", tuple(map(tuple, act)))
 
     @staticmethod
     def from_bracket_dict(space: GradedSpace,
@@ -104,7 +114,7 @@ class GradedLieAlgebra:
 
     def bracket_row(self, a: int, b: int) -> Sparse:
         """[e_a, e_b] as a sparse row; shared, so callers must not mutate it."""
-        return self._ad[a].get(b, NO_TERMS)
+        return self.act[a][b]
 
     @property
     def min_degree(self) -> int:
@@ -163,16 +173,15 @@ def validate(alg: GradedLieAlgebra) -> list[str]:
                     f"not homogeneous of degree {target}")
                 break
     n = space.total_dim
-    ad = alg._ad
+    act = alg.act
     for a in range(n):
         for b in range(a + 1, n):
             for c in range(b + 1, n):
                 # [[a, b], c] + [[b, c], a] + [[c, a], b]
                 acc: dict[int, Fraction] = {}
                 for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    for k, e in ad[x].get(y, NO_TERMS).items():
-                        if z in ad[k]:
-                            add_scaled(acc, e, ad[k][z])
+                    for k, e in act[x][y].items():
+                        add_scaled(acc, e, act[k][z])
                 if acc:
                     problems.append(
                         f"Jacobi fails on ({space.label_of_index(a)}, "
@@ -205,17 +214,32 @@ def is_fundamental(alg: GradedLieAlgebra) -> bool:
     return True
 
 
-def derivation_constraints(alg: GradedLieAlgebra, act: Sequence[Sequence[Sparse]],
-                           units: Sequence[tuple[int, int]], n_target: int) -> Matrix:
-    """Constraint matrix whose kernel picks out the derivations of alg
+class LevelInconsistency(Exception):
+    """A solved derivation fails re-substitution, or a bracket escapes
 
-    among the span of the unit maps e_src -> e_w (one column per unit).
-    Values lie in a space of dimension n_target on which alg acts
-    through act[w][b] = [e_w, e_b]. Rows stack, over basis pairs a < b
-    of alg in lexicographic order, the n_target coordinates of
-    A[e_a, e_b] - [A e_a, e_b] - [e_a, A e_b].
+    its computed carrier; either signals an internal error, not bad input.
     """
-    n = alg.space.total_dim
+
+
+def derivations(alg: GradedLieAlgebra, act: Sequence[Sequence[Sparse]], target: GradedSpace,
+                degree: int) -> tuple[Subspace, tuple[HomogeneousMap, ...]]:
+    """The degree-`degree` derivations A: alg -> target, as their carrier
+
+    in hom coordinates and its canonical basis of maps. alg acts on
+    target through act[w][b] = [e_w, e_b], a sparse row, for each basis
+    vector e_w of target and e_b of alg. der0 is degree 0 with alg's own
+    table; each prolongation level is one degree up, with the tower's.
+
+    The unknowns are the unit maps e_src -> e_w of Hom^degree(alg,
+    target). The constraint rows stack, over basis pairs a < b of alg in
+    lexicographic order, the coordinates of A[e_a, e_b] - [A e_a, e_b]
+    - [e_a, A e_b]. Every basis map is then re-substituted.
+    """
+    space = alg.space
+    units = hom_units(space, target, degree)
+    if not units:
+        return Subspace.zero(0), ()
+    n, n_target = space.total_dim, target.total_dim
     pair_row: dict[tuple[int, int], int] = {}
     for a in range(n):
         for b in range(a + 1, n):
@@ -236,18 +260,43 @@ def derivation_constraints(alg: GradedLieAlgebra, act: Sequence[Sequence[Sparse]
             # minus [e_a, A(e_src)] = +[e_w, e_a]
             add_scaled(col, 1, act[w][a], pair_row[(a, src)])
         cols.append(col)
-    return Matrix.from_columns(cols, len(pair_row) * n_target)
+    # with fewer than two basis vectors in alg the system has no rows
+    carrier = kernel(Matrix.from_columns(cols, len(pair_row) * n_target))
+    basis = tuple(hom_from_coords(space, target, degree, row) for row in carrier.basis.entries)
+    resubstitute(alg, act, basis)
+    return carrier, basis
+
+
+def resubstitute(alg: GradedLieAlgebra, act: Sequence[Sequence[Sparse]],
+                 maps: Sequence[HomogeneousMap]) -> None:
+    """Check A[e_a, e_b] = [A e_a, e_b] + [e_a, A e_b] for each map and
+
+    each basis pair a < b of alg, with act as in derivations. Each map
+    is evaluated from its own sparse columns, never from a constraint
+    system; a failure raises LevelInconsistency.
+    """
+    n = alg.space.total_dim
+    for A in maps:
+        images = A.columns
+        for a in range(n):
+            for b in range(a + 1, n):
+                lhs: dict[int, Fraction] = {}
+                for k, e in alg.bracket_row(a, b).items():
+                    add_scaled(lhs, e, images[k])
+                # [A e_a, e_b] + [e_a, A e_b] = [A e_a, e_b] - [A e_b, e_a]
+                rhs: dict[int, Fraction] = {}
+                for w, c in images[a].items():
+                    add_scaled(rhs, c, act[w][b])
+                for w, c in images[b].items():
+                    add_scaled(rhs, -c, act[w][a])
+                if lhs != rhs:
+                    raise LevelInconsistency(
+                        f"degree {A.degree} map fails the bracket identity on pair ({a}, {b})")
 
 
 def der0_basis(alg: GradedLieAlgebra) -> list[HomogeneousMap]:
     """Canonical basis of the degree-0 derivations, as homogeneous maps."""
-    units = hom_units(alg.space, alg.space, 0)
-    if not units:
-        return []
-    n = alg.space.total_dim
-    act = [[alg.bracket_row(w, b) for b in range(n)] for w in range(n)]
-    ker = kernel(derivation_constraints(alg, act, units, n))
-    return [hom_from_coords(alg.space, alg.space, 0, row) for row in ker.basis.entries]
+    return list(derivations(alg, alg.act, alg.space, 0)[1])
 
 
 def der0(alg: GradedLieAlgebra) -> Subspace:
@@ -349,27 +398,46 @@ def resolve_g0(spec: G0Spec, alg: GradedLieAlgebra) -> list[HomogeneousMap]:
             basis = basis + [HomogeneousMap.make(space, space, 0, {-1: Matrix.identity(n1)})]
         return _canonical_span(space, basis)
 
+    if any((g.source, g.target, g.degree) != (space, space, 0) for g in spec.generators):
+        raise ValueError("generator is not a degree-0 endomorphism of m")
     basis = _canonical_span(space, spec.generators)
-    der = der0(alg)
-    for g in basis:
-        if not der.contains(g.to_matrix().flatten()):
-            raise ValueError("generator is not a degree-0 derivation")
-    _check_commutator_closed(space, basis)
+    try:
+        resubstitute(alg, alg.act, basis)
+    except LevelInconsistency as exc:
+        raise ValueError("generator is not a degree-0 derivation") from exc
+    _commutators(basis)
     return basis
 
 
-def _check_commutator_closed(space: GradedSpace, basis: Sequence[HomogeneousMap]) -> None:
-    amb = hom_space_dim(space, space, 0)
-    span = Subspace.span(amb, [hom_coords(f) for f in basis])
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if span.coords_of(_commutator_coords(basis[i], basis[j])) is None:
+def _commutators(g0: Sequence[HomogeneousMap]) -> dict[tuple[int, int], Vector]:
+    """Coordinates over g0 of [g_i, g_j] = g_i g_j - g_j g_i, for i < j.
+
+    Raises ValueError if the maps are dependent or their span is not
+    closed under commutator. g0 need not be canonical: coordinates over
+    the span's RREF basis are carried to g0 by one inverse.
+    """
+    rows = [hom_coords(g) for g in g0]
+    if not rows:
+        return {}
+    span = Subspace.span(len(rows[0]), rows)
+    if span.dim != len(rows):
+        raise ValueError("degree-0 generators are linearly dependent")
+    # sparse rows of the inverse of g0's coordinates over that basis
+    to_g0 = [{k: e for k, e in enumerate(row) if e} for row in
+             inverse(Matrix.from_rows([span.coords_of(row) for row in rows])).entries]
+    out = {}
+    for i in range(len(g0)):
+        for j in range(i + 1, len(g0)):
+            f, g = g0[i], g0[j]
+            coords = span.coords_of(hom_coords(f.compose(g).add(g.compose(f).scale(-1))))
+            if coords is None:
                 raise ValueError("degree-0 part is not closed under commutator")
-
-
-def _commutator_coords(f: HomogeneousMap, g: HomogeneousMap) -> Vector:
-    """hom_coords of [f, g] = f g - g f for degree-0 maps, formed blockwise."""
-    return hom_coords(f.compose(g).add(g.compose(f).scale(-1)))
+            acc: dict[int, Fraction] = {}
+            for k, c in enumerate(coords):
+                if c:
+                    add_scaled(acc, c, to_g0[k])
+            out[(i, j)] = densify(acc, len(g0))
+    return out
 
 
 def adjoin_g0(alg: GradedLieAlgebra, g0: Sequence[HomogeneousMap],
@@ -384,21 +452,11 @@ def adjoin_g0(alg: GradedLieAlgebra, g0: Sequence[HomogeneousMap],
         raise ValueError("degree-0 part already present")
     g0 = list(g0)
     if labels is None:
-        existing = {lab for _, labs in space.components for lab in labs}
-        labels = []
-        for i in range(len(g0)):
-            cand = f"d{i + 1}"
-            while cand in existing:
-                cand = cand + "_"
-            labels.append(cand)
-            existing.add(cand)
+        labels = fresh_labels(space, "d", len(g0))
     new_space = space.with_component(0, labels)
     n_old = space.total_dim
     r = len(g0)
-
-    gen_coords = Matrix.from_rows([hom_coords(g) for g in g0])
-    if r and Subspace.span(gen_coords.cols, gen_coords.entries).dim != r:
-        raise ValueError("degree-0 generators are linearly dependent")
+    commutators = _commutators(g0)
 
     by_pair: dict[tuple[int, int], Vector] = {}
     for (a, b), value in alg.brackets:
@@ -408,17 +466,9 @@ def adjoin_g0(alg: GradedLieAlgebra, g0: Sequence[HomogeneousMap],
             img = f.apply_basis(a)
             if any(e != 0 for e in img):
                 by_pair[(a, n_old + i)] = tuple(-e for e in img) + (Fraction(0),) * r
-    gens = gen_coords.transpose()
-    for i in range(r):
-        for j in range(i + 1, r):
-            in_gens = solve(gens, _commutator_coords(g0[i], g0[j]))
-            if in_gens is None:
-                raise ValueError("degree-0 part is not closed under commutator")
-            vec = [Fraction(0)] * (n_old + r)
-            for t, c in enumerate(in_gens):
-                vec[n_old + t] = c
-            if any(e != 0 for e in vec):
-                by_pair[(n_old + i, n_old + j)] = tuple(vec)
+    for (i, j), coords in commutators.items():
+        if any(coords):
+            by_pair[(n_old + i, n_old + j)] = (Fraction(0),) * n_old + coords
 
     out = GradedLieAlgebra(new_space, tuple(sorted(by_pair.items())))
     problems = validate(out)

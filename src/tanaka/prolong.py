@@ -16,15 +16,16 @@ Tower coordinate convention: the graded space of m_s lists m's
 components first (ascending degree), then g^0, then g^1 ... g^s, so
 every m_(s-1) coordinate vector is a prefix of an m_s one.
 
-Evaluation reads only nonzero structure constants. The tower keeps an
-action table act[w][b] = [e_w, e_b] of sparse rows {index: Fraction},
-extended as each level is pushed; the solver assembles its constraint
-columns from it, and the mandatory re-substitution of every solved
-level evaluates each basis map from its own sparse columns and the
-table, never from the constraint columns. The extended bracket is
-built once per ProlongationResult and memoised with the result's
-full-depth tower, so every caller (tower report, kernel reports,
-boundary maps) shares one copy.
+Each level is solved by `lie.derivations`, the solver that also gives
+der0 in degree 0, acting through the tower's table act[w][b] =
+[e_w, e_b] of sparse rows {index: Fraction}: the rows of m + g^0's own
+bracket table, extended as each level is pushed. The solver
+re-substitutes every basis map from its own sparse columns and the
+table, never from the constraint columns. The tower is built one way,
+from m + g^0, by `prolong`, `prolong_step` and the result alike. The
+extended bracket is built once per ProlongationResult and memoised
+with the result's full-depth tower, so every caller (tower report,
+kernel reports, boundary maps) shares one copy.
 """
 
 from __future__ import annotations
@@ -33,25 +34,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exact_linear import NO_TERMS, Sparse, Subspace, Vector, add_scaled, densify, kernel
-from .graded import GradedSpace, HomogeneousMap, hom_from_coords, hom_units
+from .exact_linear import NO_TERMS, Sparse, Subspace, Vector, add_scaled, densify
+from .graded import GradedSpace, HomogeneousMap, fresh_labels
 from .lie import (
     G0Spec,
     GradedLieAlgebra,
+    LevelInconsistency,
     adjoin_g0,
     bilinear_eval,
-    derivation_constraints,
+    derivations,
     is_fundamental,
     resolve_g0,
     validate,
 )
-
-
-class LevelInconsistency(Exception):
-    """A solved level fails re-substitution, or a bracket escapes its
-
-    computed carrier; either signals an internal error, not bad input.
-    """
 
 
 @dataclass(frozen=True)
@@ -86,47 +81,27 @@ class ProlongationStatus:
 
 
 class _Tower:
-    """Shared evaluation context: m, the g^0 action, computed levels.
+    """Shared evaluation context: m, m + g^0 and the computed levels.
 
     act[w][b] is [e_w, e_b] as a sparse row, for every basis vector e_w
     of the tower built so far and e_b of m; the value lies in the levels
-    below e_w's, so its indices are valid in every larger tower. Rows
-    are appended as levels are pushed.
+    below e_w's, so its indices are valid in every larger tower. The
+    rows start as m + g^0's own table, where [d_i, e_b] = d_i(e_b), and
+    grow as levels are pushed.
     """
 
-    def __init__(self, negative: GradedLieAlgebra, g0: Sequence[HomogeneousMap],
-                 g0_labels: Sequence[str]):
+    def __init__(self, negative: GradedLieAlgebra, base: GradedLieAlgebra):
         self.negative = negative
-        self.g0 = tuple(g0)
-        self.g0_labels = tuple(g0_labels)
         self.levels: list[ProlongationLevel] = []
         self.nm = negative.space.total_dim
-        self._spaces: list[GradedSpace] = [self._build_space(0)]
-        self.act: list[Sequence[Sparse]] = [
-            [negative.bracket_row(w, b) for b in range(self.nm)] for w in range(self.nm)]
-        self.act.extend(d.columns for d in self.g0)
-
-    def _build_space(self, s: int) -> GradedSpace:
-        labels = {d: self.negative.space.labels(d) for d in self.negative.space.degrees}
-        if self.g0:
-            labels[0] = self.g0_labels
-        existing = {lab for labs in labels.values() for lab in labs}
-        for level in self.levels[:s]:
-            if level.dim == 0:
-                continue
-            lv = []
-            for t in range(level.dim):
-                cand = f"g{level.degree}_{t + 1}"
-                while cand in existing:
-                    cand = cand + "_"
-                lv.append(cand)
-                existing.add(cand)
-            labels[level.degree] = tuple(lv)
-        return GradedSpace.make(labels)
+        self._spaces: list[GradedSpace] = [base.space]
+        self.act: list[Sequence[Sparse]] = list(base.act)
 
     def push(self, level: ProlongationLevel) -> None:
+        below = self._spaces[-1]
+        labels = fresh_labels(below, f"g{level.degree}_", level.dim)
         self.levels.append(level)
-        self._spaces.append(self._build_space(len(self.levels)))
+        self._spaces.append(below.with_component(level.degree, labels))
         self.act.extend(A.columns for A in level.basis)
 
     def space(self, s: int) -> GradedSpace:
@@ -134,73 +109,34 @@ class _Tower:
 
 
 def _solve_level(tower: _Tower) -> ProlongationLevel:
-    """g^(r+1) as the exact kernel of the defining linear system."""
+    """g^(r+1): the degree-(r+1) derivations of m into m_r."""
     r = len(tower.levels)
-    neg = tower.negative
     below = tower.space(r)
-    degree = r + 1
-    units = hom_units(neg.space, below, degree)
-    if not units:
-        return ProlongationLevel(degree, below, Subspace.zero(0), ())
-    # with fewer than two basis vectors in m the system has no rows
-    carrier = kernel(derivation_constraints(neg, tower.act, units, below.total_dim))
-    basis = tuple(hom_from_coords(neg.space, below, degree, row)
-                  for row in carrier.basis.entries)
-    level = ProlongationLevel(degree, below, carrier, basis)
-    _reverify_level(tower, level)
-    return level
+    return ProlongationLevel(r + 1, below, *derivations(tower.negative, tower.act, below, r + 1))
 
 
-def _reverify_level(tower: _Tower, level: ProlongationLevel) -> None:
-    """Re-substitute every basis element into the defining identity.
+def _checked_base(m: GradedLieAlgebra, g0: Union[G0Spec, Sequence[HomogeneousMap]]
+                  ) -> tuple[tuple[HomogeneousMap, ...], GradedLieAlgebra]:
+    """The g^0 basis and m + g^0, after the checks every solve needs: m
 
-    Each map is evaluated from its own sparse columns and the tower's
-    action table, not from the constraint system. Runs on each solved
-    level; failure marks an internal bug, never bad input.
+    valid and fundamental, g^0 resolved, and m + g^0 closed and valid.
     """
-    neg = tower.negative
-    nm = tower.nm
-    act = tower.act
-    for A in level.basis:
-        images = A.columns
-        for a in range(nm):
-            for b in range(a + 1, nm):
-                lhs: dict[int, Fraction] = {}
-                for k, e in neg.bracket_row(a, b).items():
-                    add_scaled(lhs, e, images[k])
-                # [A e_a, e_b] + [e_a, A e_b] = [A e_a, e_b] - [A e_b, e_a]
-                rhs: dict[int, Fraction] = {}
-                for w, c in images[a].items():
-                    add_scaled(rhs, c, act[w][b])
-                for w, c in images[b].items():
-                    add_scaled(rhs, -c, act[w][a])
-                if lhs != rhs:
-                    raise LevelInconsistency(
-                        f"level {level.degree} basis element fails the bracket "
-                        f"identity on pair ({a}, {b})")
+    problems = validate(m)
+    if problems:
+        raise ValueError("invalid algebra: " + "; ".join(problems))
+    if not is_fundamental(m):
+        raise ValueError("algebra is not fundamental (not generated in degree -1)")
+    g0_basis = tuple(resolve_g0(g0, m)) if isinstance(g0, G0Spec) else tuple(g0)
+    return g0_basis, adjoin_g0(m, g0_basis) if g0_basis else m
 
 
 def prolong_step(m: GradedLieAlgebra, g0: Sequence[HomogeneousMap],
                  levels: Sequence[ProlongationLevel] = ()) -> ProlongationLevel:
     """Next level above the given ones; levels may be empty (gives g^1)."""
-    tower = _build_tower(m, g0)
+    tower = _Tower(m, _checked_base(m, g0)[1])
     for level in levels:
         tower.push(level)
     return _solve_level(tower)
-
-
-def _build_tower(m: GradedLieAlgebra, g0: Sequence[HomogeneousMap]) -> _Tower:
-    if any(d >= 0 for d in m.space.degrees):
-        raise ValueError("expected the negative part only; adjoin g^0 separately")
-    taken = {lab for d in m.space.degrees for lab in m.space.labels(d)}
-    labels = []
-    for i in range(len(g0)):
-        cand = f"d{i + 1}"
-        while cand in taken:
-            cand = cand + "_"
-        labels.append(cand)
-        taken.add(cand)
-    return _Tower(m, tuple(g0), tuple(labels))
 
 
 def prolong(m: GradedLieAlgebra, g0: Union[G0Spec, Sequence[HomogeneousMap]],
@@ -212,14 +148,8 @@ def prolong(m: GradedLieAlgebra, g0: Union[G0Spec, Sequence[HomogeneousMap]],
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    problems = validate(m)
-    if problems:
-        raise ValueError("invalid algebra: " + "; ".join(problems))
-    if not is_fundamental(m):
-        raise ValueError("algebra is not fundamental (not generated in degree -1)")
-    g0_basis = tuple(resolve_g0(g0, m)) if isinstance(g0, G0Spec) else tuple(g0)
-    base = adjoin_g0(m, g0_basis) if g0_basis else m
-    tower = _Tower(m, g0_basis, base.space.labels(0) if g0_basis else ())
+    g0_basis, base = _checked_base(m, g0)
+    tower = _Tower(m, base)
     status = None
     for s in range(1, max_degree + 1):
         level = _solve_level(tower)
@@ -273,7 +203,7 @@ class ProlongationResult:
     def _tower(self) -> _Tower:
         tower = self._memo.get("tower")
         if tower is None:
-            tower = _Tower(self.negative, self.g0, self.base.space.labels(0) if self.g0 else ())
+            tower = _Tower(self.negative, self.base)
             for level in self.levels:
                 tower.push(level)
             self._memo["tower"] = tower

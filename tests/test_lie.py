@@ -6,17 +6,19 @@ from fractions import Fraction
 import pytest
 
 from tanaka.catalog import make_algebra
-from tanaka.exact_linear import Matrix
-from tanaka.graded import GradedSpace, HomogeneousMap, hom_coords
+from tanaka.exact_linear import Matrix, Subspace
+from tanaka.graded import GradedSpace, HomogeneousMap, hom_basis, hom_coords
 from tanaka.lie import (
     G0Spec,
     GradedLieAlgebra,
+    LevelInconsistency,
     adjoin_g0,
     bracket_eval,
     der0,
     der0_basis,
     is_fundamental,
     resolve_g0,
+    resubstitute,
     validate,
 )
 
@@ -45,6 +47,13 @@ def test_bracket_dict_rejects_conflicts():
             space, {("x", "y"): {"z": 1}, ("y", "x"): {"z": 1}})
     with pytest.raises(ValueError, match=r"\[x, x\]"):
         GradedLieAlgebra.from_bracket_dict(space, {("x", "x"): {"z": 1}})
+
+
+def test_bracket_values_need_one_coordinate_per_basis_vector():
+    space = heisenberg_space()
+    for value in ((0, 0, 0, 1), (1,)):
+        with pytest.raises(ValueError, match="coordinates"):
+            GradedLieAlgebra(space, (((1, 2), tuple(Fraction(e) for e in value)),))
 
 
 def test_bracket_eval_is_bilinear():
@@ -188,6 +197,41 @@ def test_explicit_generators_are_checked():
                               {-1: Matrix.from_rows([[0, 0], [1, 0]])})
     with pytest.raises(ValueError, match="closed under commutator"):
         resolve_g0(G0Spec(generators=(e12, e21)), ab2)
+
+
+def test_explicit_generators_must_be_degree0_endomorphisms():
+    heis = make_algebra("heisenberg3")
+    degree_one = HomogeneousMap.make(heis.space, heis.space, 1,
+                                     {-2: Matrix.from_rows([[1], [0]])})
+    with pytest.raises(ValueError, match="not a degree-0 endomorphism of m"):
+        resolve_g0(G0Spec(generators=(degree_one,)), heis)
+
+
+def test_resubstitution_catches_a_perturbed_der0_map(monkeypatch):
+    """A der0 basis map plus a unit map outside der0 fails the check,
+
+    called directly and inside der0_basis on a perturbed kernel.
+    """
+    alg = make_algebra("heisenberg3")
+    basis = der0_basis(alg)
+    unit = next(u for u in hom_basis(alg.space, alg.space, 0)
+                if not der0(alg).contains(u.to_matrix().flatten()))
+    with pytest.raises(LevelInconsistency, match="bracket identity"):
+        resubstitute(alg, alg.act, [basis[0].add(unit)] + basis[1:])
+    resubstitute(alg, alg.act, basis)
+
+    import tanaka.lie as lie
+    kernel = lie.kernel
+
+    def perturbed_kernel(m):
+        found = kernel(m)
+        rows = found.basis.entries
+        first = tuple(x + y for x, y in zip(rows[0], hom_coords(unit)))
+        return Subspace(found.ambient_dim, Matrix((first,) + rows[1:], found.ambient_dim))
+
+    monkeypatch.setattr(lie, "kernel", perturbed_kernel)
+    with pytest.raises(LevelInconsistency, match="bracket identity"):
+        der0_basis(alg)
 
 
 def test_adjoin_g0_rejects_generators_not_closed_under_commutator():

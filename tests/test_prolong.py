@@ -10,12 +10,10 @@ from slow_oracle import slow_prolong_dims
 from tanaka.catalog import make_algebra
 from tanaka.exact_linear import Matrix, Subspace
 from tanaka.graded import HomogeneousMap, hom_basis, hom_coords, hom_space_dim
-from tanaka.lie import G0Spec, adjoin_g0
+from tanaka.lie import G0Spec, adjoin_g0, resubstitute
 from tanaka.prolong import (
     LevelInconsistency,
-    _build_tower,
     _express_in_level,
-    _reverify_level,
     extended_bracket,
     jacobi_failures,
     order_and_bound,
@@ -110,6 +108,16 @@ def test_prolong_step_reproduces_each_level():
         step = prolong_step(m, res.g0, res.levels[:r])
         assert step.degree == r + 1
         assert step.carrier == res.level(r + 1).carrier
+
+
+def test_prolong_step_runs_the_checks_of_prolong():
+    """diag(1, 0) on m_-1 of heisenberg3 is no derivation: m + g^0 fails Jacobi."""
+    m = make_algebra("heisenberg3")
+    diag = HomogeneousMap.make(m.space, m.space, 0, {-1: Matrix.from_rows([[1, 0], [0, 0]])})
+    with pytest.raises(ValueError, match="Jacobi"):
+        prolong(m, [diag], max_degree=1)
+    with pytest.raises(ValueError, match="Jacobi"):
+        prolong_step(m, [diag])
 
 
 def test_levels_live_in_hom_coordinates():
@@ -315,9 +323,10 @@ def test_resubstitution_catches_a_perturbed_basis_map():
                 if not level.carrier.contains(hom_coords(u)))
     perturbed = level.basis[0].add(unit)
     bad = replace(level, basis=(perturbed,) + level.basis[1:])
+    act = res._tower().act
     with pytest.raises(LevelInconsistency, match="bracket identity"):
-        _reverify_level(_build_tower(m, res.g0), bad)
-    _reverify_level(_build_tower(m, res.g0), level)
+        resubstitute(m, act, bad.basis)
+    resubstitute(m, act, level.basis)
 
 
 def test_extended_bracket_catches_a_truncated_carrier():
