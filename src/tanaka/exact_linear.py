@@ -2,8 +2,13 @@
 
 Floating point never enters: scalars are `fractions.Fraction`, and
 plain ints are accepted anywhere a scalar is expected. A `Matrix` is a
-dense tuple of Fraction rows that stores its column count, so a matrix
-with no rows (or no columns) keeps its shape.
+tuple of sparse rows {column: nonzero Fraction} with an explicit
+shape: it stores its column count, and its row count is the number of
+rows, zero rows included, so a matrix with no rows, no columns or no
+nonzeros keeps its shape. Producers build matrices from sparse rows or
+columns (`Matrix.from_columns` transposes without padding), every
+operation reads only nonzeros, and `Matrix.entries` is a dense view
+built on first use.
 
 Every reduction goes through one sparse, fraction-free eliminator.
 Each nonzero row is scaled by the lcm of its denominators into a
@@ -14,15 +19,18 @@ entries (row-content normalisation of Bareiss' integer-preserving
 elimination, Math. Comp. 22 (1968)). Back-substitution stays in ints,
 and rows become Fractions only in the final, canonical output.
 
-Callers that evaluate brackets and maps work on sparse rows
-{index: Fraction}: `add_scaled` accumulates them, `densify` turns one
-into a Vector, and `Matrix.from_columns` assembles sparse columns.
+Callers that evaluate brackets and maps work on the same sparse rows
+{index: Fraction}: `add_scaled` accumulates them, `combination` sums
+them with sparse coefficients, and `densify` turns one into a Vector
+where a dense result is the interface.
 
 Subspaces are stored in reduced row echelon form. RREF is a canonical
 representative of a row space, so two subspaces are equal iff their
 stored bases are equal entrywise, whichever pivot rows the eliminator
 chose; all complement and quotient constructions below are
-deterministic functions of that canonical form.
+deterministic functions of that canonical form. Membership and
+coordinates (`Subspace.coords_of`) accept dense vectors and sparse
+rows alike.
 """
 
 from __future__ import annotations
@@ -32,9 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
-
-Rational = Fraction
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Vector = tuple[Fraction, ...]
 
@@ -45,6 +51,11 @@ Sparse = Mapping[int, Fraction]  # index -> nonzero Fraction
 NO_TERMS: Sparse = MappingProxyType({})  # the shared, read-only empty row
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _as_fraction(e) -> Fraction:
+    return e if type(e) is Fraction else Fraction(e)
 
 
 def rat(value, den: Optional[int] = None) -> Fraction:
@@ -66,84 +77,123 @@ def add_vectors(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def add_scaled(acc: dict[int, Fraction], c, row: Sparse, shift: int = 0) -> None:
+def add_scaled(acc: dict[int, Fraction], c, row: Sparse, shift: int = 0) -> dict[int, Fraction]:
     """acc += c * row in place, row's indices moved by shift; entries
 
-    that cancel are removed, so acc keeps only nonzeros.
+    that cancel are removed, so acc keeps only nonzeros. Returns acc.
     """
+    c = _as_fraction(c)  # Fraction-by-Fraction products take the fast path
     for j, v in row.items():
         j += shift
-        w = acc.get(j, 0) + c * v
+        w = acc.get(j)
+        w = c * v if w is None else w + c * v
         if w:
             acc[j] = w
         else:
             acc.pop(j, None)
+    return acc
+
+
+def combination(coeffs: Sparse, rows: Sequence[Sparse]) -> dict[int, Fraction]:
+    """sum_k coeffs[k] * rows[k], a sparse row."""
+    acc: dict[int, Fraction] = {}
+    for k, c in coeffs.items():
+        add_scaled(acc, c, rows[k])
+    return acc
+
+
+def clear_denominators(rows: Sequence[Sparse]) -> tuple[int, list[SparseRow]]:
+    """(d, int_rows): d is the lcm of every denominator in rows and
+
+    int_rows[i] is d * rows[i] in ints, so sums of products of rows can
+    be tested for zero without Fraction arithmetic.
+    """
+    d = lcm(*(e.denominator for row in rows for e in row.values()))
+    return d, [{j: e.numerator * (d // e.denominator) for j, e in row.items()} for row in rows]
 
 
 def densify(row: Sparse, n: int) -> Vector:
     out = [_ZERO] * n
     for j, v in row.items():
-        out[j] = Fraction(v)
+        out[j] = _as_fraction(v)
     return tuple(out)
 
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix of Fractions, entries stored row-major.
+    """Immutable sparse matrix over Q with an explicit shape.
 
-    cols is stored, so a matrix without rows keeps its width; when
-    omitted it is read off the first row (0 if there is none). Every
-    row has cols entries.
+    sparse[i] is row i as {column: nonzero Fraction}; rows are shared,
+    so callers must not mutate them. No zero is ever stored, so equal
+    matrices have equal rows. cols is stored, so a matrix without rows
+    keeps its width, and len(sparse) is its height even when every row
+    is zero. `entries` is the dense view, built on first use.
     """
 
-    entries: tuple[tuple[Fraction, ...], ...]
-    cols: Optional[int] = None
+    sparse: tuple[Sparse, ...]
+    cols: int
 
-    def __post_init__(self):
-        if self.cols is None:
-            object.__setattr__(self, "cols", len(self.entries[0]) if self.entries else 0)
+    def __hash__(self):
+        return hash((self.cols, tuple(frozenset(row.items()) for row in self.sparse)))
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable], cols: Optional[int] = None) -> "Matrix":
-        return Matrix(tuple(tuple(Fraction(e) for e in row) for row in rows), cols)
+        """The matrix with the given dense rows; cols defaults to the length
+
+        of the first row (0 without rows), and every row must have it.
+        """
+        out = []
+        for row in rows:
+            row = tuple(row)
+            if cols is None:
+                cols = len(row)
+            elif len(row) != cols:
+                raise ValueError(f"row length {len(row)} != {cols} columns")
+            out.append({j: _as_fraction(e) for j, e in enumerate(row) if e})
+        return Matrix(tuple(out), cols or 0)
 
     @staticmethod
     def from_columns(columns: Sequence[Sparse], rows: int) -> "Matrix":
-        """The rows x len(columns) matrix whose j-th column is columns[j]."""
-        out = [[_ZERO] * len(columns) for _ in range(rows)]
+        """The rows x len(columns) matrix whose j-th column is the sparse
+
+        column columns[j] {row: value}; zero values are dropped.
+        """
+        out: list[dict[int, Fraction]] = [{} for _ in range(rows)]
         for j, col in enumerate(columns):
             for i, v in col.items():
-                out[i][j] = Fraction(v)
-        return Matrix(tuple(map(tuple, out)), len(columns))
+                if v:
+                    out[i][j] = _as_fraction(v)
+        return Matrix(tuple(out), len(columns))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(tuple((Fraction(0),) * cols for _ in range(rows)), cols)
+        return Matrix((NO_TERMS,) * rows, cols)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)), n)
+        return Matrix(tuple({i: _ONE} for i in range(n)), n)
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.sparse)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
+    @cached_property
+    def entries(self) -> tuple[Vector, ...]:
+        """The dense rows, row-major."""
+        return tuple(densify(row, self.cols) for row in self.sparse)
 
     def col(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
+        return tuple(row.get(j, _ZERO) for row in self.sparse)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for row in self.entries for e in row)
+        return not any(self.sparse)
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-                      self.rows)
+        return Matrix.from_columns(self.sparse, self.cols)
 
     def flatten(self) -> Vector:
         """Row-major flattening; the End-coordinate convention."""
@@ -152,44 +202,42 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} + {other.shape}")
-        return Matrix(tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
+        return Matrix(tuple(add_scaled(dict(r1), 1, r2) for r1, r2 in zip(self.sparse, other.sparse)),
                       self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(tuple(tuple(-e for e in row) for row in self.entries), self.cols)
+        return Matrix(tuple({j: -e for j, e in row.items()} for row in self.sparse), self.cols)
 
     def scale(self, c) -> "Matrix":
         c = Fraction(c)
-        return Matrix(tuple(tuple(c * e for e in row) for row in self.entries), self.cols)
+        if not c:
+            return Matrix.zeros(*self.shape)
+        return Matrix(tuple({j: c * e for j, e in row.items()} for row in self.sparse), self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        nonzeros = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
-        out = []
-        for row in self.entries:
-            acc = [_ZERO] * other.cols
-            for k, a in enumerate(row):
-                if a:
-                    for j, b in nonzeros[k]:
-                        acc[j] += a * b
-            out.append(tuple(acc))
-        return Matrix(tuple(out), other.cols)
+        return Matrix(tuple(combination(row, other.sparse) for row in self.sparse), other.cols)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         """Matrix times column vector."""
         if len(v) != self.cols:
             raise ValueError(f"length mismatch: {self.shape} applied to {len(v)}")
-        return tuple(sum((a * b for a, b in zip(row, v) if a and b), _ZERO) for row in self.entries)
+        return tuple(sum((e * v[j] for j, e in row.items() if v[j]), _ZERO) for row in self.sparse)
+
+    def column_slice(self, start: int, stop: int) -> "Matrix":
+        """Columns start..stop-1, renumbered from 0; the height is kept."""
+        return Matrix(tuple({j - start: e for j, e in row.items() if start <= j < stop}
+                            for row in self.sparse), stop - start)
 
     def stack(self, other: "Matrix") -> "Matrix":
         """Rows of self followed by rows of other."""
         if self.cols != other.cols:
             raise ValueError(f"column mismatch: {self.shape} stacked on {other.shape}")
-        return Matrix(self.entries + other.entries, self.cols)
+        return Matrix(self.sparse + other.sparse, self.cols)
 
 
 def _primitive(row: SparseRow) -> SparseRow:
@@ -200,11 +248,10 @@ def _primitive(row: SparseRow) -> SparseRow:
 def _integer_rows(m: Matrix) -> list[SparseRow]:
     """The nonzero rows of m, each cleared of denominators and made primitive."""
     out = []
-    for row in m.entries:
-        nz = [(j, e) for j, e in enumerate(row) if e]
-        if nz:
-            den = lcm(*(e.denominator for _, e in nz))
-            out.append(_primitive({j: e.numerator * (den // e.denominator) for j, e in nz}))
+    for row in m.sparse:
+        if row:
+            den = lcm(*(e.denominator for e in row.values()))
+            out.append(_primitive({j: e.numerator * (den // e.denominator) for j, e in row.items()}))
     return out
 
 
@@ -266,14 +313,7 @@ def _back_substitute(echelon: list[tuple[int, SparseRow]]) -> list[tuple[int, Sp
 
 def _to_fraction_rows(rref: list[tuple[int, SparseRow]], ncols: int) -> Matrix:
     """The canonical Fraction RREF: each row divided by its pivot entry."""
-    out = []
-    for c, row in rref:
-        lead = row[c]
-        dense = [_ZERO] * ncols
-        for j, v in row.items():
-            dense[j] = Fraction(v, lead)
-        out.append(tuple(dense))
-    return Matrix(tuple(out), ncols)
+    return Matrix(tuple({j: Fraction(v, row[c]) for j, v in row.items()} for c, row in rref), ncols)
 
 
 def _rref_with_pivots(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -297,29 +337,28 @@ def rank(m: Matrix) -> int:
 def kernel(m: Matrix) -> "Subspace":
     """Null space {x : m x = 0}, as a canonical Subspace of Q^cols."""
     rref, pivots = _rref_with_pivots(m)
-    ncols = m.cols
-    free = [c for c in range(ncols) if c not in pivots]
-    basis_rows = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -rref.entries[r][f]
-        basis_rows.append(v)
-    return Subspace.span(ncols, basis_rows)
+    taken = set(pivots)
+    # one vector per free column f: x_f = 1, x_p = -rref[r][f] at pivot p of row r
+    free = {f: {f: _ONE} for f in range(m.cols) if f not in taken}
+    for p, row in zip(pivots, rref.sparse):
+        for f, e in row.items():
+            if f != p:
+                free[f][p] = -e
+    return Subspace.row_space(Matrix(tuple(free.values()), m.cols))
 
 
 def solve(a: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
     """One exact solution x of a x = b, or None if inconsistent."""
     if len(b) != a.rows:
         raise ValueError(f"length mismatch: {a.shape} vs rhs {len(b)}")
-    aug = Matrix(tuple(row + (bv,) for row, bv in zip(a.entries, b)), a.cols + 1)
+    n = a.cols
+    aug = Matrix(tuple({**row, n: bv} if bv else row for row, bv in zip(a.sparse, b)), n + 1)
     rref, pivots = _rref_with_pivots(aug)
-    if a.cols in pivots:
+    if n in pivots:
         return None
-    x = [Fraction(0)] * a.cols
-    for r, p in enumerate(pivots):
-        x[p] = rref.entries[r][a.cols]
+    x = [_ZERO] * n
+    for p, row in zip(pivots, rref.sparse):
+        x[p] = row.get(n, _ZERO)
     return tuple(x)
 
 
@@ -328,11 +367,11 @@ def inverse(m: Matrix) -> Matrix:
     n = m.rows
     if m.cols != n:
         raise ValueError(f"not square: {m.shape}")
-    aug = Matrix(tuple(row + ident for row, ident in zip(m.entries, Matrix.identity(n).entries)), 2 * n)
+    aug = Matrix(tuple({**row, n + i: _ONE} for i, row in enumerate(m.sparse)), 2 * n)
     rref, pivots = _rref_with_pivots(aug)
-    if len(pivots) < n or pivots[:n] != tuple(range(n)):
+    if pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix(tuple(row[n:] for row in rref.entries), n)
+    return Matrix(tuple({j - n: e for j, e in row.items() if j >= n} for row in rref.sparse), n)
 
 
 @dataclass(frozen=True)
@@ -348,11 +387,12 @@ class Subspace:
 
     @staticmethod
     def span(ambient_dim: int, rows: Iterable[Iterable]) -> "Subspace":
-        rows = [tuple(row) for row in rows]  # the eliminator reads ints and Fractions alike
-        for row in rows:
-            if len(row) != ambient_dim:
-                raise ValueError(f"row length {len(row)} != ambient {ambient_dim}")
-        return Subspace(ambient_dim, rref_canonicalize(Matrix(tuple(rows), ambient_dim)))
+        """The span of dense rows, each of length ambient_dim."""
+        return Subspace.row_space(Matrix.from_rows(rows, ambient_dim))
+
+    @staticmethod
+    def row_space(m: Matrix) -> "Subspace":
+        return Subspace(m.cols, rref_canonicalize(m))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -366,44 +406,51 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    def pivots(self) -> tuple[int, ...]:
-        return self._pivots
-
     @cached_property
-    def _pivots(self) -> tuple[int, ...]:
-        # basis is RREF, so each row's pivot is its first nonzero entry
-        return tuple(next(j for j, e in enumerate(row) if e != 0) for row in self.basis.entries)
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each basis row: in RREF, its least column."""
+        return tuple(min(row) for row in self.basis.sparse)
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
+    def contains(self, v: Union[Sequence[Fraction], Sparse]) -> bool:
         return self.coords_of(v) is not None
 
-    def coords_of(self, v: Sequence[Fraction]) -> Optional[Vector]:
-        """Coefficients of v in the RREF basis, or None if v is outside.
+    def coords_of(self, v: Union[Sequence[Fraction], Sparse]) -> Optional[Vector]:
+        """Coefficients of v in the RREF basis, or None if v is outside; v
 
-        In RREF the coefficient on basis row r is just v[pivot_r], so
-        membership is a read-off plus one verification pass.
+        is a dense vector or a sparse row {index: value}. In RREF the
+        coefficient c_r on basis row b_r is just v[pivot_r], so
+        membership is a read-off plus one pass over the nonzeros of the
+        rows used, in ints: with D clearing v's denominators and L the
+        basis's, D L (v - sum c_r b_r) = L (D v) - sum (D c_r)(L b_r).
         """
-        if len(v) != self.ambient_dim:
-            raise ValueError(f"length {len(v)} != ambient {self.ambient_dim}")
-        v = tuple(e if type(e) is Fraction else Fraction(e) for e in v)
-        coeffs = tuple(v[p] for p in self.pivots())
-        residual = list(v)
-        for c, row in zip(coeffs, self.basis.entries):
+        if not isinstance(v, Mapping):
+            if len(v) != self.ambient_dim:
+                raise ValueError(f"length {len(v)} != ambient {self.ambient_dim}")
+            v = {j: e for j, e in enumerate(v) if e}
+        coeffs = tuple(_as_fraction(v.get(p, _ZERO)) for p in self.pivots)
+        den, rows = self._integer_basis
+        d, (residual,) = clear_denominators([v])
+        residual = {j: den * e for j, e in residual.items()}
+        for c, row in zip(coeffs, rows):
             if c:
-                for j, b in enumerate(row):
-                    if b:
-                        residual[j] -= c * b
-        if any(residual):
-            return None
-        return coeffs
+                k = c.numerator * (d // c.denominator)
+                for j, b in row.items():
+                    residual[j] = residual.get(j, 0) - k * b
+        return None if any(residual.values()) else coeffs
+
+    @cached_property
+    def _integer_basis(self) -> tuple[int, list[SparseRow]]:
+        return clear_denominators(self.basis.sparse)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis.entries)
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        return all(self.contains(row) for row in other.basis.sparse)
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Subspace(self.ambient_dim, rref_canonicalize(self.basis.stack(other.basis)))
+        return Subspace.row_space(self.basis.stack(other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the kernel of the stacked-transpose system."""
@@ -412,14 +459,8 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
         # x in both spans: sum_i c_i a_i = sum_j d_j b_j, unknowns (c, -d).
-        system = self.basis.transpose().entries
-        stacked = Matrix(tuple(ra + tuple(-e for e in rb) for ra, rb in
-                               zip(system, other.basis.transpose().entries)))
-        vecs = []
-        for coeffs in kernel(stacked).basis.entries:
-            c = coeffs[: self.dim]
-            vecs.append(self.basis.transpose().apply(c))
-        return Subspace.span(self.ambient_dim, vecs)
+        system = self.basis.stack(-other.basis).transpose()
+        return Subspace.row_space(kernel(system).basis.column_slice(0, self.dim) @ self.basis)
 
 
 def complement(s: Subspace, within: Subspace) -> Subspace:
@@ -429,14 +470,30 @@ def complement(s: Subspace, within: Subspace) -> Subspace:
     row-reduce, and keep the within-basis rows at non-pivot positions.
     The result c satisfies within = s (+) c as an internal direct sum.
     """
+    return quotient_basis(s, within)[0]
+
+
+def quotient_basis(s: Subspace, within: Subspace) -> tuple[Subspace, tuple[Sparse, ...]]:
+    """The canonical complement c of s in within, and for each RREF basis
+
+    row of within its coordinates modulo s over c's basis, as sparse rows.
+
+    The kept rows of within are c's basis rows, so their coordinates
+    are unit vectors. A row at a pivot p of the reduced coordinates R of
+    s is e_p = R_p - sum_k R_p[keep_k] e_(keep_k) with R_p in s, so its
+    coordinates are read off R_p; nothing is solved.
+    """
     if s.ambient_dim != within.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    coord_rows = []
-    for row in s.basis.entries:
-        coords = within.coords_of(row)
-        if coords is None:
-            raise ValueError("subspace is not contained in the given space")
-        coord_rows.append(coords)
-    _, pivots = _rref_with_pivots(Matrix(tuple(coord_rows), within.dim))
-    keep = [j for j in range(within.dim) if j not in pivots]
-    return Subspace.span(within.ambient_dim, [within.basis.entries[j] for j in keep])
+    coord_rows = [within.coords_of(row) for row in s.basis.sparse]
+    if None in coord_rows:
+        raise ValueError("subspace is not contained in the given space")
+    rref, pivots = _rref_with_pivots(Matrix.from_rows(coord_rows, within.dim))
+    reduced = dict(zip(pivots, rref.sparse))
+    keep = [j for j in range(within.dim) if j not in reduced]
+    position = {j: k for k, j in enumerate(keep)}
+    quotient = tuple({position[j]: -e for j, e in reduced[p].items() if j != p} if p in reduced
+                     else {position[p]: _ONE} for p in range(within.dim))
+    # rows of an RREF basis are themselves in RREF
+    kept = Matrix(tuple(within.basis.sparse[j] for j in keep), within.ambient_dim)
+    return Subspace(within.ambient_dim, kept), quotient

@@ -15,9 +15,10 @@ reproduces a fixed graded frame u: m^i -> V_i/V_{i+1}.
 All quotients V_i/V_{i+m} use coordinates in the canonical
 pivot-complement basis of V_{i+m} inside V_i, so the identities of
 the calculus are exact matrix identities. A FilteredSpace caches, per
-quotient, the quotient coordinates of V_i's RREF basis rows (each
-solved once), so `quotient_of` is a membership check in V_i plus one
-combination of cached rows; and, per pair of quotients, the matrix
+quotient, the quotient coordinates of V_i's RREF basis rows (read off
+the reduction that picks the complement, `quotient_basis`, with no
+solve), so `quotient_of` is a membership check in V_i plus one
+product with a cached matrix; and, per pair of quotients, the matrix
 `transfer` of the map induced by inclusion. The action, the lifts,
 the transition and the projection check of MLift.make are products of
 these blocks, never a lift-then-solve per column.
@@ -29,10 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact_linear import Matrix, Subspace, Vector, complement, rank, solve
+from .exact_linear import Matrix, Subspace, Vector, complement, quotient_basis, rank, solve
 from .graded import GradedMap, GradedSpace, HomogeneousMap
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -85,16 +84,9 @@ class FilteredSpace:
         key = (min(max(i, lo), hi), min(max(i + m, lo), hi))
         frame = self._frames.get(key)
         if frame is None:
-            mod, within = self.part(i + m), self.part(i)
-            comp = complement(mod, within)
-            stacked = mod.basis.stack(comp.basis).transpose()
-            rows = []
-            for row in within.basis.entries:
-                coeffs = solve(stacked, row)
-                if coeffs is None:
-                    raise ValueError("vector is not in the given space")
-                rows.append(coeffs[mod.dim:])
-            frame = _Frame(within, tuple(rows), comp)
+            within = self.part(i)
+            comp, rows = quotient_basis(self.part(i + m), within)
+            frame = _Frame(within, comp, Matrix.from_columns(rows, comp.dim), comp.basis.transpose())
             self._frames[key] = frame
         return frame
 
@@ -104,14 +96,11 @@ class FilteredSpace:
         coords = frame.within.coords_of(v)
         if coords is None:
             raise ValueError("vector is not in the given space")
-        return _combination(coords, frame.quotient_rows, frame.comp.dim)
+        return frame.quotient.apply(coords)
 
     def quotient_lift(self, coords: Sequence[Fraction], i: int, m: int) -> Vector:
         """Canonical representative in V_i of a V_i/V_{i+m} coordinate vector."""
-        comp = self._frame(i, m).comp
-        if len(coords) != comp.dim:
-            raise ValueError(f"length {len(coords)} != quotient dim {comp.dim}")
-        return _combination(coords, comp.basis.entries, self.ambient_dim)
+        return self._frame(i, m).lift.apply(coords)
 
     def transfer(self, a: int, ma: int, b: int, mb: int) -> Matrix:
         """Matrix of V_a/V_{a+ma} -> V_b/V_{b+mb} induced by inclusion;
@@ -124,34 +113,25 @@ class FilteredSpace:
         t = self._transfers.get(key)
         if t is None:
             cols = [self.quotient_of(row, b, mb)
-                    for row in self._frame(a, ma).comp.basis.entries]
-            t = Matrix(tuple(cols), self.quotient_dim(b, mb)).transpose()
+                    for row in self._frame(a, ma).comp.basis.sparse]
+            t = Matrix.from_rows(cols, self.quotient_dim(b, mb)).transpose()
             self._transfers[key] = t
         return t
 
 
 @dataclass(frozen=True)
 class _Frame:
-    """Cached data of the quotient V_i/V_{i+m}: V_i itself, the quotient
+    """Cached data of the quotient V_i/V_{i+m}: V_i itself, the canonical
 
-    coordinates of each of its RREF basis rows, and the canonical
-    complement of V_{i+m} in V_i whose basis gives those coordinates.
+    complement of V_{i+m} in V_i, the matrix taking coordinates over
+    V_i's RREF basis to quotient coordinates, and the lift, whose columns
+    are the complement's basis rows.
     """
 
     within: Subspace
-    quotient_rows: tuple[Vector, ...]
     comp: Subspace
-
-
-def _combination(coeffs: Sequence[Fraction], rows: Sequence[Vector], n: int) -> Vector:
-    """sum_r coeffs[r] * rows[r], skipping zero coefficients and entries."""
-    out = [_ZERO] * n
-    for c, row in zip(coeffs, rows):
-        if c:
-            for j, e in enumerate(row):
-                if e:
-                    out[j] += c * e
-    return tuple(out)
+    quotient: Matrix
+    lift: Matrix
 
 
 def _parts_tuple(low: int, high: int,
@@ -371,9 +351,9 @@ def mlift_of_quasi(q: QuasiGradation, u: GradedFrame) -> MLift:
     m = q.degree
     blocks = {}
     for i in model.degrees:
-        h_basis = q.part(i).basis.entries
-        image = Matrix(tuple(space.quotient_of(h, i, m) for h in h_basis),
-                       space.quotient_dim(i, m)).transpose()
+        h_basis = q.part(i).basis.sparse
+        image = Matrix.from_rows([space.quotient_of(h, i, m) for h in h_basis],
+                                 space.quotient_dim(i, m)).transpose()
         proj = space.transfer(i, m, i, 1) @ image
         sols = []
         for c in range(model.dim(i)):
@@ -381,7 +361,7 @@ def mlift_of_quasi(q: QuasiGradation, u: GradedFrame) -> MLift:
             if sol is None:
                 raise ValueError(f"H'^{i} does not surject onto V_{i}/V_{i + 1}")
             sols.append(sol)
-        blocks[i] = image @ Matrix(tuple(sols), len(h_basis)).transpose()
+        blocks[i] = image @ Matrix.from_rows(sols, len(h_basis)).transpose()
     return MLift.make(u, m, blocks)
 
 
@@ -472,7 +452,7 @@ def transition(f1: MLift, f2: MLift) -> GradedMap:
                 if sol is None:
                     raise ValueError("no transition: filtration invariants violated")
                 sols.append(sol)
-            blocks[i] = Matrix(tuple(sols), model.dim(i + d)).transpose()
+            blocks[i] = Matrix.from_rows(sols, model.dim(i + d)).transpose()
         if blocks:
             parts[d] = HomogeneousMap.make(model, model, d, blocks)
 

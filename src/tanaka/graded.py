@@ -6,10 +6,12 @@ through the listed degrees in ascending order, then through each
 component's basis in label order.
 
 A homogeneous map of degree d sends V^i into W^{i+d} and is stored as
-one dense block per source degree; blocks whose source or target
+one sparse block per source degree; blocks whose source or target
 component is absent are identically zero and are not stored. The
-sparse image of each source basis vector is computed once and cached
-(`HomogeneousMap.columns`); evaluation reads only those nonzeros.
+sparse image of each source basis vector (`HomogeneousMap.columns`) is
+kept alongside: maps built from columns (`HomogeneousMap.from_columns`,
+`hom_from_coords`, and so sums, multiples and composites) store the
+columns they were built from, and evaluation reads only those nonzeros.
 
 Coordinates on the space Hom^d(U, W) itself (used whenever a subspace
 of maps is computed) enumerate elementary units as: source degree
@@ -21,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Mapping, Sequence, Union
 
-from .exact_linear import (Matrix, Sparse, Subspace, Vector, add_scaled, add_vectors, densify,
-                           zero_vector)
+from .exact_linear import (Matrix, Sparse, Subspace, Vector, add_scaled, add_vectors, combination,
+                           densify, zero_vector)
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,33 @@ class HomogeneousMap:
         return HomogeneousMap(source, target, degree, tuple(stored))
 
     @staticmethod
+    def from_columns(source: GradedSpace, target: GradedSpace, degree: int,
+                     columns: Sequence[Sparse]) -> "HomogeneousMap":
+        """The map sending the j-th source basis vector to columns[j], a
+
+        sparse column {target index: nonzero Fraction} in global
+        coordinates, kept as the map's `columns`. Each value must lie in
+        the target component of degree deg(j) + degree.
+        """
+        if len(columns) != source.total_dim:
+            raise ValueError(f"expected {source.total_dim} columns, got {len(columns)}")
+        blocks = []
+        for i in source.degrees:
+            src, rows = source.offset(i), target.dim(i + degree)
+            tgt = target.offset(i + degree) if rows else 0
+            block: list[dict[int, Fraction]] = [{} for _ in range(rows)]
+            for s in range(source.dim(i)):
+                for t, v in columns[src + s].items():
+                    if not tgt <= t < tgt + rows:
+                        raise ValueError(f"column {src + s} leaves the degree-{i + degree} component")
+                    block[t - tgt][s] = v
+            if rows:
+                blocks.append((i, Matrix(tuple(block), source.dim(i))))
+        f = HomogeneousMap(source, target, degree, tuple(blocks))
+        f.__dict__["columns"] = tuple(columns)
+        return f
+
+    @staticmethod
     def zero(source: GradedSpace, target: GradedSpace, degree: int) -> "HomogeneousMap":
         return HomogeneousMap.make(source, target, degree)
 
@@ -192,21 +221,17 @@ class HomogeneousMap:
         cols: list[dict[int, Fraction]] = [{} for _ in range(self.source.total_dim)]
         for i, block in self.blocks:
             src, tgt = self.source.offset(i), self.target.offset(i + self.degree)
-            for r, row in enumerate(block.entries):
-                for c, e in enumerate(row):
-                    if e:
-                        cols[src + c][tgt + r] = e
+            for r, row in enumerate(block.sparse):
+                for c, e in row.items():
+                    cols[src + c][tgt + r] = e
         return tuple(cols)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.source.total_dim:
             raise ValueError(f"length mismatch: map on dim {self.source.total_dim} "
                              f"applied to {len(v)}")
-        out: dict[int, Fraction] = {}
-        for j, c in enumerate(v):
-            if c:
-                add_scaled(out, c, self.columns[j])
-        return densify(out, self.target.total_dim)
+        coeffs = {j: c for j, c in enumerate(v) if c}
+        return densify(combination(coeffs, self.columns), self.target.total_dim)
 
     def apply_basis(self, index: int) -> Vector:
         """Image of the index-th global basis vector of the source."""
@@ -214,31 +239,26 @@ class HomogeneousMap:
 
     def to_matrix(self) -> Matrix:
         """Full target_dim x source_dim matrix in global coordinates."""
-        cols = [self.apply_basis(j) for j in range(self.source.total_dim)]
-        return Matrix(tuple(tuple(col[r] for col in cols) for r in range(self.target.total_dim)),
-                      self.source.total_dim)
+        return Matrix.from_columns(self.columns, self.target.total_dim)
 
     def add(self, other: "HomogeneousMap") -> "HomogeneousMap":
         if (self.source, self.target, self.degree) != (other.source, other.target, other.degree):
             raise ValueError("incompatible homogeneous maps")
-        return HomogeneousMap.make(self.source, self.target, self.degree,
-                                   {i: m + other.block(i) for i, m in self.blocks})
+        cols = [add_scaled(dict(a), 1, b) for a, b in zip(self.columns, other.columns)]
+        return HomogeneousMap.from_columns(self.source, self.target, self.degree, cols)
 
     def scale(self, c) -> "HomogeneousMap":
-        return HomogeneousMap.make(self.source, self.target, self.degree,
-                                   {i: m.scale(c) for i, m in self.blocks})
+        c = Fraction(c)
+        cols = [{t: c * v for t, v in col.items()} if c else {} for col in self.columns]
+        return HomogeneousMap.from_columns(self.source, self.target, self.degree, cols)
 
     def compose(self, other: "HomogeneousMap") -> "HomogeneousMap":
         """self after other; degrees add."""
         if other.target != self.source:
             raise ValueError("composition spaces do not match")
-        degree = self.degree + other.degree
-        blocks = {}
-        for i, b in other.blocks:
-            j = i + other.degree
-            if self.target.dim(j + self.degree) > 0:
-                blocks[i] = self.block(j) @ b
-        return HomogeneousMap.make(other.source, self.target, degree, blocks)
+        cols = [combination(col, self.columns) for col in other.columns]
+        return HomogeneousMap.from_columns(other.source, self.target, self.degree + other.degree,
+                                           cols)
 
 
 def fresh_labels(space: GradedSpace, stem: str, count: int) -> tuple[str, ...]:
@@ -262,11 +282,13 @@ def hom_space_dim(source: GradedSpace, target: GradedSpace, degree: int) -> int:
                for i in HomogeneousMap.present_source_degrees(source, target, degree))
 
 
-def hom_units(source: GradedSpace, target: GradedSpace, degree: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=16)
+def hom_units(source: GradedSpace, target: GradedSpace, degree: int) -> tuple[tuple[int, int], ...]:
     """The elementary units of Hom^degree(source, target) as (source index,
 
     target index) pairs of global coordinates, in the fixed frame: source
     degree ascending, then source basis index, then target basis index.
+    Cached, since every map built from coordinates reads it.
     """
     units = []
     for i in HomogeneousMap.present_source_degrees(source, target, degree):
@@ -274,7 +296,7 @@ def hom_units(source: GradedSpace, target: GradedSpace, degree: int) -> list[tup
         for s in range(source.dim(i)):
             for t in range(target.dim(i + degree)):
                 units.append((src + s, tgt + t))
-    return units
+    return tuple(units)
 
 
 def hom_basis(source: GradedSpace, target: GradedSpace, degree: int) -> list[HomogeneousMap]:
@@ -282,35 +304,45 @@ def hom_basis(source: GradedSpace, target: GradedSpace, degree: int) -> list[Hom
 
     hom_units frame.
     """
-    n = hom_space_dim(source, target, degree)
-    return [hom_from_coords(source, target, degree, [int(j == k) for j in range(n)])
-            for k in range(n)]
+    return [hom_from_coords(source, target, degree, {k: 1})
+            for k in range(hom_space_dim(source, target, degree))]
+
+
+def hom_terms(f: HomogeneousMap) -> dict[int, Fraction]:
+    """Coordinates of a homogeneous map in the hom_basis frame, as a sparse row."""
+    out = {}
+    pos = 0
+    for i in HomogeneousMap.present_source_degrees(f.source, f.target, f.degree):
+        block = f.block(i)
+        for t, row in enumerate(block.sparse):
+            for s, e in row.items():
+                out[pos + s * block.rows + t] = e
+        pos += block.rows * block.cols
+    return out
 
 
 def hom_coords(f: HomogeneousMap) -> Vector:
     """Coordinates of a homogeneous map in the hom_basis frame."""
-    out: list[Fraction] = []
-    for i in HomogeneousMap.present_source_degrees(f.source, f.target, f.degree):
-        block = f.block(i)
-        for s in range(block.cols):
-            for t in range(block.rows):
-                out.append(block.entries[t][s])
-    return tuple(out)
+    return densify(hom_terms(f), hom_space_dim(f.source, f.target, f.degree))
 
 
 def hom_from_coords(source: GradedSpace, target: GradedSpace, degree: int,
-                    coords: Sequence[Fraction]) -> HomogeneousMap:
-    if len(coords) != hom_space_dim(source, target, degree):
-        raise ValueError(f"expected {hom_space_dim(source, target, degree)} coordinates, got {len(coords)}")
-    blocks = {}
-    pos = 0
-    for i in HomogeneousMap.present_source_degrees(source, target, degree):
-        rows, cols = target.dim(i + degree), source.dim(i)
-        # coordinates run source index outer, target index inner
-        blocks[i] = Matrix(tuple(tuple(Fraction(coords[pos + s * rows + t]) for s in range(cols))
-                                 for t in range(rows)), cols)
-        pos += rows * cols
-    return HomogeneousMap.make(source, target, degree, blocks)
+                    coords: Union[Sequence[Fraction], Sparse]) -> HomogeneousMap:
+    """The map with the given coordinates in the hom_basis frame, given as a
+
+    dense vector or as a sparse row {unit index: value}.
+    """
+    units = hom_units(source, target, degree)
+    if not isinstance(coords, Mapping):
+        if len(coords) != len(units):
+            raise ValueError(f"expected {len(units)} coordinates, got {len(coords)}")
+        coords = dict(enumerate(coords))
+    cols: list[dict[int, Fraction]] = [{} for _ in range(source.total_dim)]
+    for k, v in coords.items():
+        if v:
+            src, tgt = units[k]
+            cols[src][tgt] = v if type(v) is Fraction else Fraction(v)
+    return HomogeneousMap.from_columns(source, target, degree, cols)
 
 
 def wedge_basis(space: GradedSpace, degree: int) -> list[tuple[int, int]]:

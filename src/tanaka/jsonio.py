@@ -71,7 +71,7 @@ def parse_rational(obj: Any, where: str) -> Fraction:
 
 
 def emit_rational(q: Fraction) -> Any:
-    return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _load_json(text: str) -> Any:
@@ -96,7 +96,7 @@ def _parse_matrix(obj: Any, rows: int, cols: int, where: str) -> Matrix:
 
 
 def _emit_matrix(m: Matrix) -> list:
-    return [[emit_rational(e) for e in row] for row in m.entries]
+    return [[emit_rational(row[j]) if j in row else 0 for j in range(m.cols)] for row in m.sparse]
 
 
 @dataclass(frozen=True)
@@ -212,17 +212,18 @@ def parse_algebra(text: str) -> LoadedAlgebra:
 
 def emit_algebra(alg: GradedLieAlgebra, name: str = "") -> str:
     """Canonical document with both orientations of every nonzero pair."""
+    return _dumps(_algebra_doc(alg, name))
+
+
+def _algebra_doc(alg: GradedLieAlgebra, name: str) -> dict:
     space = alg.space
-    degrees = {str(d): [space.label_of_index(space.offset(d) + j)
-                        for j in range(space.dim(d))]
-               for d in space.degrees}
+    degrees = {str(d): list(space.labels(d)) for d in space.degrees}
     brackets = []
     for a in range(space.total_dim):
         for b in range(a + 1, space.total_dim):
-            v = alg.bracket_basis(a, b)
             terms = [{"basis": space.label_of_index(i),
                       "num": e.numerator, "den": e.denominator}
-                     for i, e in enumerate(v) if e != 0]
+                     for i, e in sorted(alg.bracket_row(a, b).items())]
             if not terms:
                 continue
             mirrored = [{"basis": t["basis"], "num": -t["num"], "den": t["den"]}
@@ -231,7 +232,7 @@ def emit_algebra(alg: GradedLieAlgebra, name: str = "") -> str:
                              "right": space.label_of_index(b), "value": terms})
             brackets.append({"left": space.label_of_index(b),
                              "right": space.label_of_index(a), "value": mirrored})
-    return _dumps({"name": name, "degrees": degrees, "brackets": brackets})
+    return {"name": name, "degrees": degrees, "brackets": brackets}
 
 
 def parse_g0(obj: Any, algebra: GradedLieAlgebra) -> G0Spec:
@@ -309,8 +310,8 @@ def result_document(result: ProlongationResult,
     if base_dim is None:
         base_dim = dim_m
     doc = {
-        "algebra": json.loads(emit_algebra(result.negative)),
-        "g0": json.loads(emit_g0_generators(result.g0)),
+        "algebra": _algebra_doc(result.negative, ""),
+        "g0": {"generators": [generator_doc(g) for g in result.g0]},
         "status": {
             "kind": result.status.kind,
             "order": result.status.order,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
 from .exact_linear import (
@@ -27,19 +28,20 @@ from .exact_linear import (
     Subspace,
     Vector,
     add_scaled,
+    clear_denominators,
+    combination,
     densify,
     inverse,
     kernel,
-    zero_vector,
 )
 from .graded import (
     GradedSpace,
     HomogeneousMap,
     fresh_labels,
     hom_basis,
-    hom_coords,
     hom_from_coords,
     hom_space_dim,
+    hom_terms,
     hom_units,
 )
 
@@ -57,26 +59,24 @@ class GradedLieAlgebra:
 
     space: GradedSpace
     brackets: tuple[tuple[tuple[int, int], Vector], ...]
-    _table: dict = field(init=False, compare=False, repr=False, hash=False, default=None)
     act: tuple = field(init=False, compare=False, repr=False, hash=False, default=None)
 
     def __post_init__(self):
         n = self.space.total_dim
-        table = {}
+        seen = set()
         act = [[NO_TERMS] * n for _ in range(n)]
         for (a, b), value in self.brackets:
             if not (0 <= a < b < n):
                 raise ValueError(f"bad bracket pair ({a}, {b})")
-            if (a, b) in table:
+            if (a, b) in seen:
                 raise ValueError(f"duplicate bracket pair ({a}, {b})")
             if len(value) != n:
                 raise ValueError(f"bracket ({a}, {b}) has {len(value)} coordinates, expected {n}")
-            table[(a, b)] = value
+            seen.add((a, b))
             row = {k: Fraction(e) for k, e in enumerate(value) if e}
             if row:
                 act[a][b] = row
                 act[b][a] = {k: -e for k, e in row.items()}
-        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "act", tuple(map(tuple, act)))
 
     @staticmethod
@@ -103,14 +103,7 @@ class GradedLieAlgebra:
         return GradedLieAlgebra(space, stored)
 
     def bracket_basis(self, a: int, b: int) -> Vector:
-        if a == b:
-            return zero_vector(self.space.total_dim)
-        if a < b:
-            return self._table.get((a, b), zero_vector(self.space.total_dim))
-        value = self._table.get((b, a))
-        if value is None:
-            return zero_vector(self.space.total_dim)
-        return tuple(-e for e in value)
+        return densify(self.act[a][b], self.space.total_dim)
 
     def bracket_row(self, a: int, b: int) -> Sparse:
         """[e_a, e_b] as a sparse row; shared, so callers must not mutate it."""
@@ -173,16 +166,20 @@ def validate(alg: GradedLieAlgebra) -> list[str]:
                     f"not homogeneous of degree {target}")
                 break
     n = space.total_dim
-    act = alg.act
+    # the table times the common denominator d, in ints: each Jacobi sum
+    # below is d^2 times the true one
+    _, flat = clear_denominators([row for rows in alg.act for row in rows])
+    act = [flat[i * n:(i + 1) * n] for i in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
             for c in range(b + 1, n):
                 # [[a, b], c] + [[b, c], a] + [[c, a], b]
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int] = {}
                 for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
                     for k, e in act[x][y].items():
-                        add_scaled(acc, e, act[k][z])
-                if acc:
+                        for j, w in act[k][z].items():
+                            acc[j] = acc.get(j, 0) + e * w
+                if any(acc.values()):
                     problems.append(
                         f"Jacobi fails on ({space.label_of_index(a)}, "
                         f"{space.label_of_index(b)}, {space.label_of_index(c)})")
@@ -262,7 +259,7 @@ def derivations(alg: GradedLieAlgebra, act: Sequence[Sequence[Sparse]], target: 
         cols.append(col)
     # with fewer than two basis vectors in alg the system has no rows
     carrier = kernel(Matrix.from_columns(cols, len(pair_row) * n_target))
-    basis = tuple(hom_from_coords(space, target, degree, row) for row in carrier.basis.entries)
+    basis = tuple(hom_from_coords(space, target, degree, row) for row in carrier.basis.sparse)
     resubstitute(alg, act, basis)
     return carrier, basis
 
@@ -280,9 +277,7 @@ def resubstitute(alg: GradedLieAlgebra, act: Sequence[Sequence[Sparse]],
         images = A.columns
         for a in range(n):
             for b in range(a + 1, n):
-                lhs: dict[int, Fraction] = {}
-                for k, e in alg.bracket_row(a, b).items():
-                    add_scaled(lhs, e, images[k])
+                lhs = combination(alg.bracket_row(a, b), images)
                 # [A e_a, e_b] + [e_a, A e_b] = [A e_a, e_b] - [A e_b, e_a]
                 rhs: dict[int, Fraction] = {}
                 for w, c in images[a].items():
@@ -348,15 +343,14 @@ def _form_condition_basis(alg: GradedLieAlgebra, form: Matrix) -> list[Homogeneo
     units = hom_basis(alg.space, alg.space, 0)
     cols = [(u.to_matrix().transpose() @ form + form @ u.to_matrix()).flatten() for u in units]
     ker = kernel(Matrix.from_rows(cols).transpose())
-    return [hom_from_coords(alg.space, alg.space, 0, row) for row in ker.basis.entries]
+    return [hom_from_coords(alg.space, alg.space, 0, row) for row in ker.basis.sparse]
 
 
 def _canonical_span(space: GradedSpace, maps: Sequence[HomogeneousMap]) -> list[HomogeneousMap]:
     if not maps:
         return []
-    amb = hom_space_dim(space, space, 0)
-    span = Subspace.span(amb, [hom_coords(f) for f in maps])
-    return [hom_from_coords(space, space, 0, row) for row in span.basis.entries]
+    span = Subspace.row_space(Matrix(tuple(hom_terms(f) for f in maps), hom_space_dim(space, space, 0)))
+    return [hom_from_coords(space, space, 0, row) for row in span.basis.sparse]
 
 
 def resolve_g0(spec: G0Spec, alg: GradedLieAlgebra) -> list[HomogeneousMap]:
@@ -382,7 +376,7 @@ def resolve_g0(spec: G0Spec, alg: GradedLieAlgebra) -> list[HomogeneousMap]:
             units = hom_basis(space, space, 0)
             trace_row = [sum(u.to_matrix().entries[i][i] for i in range(n1)) for u in units]
             ker = kernel(Matrix.from_rows([trace_row]))
-            return [hom_from_coords(space, space, 0, r) for r in ker.basis.entries]
+            return [hom_from_coords(space, space, 0, r) for r in ker.basis.sparse]
         form = spec.form
         if form is None:
             form = _standard_symplectic(n1) if spec.preset == "sp" else Matrix.identity(n1)
@@ -405,38 +399,37 @@ def resolve_g0(spec: G0Spec, alg: GradedLieAlgebra) -> list[HomogeneousMap]:
         resubstitute(alg, alg.act, basis)
     except LevelInconsistency as exc:
         raise ValueError("generator is not a degree-0 derivation") from exc
-    _commutators(basis)
+    _commutators(tuple(basis))
     return basis
 
 
-def _commutators(g0: Sequence[HomogeneousMap]) -> dict[tuple[int, int], Vector]:
-    """Coordinates over g0 of [g_i, g_j] = g_i g_j - g_j g_i, for i < j.
+@lru_cache(maxsize=1)
+def _commutators(g0: tuple[HomogeneousMap, ...]) -> dict[tuple[int, int], Sparse]:
+    """Coordinates over g0 of [g_i, g_j] = g_i g_j - g_j g_i, for i < j,
 
-    Raises ValueError if the maps are dependent or their span is not
-    closed under commutator. g0 need not be canonical: coordinates over
-    the span's RREF basis are carried to g0 by one inverse.
+    as sparse rows. Raises ValueError if the maps are dependent or their
+    span is not closed under commutator. g0 need not be canonical:
+    coordinates over the span's RREF basis are carried to g0 by one
+    inverse. The last table is kept and shared, so callers must not
+    mutate it: the check of explicit generators in resolve_g0 and
+    adjoin_g0 on the same basis build it once.
     """
-    rows = [hom_coords(g) for g in g0]
-    if not rows:
+    if not g0:
         return {}
-    span = Subspace.span(len(rows[0]), rows)
-    if span.dim != len(rows):
+    amb = hom_space_dim(g0[0].source, g0[0].target, 0)
+    span = Subspace.row_space(Matrix(tuple(hom_terms(g) for g in g0), amb))
+    if span.dim != len(g0):
         raise ValueError("degree-0 generators are linearly dependent")
     # sparse rows of the inverse of g0's coordinates over that basis
-    to_g0 = [{k: e for k, e in enumerate(row) if e} for row in
-             inverse(Matrix.from_rows([span.coords_of(row) for row in rows])).entries]
+    to_g0 = inverse(Matrix.from_rows([span.coords_of(hom_terms(g)) for g in g0])).sparse
     out = {}
     for i in range(len(g0)):
         for j in range(i + 1, len(g0)):
             f, g = g0[i], g0[j]
-            coords = span.coords_of(hom_coords(f.compose(g).add(g.compose(f).scale(-1))))
+            coords = span.coords_of(hom_terms(f.compose(g).add(g.compose(f).scale(-1))))
             if coords is None:
                 raise ValueError("degree-0 part is not closed under commutator")
-            acc: dict[int, Fraction] = {}
-            for k, c in enumerate(coords):
-                if c:
-                    add_scaled(acc, c, to_g0[k])
-            out[(i, j)] = densify(acc, len(g0))
+            out[(i, j)] = combination({k: c for k, c in enumerate(coords) if c}, to_g0)
     return out
 
 
@@ -450,7 +443,7 @@ def adjoin_g0(alg: GradedLieAlgebra, g0: Sequence[HomogeneousMap],
     space = alg.space
     if any(d >= 0 for d in space.degrees):
         raise ValueError("degree-0 part already present")
-    g0 = list(g0)
+    g0 = tuple(g0)
     if labels is None:
         labels = fresh_labels(space, "d", len(g0))
     new_space = space.with_component(0, labels)
@@ -462,13 +455,12 @@ def adjoin_g0(alg: GradedLieAlgebra, g0: Sequence[HomogeneousMap],
     for (a, b), value in alg.brackets:
         by_pair[(a, b)] = tuple(value) + (Fraction(0),) * r
     for i, f in enumerate(g0):
-        for a in range(n_old):
-            img = f.apply_basis(a)
-            if any(e != 0 for e in img):
-                by_pair[(a, n_old + i)] = tuple(-e for e in img) + (Fraction(0),) * r
+        for a, img in enumerate(f.columns):
+            if img:
+                by_pair[(a, n_old + i)] = densify({t: -e for t, e in img.items()}, n_old + r)
     for (i, j), coords in commutators.items():
-        if any(coords):
-            by_pair[(n_old + i, n_old + j)] = (Fraction(0),) * n_old + coords
+        if coords:
+            by_pair[(n_old + i, n_old + j)] = (Fraction(0),) * n_old + densify(coords, r)
 
     out = GradedLieAlgebra(new_space, tuple(sorted(by_pair.items())))
     problems = validate(out)

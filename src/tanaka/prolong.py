@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import Mapping, Optional, Sequence, Union
 
 from .exact_linear import NO_TERMS, Sparse, Subspace, Vector, add_scaled, densify
 from .graded import GradedSpace, HomogeneousMap, fresh_labels
@@ -238,25 +239,30 @@ def order_and_bound(result: ProlongationResult, base_dim: Optional[int] = None) 
 class ExtendedBracket:
     """Structure constants on m + g^0 + ... + g^D.
 
-    table covers in-range basis pairs a < b; pairs of positive levels
-    whose degrees sum beyond the computed depth are listed in
-    out_of_range instead. Lookups and evaluation read a sparse table of
-    both orientations built from it.
+    values holds [e_a, e_b] as a sparse row for the in-range basis pairs
+    a < b with a nonzero bracket; pairs of positive levels whose degrees
+    sum beyond the computed depth are listed in out_of_range instead.
+    Lookups and evaluation read a sparse table of both orientations
+    built from it; `table` is the dense view.
     """
 
     space: GradedSpace
     depth: int
-    table: tuple[tuple[tuple[int, int], Vector], ...]
+    values: Mapping[tuple[int, int], Sparse]
     out_of_range: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        rows: dict[tuple[int, int], Sparse] = {}
-        for (a, b), value in self.table:
-            row = {k: e for k, e in enumerate(value) if e}
-            rows[(a, b)] = row
+        rows: dict[tuple[int, int], Sparse] = dict(self.values)
+        for (a, b), row in self.values.items():
             rows[(b, a)] = {k: -e for k, e in row.items()}
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_escaped", frozenset(self.out_of_range))
+
+    @cached_property
+    def table(self) -> tuple[tuple[tuple[int, int], Vector], ...]:
+        """The in-range nonzero brackets as dense vectors, pairs ascending."""
+        n = self.space.total_dim
+        return tuple(sorted((pair, densify(row, n)) for pair, row in self.values.items()))
 
     def row(self, a: int, b: int) -> Sparse:
         """[e_a, e_b] as a sparse row; shared, so callers must not mutate it."""
@@ -387,7 +393,7 @@ def _build_extended_bracket(result: ProlongationResult) -> ExtendedBracket:
         elif a > b:
             add_scaled(acc, -c, bracket_pos_pos(b, a))
 
-    table: dict[tuple[int, int], Vector] = {}
+    values: dict[tuple[int, int], Sparse] = {}
     out_of_range: list[tuple[int, int]] = []
     for a in range(n):
         for b in range(a + 1, n):
@@ -402,8 +408,8 @@ def _build_extended_bracket(result: ProlongationResult) -> ExtendedBracket:
                     continue
                 value = bracket_pos_pos(a, b)
             if value:
-                table[(a, b)] = densify(value, n)
-    return ExtendedBracket(space, depth, tuple(sorted(table.items())), tuple(out_of_range))
+                values[(a, b)] = value
+    return ExtendedBracket(space, depth, values, tuple(out_of_range))
 
 
 def _express_in_level(result: ProlongationResult, s: int, cols: Sequence[Sparse]) -> Sparse:
@@ -419,19 +425,20 @@ def _express_in_level(result: ProlongationResult, s: int, cols: Sequence[Sparse]
     below = level.space_below
     n_below = below.total_dim
     neg_space = result.negative.space
-    coords: list[Fraction] = []
+    coords: dict[int, Fraction] = {}  # over the units of Hom^s(m, m_(s-1))
+    pos = 0
     for i in neg_space.degrees:
         tgt = i + s
         rows = below.dim(tgt)
         start = below.offset(tgt) if rows else 0
         for x in range(neg_space.offset(i), neg_space.offset(i) + neg_space.dim(i)):
-            for t in cols[x]:
+            for t, v in cols[x].items():
                 if t >= n_below:
                     raise LevelInconsistency("bracket value escapes m_(s-1)")
                 if not start <= t < start + rows:
                     raise LevelInconsistency("bracket value outside the graded block")
-            if rows:
-                coords.extend(cols[x].get(start + t, 0) for t in range(rows))
+                coords[pos + t - start] = v
+            pos += rows
     found = level.carrier.coords_of(coords)
     if found is None:
         raise LevelInconsistency(f"bracket value is not in the computed g^{s}")

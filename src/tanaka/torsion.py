@@ -44,13 +44,14 @@ from .exact_linear import (
     densify,
     kernel,
     rank,
+    rref_canonicalize,
 )
 from .graded import (
     GradedMap,
     GradedSpace,
     HomogeneousMap,
-    hom_coords,
     hom_space_dim,
+    hom_terms,
     hom_units,
 )
 from .lie import GradedLieAlgebra
@@ -314,9 +315,8 @@ def partial_np1(result: ProlongationResult, n: int,
         mat = hom_parts.get(i, Matrix.zeros(r_n, r_i))
         if mat.shape != (r_n, r_i):
             raise ValueError(f"hom part {i} must be {r_n}x{r_i}")
-        for w in range(r_i):
-            hom_images[space.offset(i) + w] = {t: mat.entries[t][w]
-                                               for t in range(r_n) if mat.entries[t][w]}
+        for w, image in enumerate(mat.transpose().sparse):
+            hom_images[space.offset(i) + w] = image
     out = bd.gl(images)
     out.update(bd.hom(hom_images))
     return densify(out, bd.tor.total_dim)
@@ -342,8 +342,8 @@ def _embedded_level_span(result: ProlongationResult, s: int) -> Subspace:
     if s <= result.depth:
         for a in result.level(s).basis:
             blocks = {d: a.block(d) for d in result.negative.space.degrees}
-            rows.append(hom_coords(HomogeneousMap.make(space, space, s, blocks)))
-    return Subspace.span(amb, rows)
+            rows.append(hom_terms(HomogeneousMap.make(space, space, s, blocks)))
+    return Subspace.row_space(Matrix(tuple(rows), amb))
 
 
 @dataclass(frozen=True)
@@ -395,15 +395,17 @@ def kernel_reports(result: ProlongationResult, n: int) -> KernelReport:
         if not injective:
             messages.append("Hom summand present but torsion target is zero")
     else:
-        ker = kernel(Matrix.from_rows([row[:gl_cols] for row in matrix.entries], gl_cols))
+        # one elimination of the column-ordered [gl | hom] matrix gives the
+        # rank, and its gl columns are the RREF of the gl block
+        reduced = rref_canonicalize(matrix)
+        r = reduced.rows
+        ker = kernel(reduced.column_slice(0, gl_cols))
         injective = True
         if hom_cols:
-            hom_matrix = Matrix.from_rows([row[gl_cols:] for row in matrix.entries], hom_cols)
-            bad = kernel(hom_matrix).dim
+            bad = kernel(matrix.column_slice(gl_cols, matrix.cols)).dim
             injective = bad == 0
             if not injective:
                 messages.append(f"boundary map has a {bad}-dim kernel on the Hom summand")
-        r = rank(matrix)
     embedded = _embedded_level_span(result, n + 1)
     matches = ker == embedded
     if not matches:
@@ -434,9 +436,7 @@ def complement_w(result: ProlongationResult, n: int) -> Subspace:
         tor, matrix = partial1_matrix(result.base)
     else:
         tor, matrix, _ = partial_np1_matrix(result, n)
-    image = Subspace.span(tor.total_dim,
-                          [matrix.col(c) for c in range(matrix.cols)])
-    return complement(image, Subspace.full(tor.total_dim))
+    return complement(Subspace.row_space(matrix.transpose()), Subspace.full(tor.total_dim))
 
 
 @dataclass(frozen=True)

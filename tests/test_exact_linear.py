@@ -1,11 +1,13 @@
 """Exact linear algebra: worked examples and algebraic invariants."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from slow_oracle import dense_kernel, dense_rref
+from tanaka.catalog import make_algebra
 from tanaka.exact_linear import (
     Matrix,
     Subspace,
@@ -18,6 +20,9 @@ from tanaka.exact_linear import (
     solve,
 )
 from tanaka.filtered import FilteredSpace
+from tanaka.lie import G0Spec
+from tanaka.prolong import prolong
+from tanaka.torsion import partial1_matrix, partial_np1_matrix
 
 Scalars = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 Dims = st.integers(1, 5)
@@ -265,3 +270,101 @@ def test_inverse_matches_dense_oracle(m):
             inverse(m)
         return
     assert inverse(m) == Matrix.from_rows([row[n:] for row in rref], n)
+
+
+# The sparse representation against the dense oracle: the same matrix
+# built through every constructor and product, on degenerate shapes.
+
+SHAPES = [(0, 0), (0, 4), (4, 0), (1, 1), (1, 5), (5, 1), (3, 5), (5, 3), (6, 6)]
+
+
+def _seeded_rows(seed: int) -> tuple[list[list[Fraction]], int]:
+    """Dense rows for one seed: all-zero, small or 60-72-bit entries, and
+
+    for every third seed a scaled duplicate of an existing row.
+    """
+    rng = random.Random(seed)
+    r, c = SHAPES[seed % len(SHAPES)]
+    density = (0.0, 0.3, 0.7, 1.0)[seed // len(SHAPES) % 4]
+
+    def entry() -> Fraction:
+        if seed % 2:
+            q = Fraction(rng.randrange(1 << 60, 1 << 72), rng.randrange(1 << 60, 1 << 72))
+        else:
+            q = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+        return q if rng.random() < 0.5 else -q
+
+    rows = [[entry() if rng.random() < density else Fraction(0) for _ in range(c)]
+            for _ in range(r)]
+    if rows and seed % 3 == 0:
+        k = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3))
+        rows.insert(rng.randrange(len(rows) + 1), [k * e for e in rng.choice(rows)])
+    return rows, c
+
+
+@pytest.mark.parametrize("seed", range(72))
+def test_sparse_constructions_match_dense_oracle(seed):
+    """from_rows, from_columns (empty columns included), transpose, stack and
+
+    products all build one matrix: same shape, dense view and stored
+    nonzeros, and the same RREF, rank and kernel as dense Gauss-Jordan.
+    """
+    rows, c = _seeded_rows(seed)
+    r = len(rows)
+    split = r // 2
+    columns = [{i: rows[i][j] for i in range(r) if rows[i][j]} for j in range(c)]
+    built = {
+        "from_rows": Matrix.from_rows(rows, c),
+        "from_columns": Matrix.from_columns(columns, r),
+        "transpose": Matrix.from_rows([list(col) for col in zip(*rows)] or [[]] * c, r).transpose(),
+        "stack": Matrix.from_rows(rows[:split], c).stack(Matrix.from_rows(rows[split:], c)),
+        "matmul": Matrix.identity(r) @ Matrix.from_rows(rows, c) @ Matrix.identity(c),
+    }
+    dense_rows, pivots = dense_rref(rows, c)
+    expected_rref = Matrix.from_rows(dense_rows, c)
+    expected_kernel = Matrix.from_rows(dense_kernel(rows, c), c)
+    for name, m in built.items():
+        assert m.shape == (r, c), name
+        assert m == built["from_rows"], name
+        assert m.entries == tuple(tuple(row) for row in rows), name
+        assert all(0 <= j < c and e != 0 for row in m.sparse for j, e in row.items()), name
+        assert rref_canonicalize(m) == expected_rref, name
+        assert rank(m) == len(pivots), name
+        assert kernel(m).basis == expected_kernel, name
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_sparse_products_match_dense_products(seed):
+    """A @ B, (A @ B)^T = B^T @ A^T, sums and scalings agree with the dense
+
+    formulas, through inner dimension 0 and all-zero factors.
+    """
+    a_rows, k = _seeded_rows(seed)
+    rng = random.Random(-seed)
+    c = rng.randint(0, 4)
+    b_rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(c)] for _ in range(k)]
+    a, b = Matrix.from_rows(a_rows, k), Matrix.from_rows(b_rows, c)
+    product = [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b_rows)]
+               if b_rows else [Fraction(0)] * c for row in a_rows]
+    assert (a @ b).entries == tuple(tuple(row) for row in product)
+    assert (a @ b).transpose() == b.transpose() @ a.transpose()
+    assert (a + a.scale(-1)).is_zero() and (a - a) == Matrix.zeros(*a.shape)
+    assert a.scale(Fraction(2, 3)).entries == tuple(tuple(Fraction(2, 3) * e for e in row)
+                                                    for row in a_rows)
+
+
+def test_entries_is_the_dense_view_of_the_sparse_rows():
+    """entries[i][j] reads sparse[i].get(j, 0) on every cell; rows store no
+
+    zeros and no column outside the shape, here on engine-built matrices.
+    """
+    res = prolong(make_algebra("heisenberg(3)"), G0Spec("der0"), max_degree=2)
+    matrices = [partial1_matrix(res.base)[1], partial_np1_matrix(res, 1)[1],
+                res.level(1).carrier.basis, res.level(2).basis[0].to_matrix(),
+                Matrix.zeros(2, 3), Matrix.identity(3).scale(0), Matrix.zeros(0, 4)]
+    for m in matrices:
+        assert len(m.entries) == m.rows
+        for i, row in enumerate(m.entries):
+            assert len(row) == m.cols
+            assert row == tuple(m.sparse[i].get(j, Fraction(0)) for j in range(m.cols))
+            assert all(0 <= j < m.cols and e != 0 for j, e in m.sparse[i].items())

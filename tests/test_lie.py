@@ -227,7 +227,7 @@ def test_resubstitution_catches_a_perturbed_der0_map(monkeypatch):
         found = kernel(m)
         rows = found.basis.entries
         first = tuple(x + y for x, y in zip(rows[0], hom_coords(unit)))
-        return Subspace(found.ambient_dim, Matrix((first,) + rows[1:], found.ambient_dim))
+        return Subspace(found.ambient_dim, Matrix.from_rows((first,) + rows[1:], found.ambient_dim))
 
     monkeypatch.setattr(lie, "kernel", perturbed_kernel)
     with pytest.raises(LevelInconsistency, match="bracket identity"):

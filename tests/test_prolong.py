@@ -339,7 +339,7 @@ def test_extended_bracket_catches_a_truncated_carrier():
     g2 = res.level(2)
     rows = g2.carrier.basis.entries[:-1]
     lost = replace(g2, carrier=Subspace(g2.carrier.ambient_dim,
-                                        Matrix(rows, g2.carrier.ambient_dim)))
+                                        Matrix.from_rows(rows, g2.carrier.ambient_dim)))
     broken = replace(res, levels=(res.level(1), lost))
     with pytest.raises(LevelInconsistency, match="computed g\\^2"):
         extended_bracket(broken)

@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from tanaka.catalog import make_algebra
-from tanaka.exact_linear import Matrix, Subspace, kernel
+from tanaka.exact_linear import Matrix, Subspace, kernel, rank
 from tanaka.graded import (GradedMap, GradedSpace, HomogeneousMap, hom_basis,
                            hom_coords, hom_space_dim)
 from tanaka.lie import G0Spec, GradedLieAlgebra, adjoin_g0, resolve_g0
 from tanaka.prolong import prolong
 from tanaka.torsion import (
     KernelReport,
+    _embedded_level_span,
     complement_w,
     gl_tail_dim,
     kernel_reports,
@@ -254,3 +255,52 @@ def test_tower_report_rejects_small_base_dim():
     res = _result("abelian(2)", "gl", 1)
     with pytest.raises(ValueError):
         tower_report(res, base_dim=1)
+
+
+def _report_from_separate_eliminations(res, n):
+    """The KernelReport of level n + 1 assembled from three separate
+
+    eliminations: the kernel of the gl block, the rank of the whole
+    boundary matrix and the kernel of the Hom block, each sliced from the
+    dense rows.
+    """
+    if n == 0:
+        tor, matrix = partial1_matrix(res.base)
+        gl, hom = matrix.cols, 0
+    else:
+        tor, matrix, layout = partial_np1_matrix(res, n)
+        gl, hom = layout[0], sum(layout[1:])
+    dense = matrix.entries
+    ker = kernel(Matrix.from_rows([row[:gl] for row in dense], gl))
+    r = rank(matrix)
+    bad = kernel(Matrix.from_rows([row[gl:] for row in dense], hom)).dim
+    embedded = _embedded_level_span(res, n + 1)
+    messages = []
+    if bad:
+        messages.append("Hom summand present but torsion target is zero" if tor.total_dim == 0
+                        else f"boundary map has a {bad}-dim kernel on the Hom summand")
+    if ker != embedded:
+        messages.append(f"Ker(d|gl_{n + 1}) has dim {ker.dim}, "
+                        f"embedded g^{n + 1} has dim {embedded.dim}")
+    tail = gl_tail_dim(tor.space, n + 2)
+    return KernelReport(level=n + 1, gl_kernel_matches=ker == embedded, hom_injective=bad == 0,
+                        dim_tor=tor.total_dim, dim_domain=gl + hom + tail, rank=r,
+                        dim_w=tor.total_dim - r, dim_g_next=res.dim_g(n + 1),
+                        dim_gl_tail=tail, messages=tuple(messages))
+
+
+@pytest.mark.parametrize("name,preset,depth", [
+    ("heisenberg(3)", "der0", 3),
+    ("heisenberg(5)", "der0", 2),
+    ("free_235", "der0", 10),
+    ("abelian(3)", "co", 10),
+])
+def test_kernel_reports_single_elimination_matches_separate_ones(name, preset, depth):
+    """One elimination of [gl | hom] gives the report of a separate gl-block
+
+    kernel plus full rank, at every level whose next level is known.
+    """
+    res = _result(name, preset, depth)
+    top = res.depth if res.status.kind == "finite" else res.depth - 1
+    for n in range(top + 1):
+        assert kernel_reports(res, n) == _report_from_separate_eliminations(res, n), n
