@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Callable, Optional, TextIO
 
 from .catalog import make_algebra
@@ -34,32 +33,10 @@ from .selftest import run_catalog_suite, run_filtered_suite
 from .torsion import kernel_reports, tower_report
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation, after option parsing."""
-
-    command: str
-    source: Optional[str]
-    g0: str = "der0"
-    max_degree: int = 10
-    base_dim: Optional[int] = None
-    level: int = 0
-    fmt: str = "text"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_degree < 1:
-            raise ValueError("--max-degree must be at least 1")
-        if self.level < 0:
-            raise ValueError("--level must be non-negative")
-        if self.fmt not in ("text", "json"):
-            raise ValueError(f"unknown format {self.fmt!r}")
-
-
-def _load_algebra(config: RunConfig) -> LoadedAlgebra:
-    source = config.source
+def _load_algebra(args: argparse.Namespace) -> LoadedAlgebra:
+    source = args.source
     if source is None:
-        raise AlgebraInputError(f"{config.command} needs an algebra (preset:NAME or a path)")
+        raise AlgebraInputError(f"{args.command} needs an algebra (preset:NAME or a path)")
     if source.startswith("preset:"):
         name = source[len("preset:"):]
         try:
@@ -100,9 +77,9 @@ def _require_usable(loaded: LoadedAlgebra, out: TextIO) -> Optional[int]:
     return failed
 
 
-def _resolve_g0(config: RunConfig, alg: GradedLieAlgebra):
-    if config.g0.startswith("file:"):
-        path = config.g0[len("file:"):]
+def _resolve_g0(args: argparse.Namespace, alg: GradedLieAlgebra):
+    if args.g0.startswith("file:"):
+        path = args.g0[len("file:"):]
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -111,7 +88,7 @@ def _resolve_g0(config: RunConfig, alg: GradedLieAlgebra):
         spec = parse_g0(text, alg)
     else:
         try:
-            spec = G0Spec(config.g0)
+            spec = G0Spec(args.g0)
         except ValueError as exc:
             raise AlgebraInputError(str(exc)) from exc
     try:
@@ -120,26 +97,26 @@ def _resolve_g0(config: RunConfig, alg: GradedLieAlgebra):
         raise AlgebraInputError(str(exc)) from exc
 
 
-def _base_dim(config: RunConfig, alg: GradedLieAlgebra) -> int:
+def _base_dim(args: argparse.Namespace, alg: GradedLieAlgebra) -> int:
     dim_m = alg.space.total_dim
-    if config.base_dim is None:
+    if args.base_dim is None:
         return dim_m
-    if config.base_dim < dim_m:
+    if args.base_dim < dim_m:
         raise AlgebraInputError(
-            f"--base-dim {config.base_dim} is smaller than dim m = {dim_m}")
-    return config.base_dim
+            f"--base-dim {args.base_dim} is smaller than dim m = {dim_m}")
+    return args.base_dim
 
 
-def _run_prolong(config: RunConfig, loaded: LoadedAlgebra) -> ProlongationResult:
-    g0 = _resolve_g0(config, loaded.algebra)
-    return prolong(loaded.algebra, g0, max_degree=config.max_degree)
+def _run_prolong(args: argparse.Namespace, loaded: LoadedAlgebra) -> ProlongationResult:
+    g0 = _resolve_g0(args, loaded.algebra)
+    return prolong(loaded.algebra, g0, max_degree=args.max_degree)
 
 
-def cmd_check(config: RunConfig, out: TextIO) -> int:
-    loaded = _load_algebra(config)
+def cmd_check(args: argparse.Namespace, out: TextIO) -> int:
+    loaded = _load_algebra(args)
     alg = loaded.algebra
     fundamental = not loaded.violations and is_fundamental(alg)
-    if config.fmt == "json":
+    if args.fmt == "json":
         doc = {
             "name": loaded.name,
             "dim": alg.space.total_dim,
@@ -165,13 +142,13 @@ def cmd_check(config: RunConfig, out: TextIO) -> int:
     return 0 if fundamental else 1
 
 
-def cmd_der0(config: RunConfig, out: TextIO) -> int:
-    loaded = _load_algebra(config)
+def cmd_der0(args: argparse.Namespace, out: TextIO) -> int:
+    loaded = _load_algebra(args)
     failed = _require_valid(loaded)
     if failed is not None:
         return failed
     basis = der0_basis(loaded.algebra)
-    if config.fmt == "json":
+    if args.fmt == "json":
         out.write(emit_g0_generators(basis))
         return 0
     print(f"dim der0 = {len(basis)}", file=out)
@@ -192,14 +169,14 @@ def _finite_lines(result: ProlongationResult, base_dim: int) -> list[str]:
     return [head, f"bound = dim(M) + Σ dim(g^i) = {terms} = {bound}"]
 
 
-def cmd_prolong(config: RunConfig, out: TextIO) -> int:
-    loaded = _load_algebra(config)
+def cmd_prolong(args: argparse.Namespace, out: TextIO) -> int:
+    loaded = _load_algebra(args)
     failed = _require_usable(loaded, out)
     if failed is not None:
         return failed
-    base_dim = _base_dim(config, loaded.algebra)
-    result = _run_prolong(config, loaded)
-    if config.fmt == "json":
+    base_dim = _base_dim(args, loaded.algebra)
+    result = _run_prolong(args, loaded)
+    if args.fmt == "json":
         out.write(emit_result(result, base_dim))
         return 0
     if result.status.kind == "finite":
@@ -211,19 +188,19 @@ def cmd_prolong(config: RunConfig, out: TextIO) -> int:
     return 0
 
 
-def cmd_torsion(config: RunConfig, out: TextIO) -> int:
-    loaded = _load_algebra(config)
+def cmd_torsion(args: argparse.Namespace, out: TextIO) -> int:
+    loaded = _load_algebra(args)
     failed = _require_usable(loaded, out)
     if failed is not None:
         return failed
-    result = _run_prolong(config, loaded)
-    n = config.level
+    result = _run_prolong(args, loaded)
+    n = args.level
     try:
         report = kernel_reports(result, n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if config.fmt == "json":
+    if args.fmt == "json":
         doc = {
             "level": report.level,
             "dim_tor": report.dim_tor,
@@ -254,15 +231,15 @@ def cmd_torsion(config: RunConfig, out: TextIO) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_tower(config: RunConfig, out: TextIO) -> int:
-    loaded = _load_algebra(config)
+def cmd_tower(args: argparse.Namespace, out: TextIO) -> int:
+    loaded = _load_algebra(args)
     failed = _require_usable(loaded, out)
     if failed is not None:
         return failed
-    base_dim = _base_dim(config, loaded.algebra)
-    result = _run_prolong(config, loaded)
+    base_dim = _base_dim(args, loaded.algebra)
+    result = _run_prolong(args, loaded)
     report = tower_report(result, base_dim)
-    if config.fmt == "json":
+    if args.fmt == "json":
         doc = {
             "base_dim": report.base_dim,
             "kind": report.kind,
@@ -302,8 +279,8 @@ def cmd_tower(config: RunConfig, out: TextIO) -> int:
     return 0
 
 
-def cmd_selftest(config: RunConfig, out: TextIO) -> int:
-    reports = [run_filtered_suite(config.seed), run_catalog_suite()]
+def cmd_selftest(args: argparse.Namespace, out: TextIO) -> int:
+    reports = [run_filtered_suite(args.seed), run_catalog_suite()]
     for rep in reports:
         print(f"{rep.name}: {rep.cases} cases, {rep.checks} checks, "
               f"{len(rep.failures)} failures", file=out)
@@ -315,7 +292,7 @@ def cmd_selftest(config: RunConfig, out: TextIO) -> int:
     return 0
 
 
-COMMANDS: dict[str, Callable[[RunConfig, TextIO], int]] = {
+COMMANDS: dict[str, Callable[[argparse.Namespace, TextIO], int]] = {
     "check": cmd_check,
     "der0": cmd_der0,
     "prolong": cmd_prolong,
@@ -348,18 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(command=args.command, source=args.source, g0=args.g0,
-                           max_degree=args.max_degree, base_dim=args.base_dim,
-                           level=args.level, fmt=args.fmt, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return COMMANDS[config.command](config, sys.stdout)
+        if args.max_degree < 1:
+            raise AlgebraInputError("--max-degree must be at least 1")
+        if args.level < 0:
+            raise AlgebraInputError("--level must be non-negative")
+        return COMMANDS[args.command](args, sys.stdout)
     except AlgebraInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

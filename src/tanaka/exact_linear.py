@@ -65,10 +65,6 @@ def rat(value, den: Optional[int] = None) -> Fraction:
     return Fraction(value)
 
 
-def vector(entries: Iterable) -> Vector:
-    return tuple(Fraction(e) for e in entries)
-
-
 def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
 

@@ -119,13 +119,6 @@ class GradedSpace:
         start = self.offset(degree)
         return tuple(v[start: start + self.dim(degree)])
 
-    def embed_component(self, degree: int, local: Sequence[Fraction]) -> Vector:
-        out = [Fraction(0)] * self.total_dim
-        start = self.offset(degree)
-        for i, e in enumerate(local):
-            out[start + i] = Fraction(e)
-        return tuple(out)
-
     def with_component(self, degree: int, labels: Sequence[str]) -> "GradedSpace":
         if self.dim(degree) != 0:
             raise ValueError(f"degree {degree} already present")
@@ -354,17 +347,6 @@ def wedge_basis(space: GradedSpace, degree: int) -> list[tuple[int, int]]:
     n = space.total_dim
     degs = [space.degree_of_index(i) for i in range(n)]
     return [(a, b) for a in range(n) for b in range(a + 1, n) if degs[a] + degs[b] == degree]
-
-
-def wedge_degrees(space: GradedSpace) -> tuple[int, ...]:
-    """Degrees in which Lambda^2 of the space is nonzero, ascending."""
-    out = set()
-    for i, (da, _) in enumerate(space.components):
-        for db, labels_b in space.components[i:]:
-            if da == db and len(labels_b) < 2:
-                continue
-            out.add(da + db)
-    return tuple(sorted(out))
 
 
 def gl_degree_subspace(space: GradedSpace, degree: int) -> Subspace:

@@ -52,7 +52,7 @@ def parse_rational(obj: Any, where: str) -> Fraction:
     if isinstance(obj, float):
         raise _fail(f"{where}: floating point is not accepted, use num/den")
     if isinstance(obj, str):
-        if not re.fullmatch(r"-?\d+(/-?\d+)?", obj):
+        if not re.fullmatch(r"-?\d+(/\d+)?", obj):
             raise _fail(f"{where}: bad rational string {obj!r}")
         try:
             return Fraction(obj)

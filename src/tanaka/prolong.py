@@ -22,10 +22,16 @@ der0 in degree 0, acting through the tower's table act[w][b] =
 bracket table, extended as each level is pushed. The solver
 re-substitutes every basis map from its own sparse columns and the
 table, never from the constraint columns. The tower is built one way,
-from m + g^0, by `prolong`, `prolong_step` and the result alike. The
-extended bracket is built once per ProlongationResult and memoised
-with the result's full-depth tower, so every caller (tower report,
-kernel reports, boundary maps) shares one copy.
+from m + g^0, by `prolong`, `prolong_step` and the result alike.
+
+The extended bracket is the same table grown to every basis pair of
+the tower: its rows against m are the tower's own rows (m + g^0's
+table and each level map's columns), the [m, g^s] entries their
+negatives, and only the pairs of positive levels are computed, by
+[f1, f2](x) = [f1(x), f2] + [f1, f2(x)] read through that table. It
+is built once per ProlongationResult and memoised with the result's
+full-depth tower, so every caller (tower report, kernel reports,
+boundary maps) shares one copy.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .exact_linear import NO_TERMS, Sparse, Subspace, Vector, add_scaled, densify
 from .graded import GradedSpace, HomogeneousMap, fresh_labels
@@ -45,6 +51,7 @@ from .lie import (
     bilinear_eval,
     derivations,
     is_fundamental,
+    jacobi_triples,
     resolve_g0,
     validate,
 )
@@ -239,36 +246,34 @@ def order_and_bound(result: ProlongationResult, base_dim: Optional[int] = None) 
 class ExtendedBracket:
     """Structure constants on m + g^0 + ... + g^D.
 
-    values holds [e_a, e_b] as a sparse row for the in-range basis pairs
-    a < b with a nonzero bracket; pairs of positive levels whose degrees
-    sum beyond the computed depth are listed in out_of_range instead.
-    Lookups and evaluation read a sparse table of both orientations
-    built from it; `table` is the dense view.
+    act[a][b] is [e_a, e_b] as a sparse row, for every basis pair of the
+    tower, in the layout of GradedLieAlgebra.act. Pairs of positive
+    levels whose degrees sum beyond the computed depth are listed in
+    out_of_range (a < b) instead; their entries are empty placeholders
+    that `row` refuses. `table` is the dense view of the in-range
+    nonzero pairs.
     """
 
     space: GradedSpace
     depth: int
-    values: Mapping[tuple[int, int], Sparse]
+    act: tuple
     out_of_range: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        rows: dict[tuple[int, int], Sparse] = dict(self.values)
-        for (a, b), row in self.values.items():
-            rows[(b, a)] = {k: -e for k, e in row.items()}
-        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_escaped", frozenset(self.out_of_range))
 
     @cached_property
     def table(self) -> tuple[tuple[tuple[int, int], Vector], ...]:
         """The in-range nonzero brackets as dense vectors, pairs ascending."""
         n = self.space.total_dim
-        return tuple(sorted((pair, densify(row, n)) for pair, row in self.values.items()))
+        return tuple(((a, b), densify(row, n)) for a, rows in enumerate(self.act)
+                     for b, row in enumerate(rows) if a < b and row)
 
     def row(self, a: int, b: int) -> Sparse:
         """[e_a, e_b] as a sparse row; shared, so callers must not mutate it."""
         if (a, b) in self._escaped or (b, a) in self._escaped:
             raise ValueError(f"bracket ({min(a, b)}, {max(a, b)}) lands above degree {self.depth}")
-        return self._rows.get((a, b), NO_TERMS)
+        return self.act[a][b]
 
     def bracket_basis(self, a: int, b: int) -> Vector:
         return densify(self.row(a, b), self.space.total_dim)
@@ -290,27 +295,7 @@ def jacobi_failures(eb: ExtendedBracket) -> list[tuple[int, int, int]]:
     involve values past a truncated tower's depth; a finite tower has
     none.
     """
-    n = eb.space.total_dim
-    bad = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                total: dict[int, Fraction] = {}
-                checked = True
-                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    if not eb.in_range(y, z):
-                        checked = False
-                        break
-                    inner = eb.row(y, z)
-                    if any(not eb.in_range(x, w) for w in inner):
-                        checked = False
-                        break
-                    # [e_x, [e_y, e_z]]
-                    for w, e in inner.items():
-                        add_scaled(total, e, eb.row(x, w))
-                if checked and total:
-                    bad.append((a, b, c))
-    return bad
+    return jacobi_triples(eb.act, eb.out_of_range)
 
 
 def extended_bracket(result: ProlongationResult) -> ExtendedBracket:
@@ -332,84 +317,64 @@ def extended_bracket(result: ProlongationResult) -> ExtendedBracket:
     return eb
 
 
+def _negated(row: Sparse) -> Sparse:
+    return {k: -e for k, e in row.items()} if row else NO_TERMS
+
+
 def _build_extended_bracket(result: ProlongationResult) -> ExtendedBracket:
     tower = result._tower()
-    act = tower.act
     depth = result.depth
     order = result.status.order
     space = tower.space(depth)
     n = space.total_dim
     nm = tower.nm
-    r0 = len(result.g0)
+    n0 = nm + len(result.g0)
 
     # level of each non-negative tower coordinate
-    level_of = [0] * (nm + r0)
+    level_of = [0] * n0
     for s, d in enumerate(result.dims, start=1):
         level_of.extend([s] * d)
 
-    memo: dict[tuple[int, int], Sparse] = {}
+    # the tower's own rows: m + g^0's table and each level map's columns,
+    # with [x, z] = -z(x) for x in m and z in g^s
+    act = [list(row) + [NO_TERMS] * (n - len(row)) for row in tower.act]
+    for z in range(n0, n):
+        for x in range(nm):
+            act[x][z] = _negated(act[z][x])
 
-    def bracket_pos_pos(a: int, b: int) -> Sparse:
-        """[e_a, e_b] for tower indices of non-negative levels, a < b."""
-        if (a, b) in memo:
-            return memo[(a, b)]
-        sa, sb = level_of[a], level_of[b]
-        if sa == 0 and sb == 0:
-            value = result.base.bracket_row(a, b)
-            memo[(a, b)] = value
-            return value
-        s = sa + sb
+    # only the positive pairs outside g^0 ^ g^0 are computed; the rule
+    # reads pairs of smaller level sum, so those go first
+    todo = []
+    out_of_range: list[tuple[int, int]] = []
+    for a in range(nm, n):
+        for b in range(max(a + 1, n0), n):
+            if order is None and level_of[a] + level_of[b] > depth:
+                out_of_range.append((a, b))
+            else:
+                todo.append((a, b))
+    todo.sort(key=lambda pair: level_of[pair[0]] + level_of[pair[1]])
+    for a, b in todo:
+        s = level_of[a] + level_of[b]
         cols = []
         for x in range(nm):
             acc: dict[int, Fraction] = {}
             # [f1(x), f2] summed over the coordinates of f1(x)
             for w, c in act[a][x].items():
-                if w < nm:
-                    add_scaled(acc, -c, act[b][w])
-                else:
-                    add_pair(acc, c, w, b)
+                add_scaled(acc, c, act[w][b])
             # [f1, f2(x)] summed over the coordinates of f2(x)
             for w, c in act[b][x].items():
-                if w < nm:
-                    add_scaled(acc, c, act[a][w])
-                else:
-                    add_pair(acc, c, a, w)
+                add_scaled(acc, c, act[a][w])
             cols.append(acc)
         if order is not None and s > order:
             # the target level vanished; the formula must agree
             if any(cols):
                 raise LevelInconsistency(
-                    f"bracket of levels {sa} and {sb} is nonzero past the order")
-            value = NO_TERMS
-        else:
-            value = _express_in_level(result, s, cols)
-        memo[(a, b)] = value
-        return value
-
-    def add_pair(acc: dict[int, Fraction], c: Fraction, a: int, b: int) -> None:
-        """acc += c [e_a, e_b] for non-negative levels."""
-        if a < b:
-            add_scaled(acc, c, bracket_pos_pos(a, b))
-        elif a > b:
-            add_scaled(acc, -c, bracket_pos_pos(b, a))
-
-    values: dict[tuple[int, int], Sparse] = {}
-    out_of_range: list[tuple[int, int]] = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if b < nm:
-                value = result.negative.bracket_row(a, b)
-            elif a < nm:
-                # [x, z] = -z(x) for z in g^s
-                value = {k: -e for k, e in act[b][a].items()}
-            else:
-                if order is None and level_of[a] + level_of[b] > depth:
-                    out_of_range.append((a, b))
-                    continue
-                value = bracket_pos_pos(a, b)
-            if value:
-                values[(a, b)] = value
-    return ExtendedBracket(space, depth, values, tuple(out_of_range))
+                    f"bracket of levels {level_of[a]} and {level_of[b]} is nonzero past the order")
+            continue
+        value = _express_in_level(result, s, cols)
+        act[a][b] = value
+        act[b][a] = _negated(value)
+    return ExtendedBracket(space, depth, tuple(map(tuple, act)), tuple(out_of_range))
 
 
 def _express_in_level(result: ProlongationResult, s: int, cols: Sequence[Sparse]) -> Sparse:

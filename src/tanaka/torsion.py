@@ -18,20 +18,23 @@ pairs with one leg in m^-1), the second the evaluation term
 Ker(d | gl_{n+1}) = g^{n+1} + gl_{n+2}(m_n) with d injective on the
 Hom summand.
 
-Boundary matrices are assembled from the extended bracket, not from
-the solver's constraint systems, so the kernel comparisons genuinely
-cross-validate two code paths. One evaluator serves the matrices and
-the single-element maps partial1/partial_np1: it reads a map through
-the sparse images of basis vectors (a unit (source, target) pair for a
-matrix column, the element's cached columns otherwise) and brackets
-through the sparse lookups of the memoised extended bracket.
+Boundary matrices are assembled from the bracket, not from the
+solver's constraint systems, so the kernel comparisons genuinely
+cross-validate two code paths. One evaluator, `_Boundary(tor,
+bracket)`, serves every level, the matrices and the single-element
+maps partial1/partial_np1 alike: m + g^0's own table at level 1, the
+memoised extended bracket above it, whose rows against m are the
+level maps themselves; the Hom summand is read as [E(w), x] through
+the same bracket. It reads a map through the sparse images of basis
+vectors (a unit (source, target) pair for a matrix column, the
+element's cached columns otherwise).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .exact_linear import (
     NO_TERMS,
@@ -161,90 +164,54 @@ def _pair_blocks(tor: TorsionSpace) -> list[tuple[int, int, int, int, int]]:
     return out
 
 
-def _gl_torsion(blocks: Sequence[tuple[int, int, int, int, int]],
-                bracket: Callable[[int, int], Sparse],
-                images: Mapping[int, Sparse]) -> dict[int, Fraction]:
-    """Torsion rows (dA)(a ^ b) = A[a, b] - [A(a), b] - [a, A(b)] of the map
-
-    A with the given sparse images of basis vectors (absent: zero),
-    brackets read through bracket(x, y).
-    """
-    out: dict[int, Fraction] = {}
-    for a, b, row, start, dim in blocks:
-        val: dict[int, Fraction] = {}
-        for k, e in bracket(a, b).items():
-            if k in images:
-                add_scaled(val, e, images[k])
-        for w, c in images.get(a, NO_TERMS).items():
-            add_scaled(val, -c, bracket(w, b))
-        for w, c in images.get(b, NO_TERMS).items():
-            add_scaled(val, -c, bracket(a, w))
-        for k, e in val.items():
-            if start <= k < start + dim:
-                out[row + k - start] = e
-    return out
-
-
-def _images(a: HomogeneousMap) -> dict[int, Sparse]:
-    return {j: col for j, col in enumerate(a.columns) if col}
-
-
-def partial1(m0: GradedLieAlgebra, a: Union[GradedMap, HomogeneousMap]) -> Vector:
-    """Torsion of a positive-degree endomorphism of m + g^0; only the
-
-    degree-1 part enters.
-    """
-    if isinstance(a, GradedMap):
-        if any(d < 1 for d in a.part_degrees):
-            raise ValueError("expected a map with parts of degree >= 1")
-        a1 = a.part(1)
-    else:
-        if a.degree != 1:
-            raise ValueError(f"expected degree 1, got {a.degree}")
-        a1 = a
-    if (a1.source, a1.target) != (m0.space, m0.space):
-        raise ValueError("expected an endomorphism of m + g^0")
-    tor = torsion_space1(m0)
-    return densify(_gl_torsion(_pair_blocks(tor), m0.bracket_row, _images(a1)), tor.total_dim)
-
-
-def partial1_matrix(m0: GradedLieAlgebra) -> tuple[TorsionSpace, Matrix]:
-    """Matrix of the first boundary map over the degree-1 unit maps."""
-    tor = torsion_space1(m0)
-    blocks = _pair_blocks(tor)
-    cols = [_gl_torsion(blocks, m0.bracket_row, {p: {q: 1}})
-            for p, q in hom_units(m0.space, m0.space, 1)]
-    return tor, Matrix.from_columns(cols, tor.total_dim)
-
-
 class _Boundary:
-    """The level-(n+1) boundary map, evaluated on sparse images.
+    """The boundary map of one torsion level, evaluated on sparse images.
 
-    Brackets come from the memoised extended bracket of the full result;
-    the pairs used here never leave its computed range.
+    bracket(x, y) is [e_x, e_y] as a sparse row: m + g^0's own table at
+    level 1, the memoised extended bracket of the full result above it.
+    The pairs used here never leave its computed range.
     """
 
-    def __init__(self, result: ProlongationResult, n: int):
-        self.tor = tor = torsion_space_np1(result, n)
-        self.bracket = extended_bracket(result).row
+    def __init__(self, tor: TorsionSpace, bracket: Callable[[int, int], Sparse]):
+        self.tor = tor
+        self.bracket = bracket
         self.blocks = _pair_blocks(tor)
-        self.top = result.level(n).basis
+        space, n = tor.space, tor.level - 1
         # rows of each (x, w) Hom pair, grouped by w; values lie in g^(n-1)
         self.hom_rows: dict[int, list[tuple[int, int]]] = {}
         pos = tor.part_dims[0]
         for x, w in tor.pairs_hom:
             self.hom_rows.setdefault(w, []).append((x, pos))
             pos += tor.hom_block_dim
-        self.hom_start = tor.space.offset(n - 1) if tor.pairs_hom else 0
+        self.hom_start = space.offset(n - 1) if tor.pairs_hom else 0
+        self.top = space.offset(n) if space.dim(n) else 0
 
     def gl(self, images: Mapping[int, Sparse]) -> dict[int, Fraction]:
-        """Rows of dA for A in gl_{n+1}(m_n), given by its sparse images."""
-        return _gl_torsion(self.blocks, self.bracket, images)
+        """Rows of dA for A in gl_{n+1}(m_n), given by its sparse images of
+
+        basis vectors (absent: zero): (dA)(a ^ b) = A[a, b] - [A(a), b]
+        - [a, A(b)].
+        """
+        bracket = self.bracket
+        out: dict[int, Fraction] = {}
+        for a, b, row, start, dim in self.blocks:
+            val: dict[int, Fraction] = {}
+            for k, e in bracket(a, b).items():
+                if k in images:
+                    add_scaled(val, e, images[k])
+            for w, c in images.get(a, NO_TERMS).items():
+                add_scaled(val, -c, bracket(w, b))
+            for w, c in images.get(b, NO_TERMS).items():
+                add_scaled(val, -c, bracket(a, w))
+            for k, e in val.items():
+                if start <= k < start + dim:
+                    out[row + k - start] = e
+        return out
 
     def hom(self, images: Mapping[int, Sparse]) -> dict[int, Fraction]:
         """Rows of dE for E in sum_i Hom(g^i, g^n); images[w] holds E(e_w)
 
-        over the g^n basis. (dE)(x ^ w) = -[x, E(w)] = E(w)(x), read in
+        over the g^n basis. (dE)(x ^ w) = -[x, E(w)] = [E(w), x], read in
         the degree n-1 block.
         """
         out: dict[int, Fraction] = {}
@@ -253,34 +220,91 @@ class _Boundary:
             for x, pos in self.hom_rows.get(w, ()):
                 val: dict[int, Fraction] = {}
                 for t, c in image.items():
-                    add_scaled(val, c, self.top[t].columns[x])
+                    add_scaled(val, c, self.bracket(self.top + t, x))
                 for k, e in val.items():
                     if self.hom_start <= k < self.hom_start + dim:
                         out[pos + k - self.hom_start] = e
         return out
 
+    def matrix(self) -> tuple[Matrix, tuple[int, ...]]:
+        """The matrix over the units of the domain, and its layout (see
+
+        partial_np1_matrix).
+        """
+        space, n = self.tor.space, self.tor.level - 1
+        cols = [self.gl({p: {q: 1}}) for p, q in hom_units(space, space, n + 1)]
+        layout = [len(cols)]
+        r_n = space.dim(n)
+        for i in range(n):
+            r_i = space.dim(i)
+            layout.append(r_i * r_n)
+            for w_local in range(r_i):
+                w = space.offset(i) + w_local
+                cols.extend(self.hom({w: {t: 1}}) for t in range(r_n))
+        return Matrix.from_columns(cols, self.tor.total_dim), tuple(layout)
+
+    def apply(self, gl_part: Union[GradedMap, HomogeneousMap, None],
+              hom_parts: Mapping[int, Matrix]) -> Vector:
+        """The boundary of one domain element (see partial_np1)."""
+        space, level = self.tor.space, self.tor.level
+        n = level - 1
+        images: dict[int, Sparse] = {}
+        if isinstance(gl_part, GradedMap):
+            if any(d < level for d in gl_part.part_degrees):
+                raise ValueError(f"expected parts of degree >= {level}")
+            gl_part = gl_part.part(level)
+        if gl_part is not None:
+            if gl_part.degree != level:
+                raise ValueError(f"expected degree {level}, got {gl_part.degree}")
+            if (gl_part.source, gl_part.target) != (space, space):
+                raise ValueError(f"expected an endomorphism of m_{n}")
+            images = {j: col for j, col in enumerate(gl_part.columns) if col}
+        hom_images: dict[int, Sparse] = {}
+        r_n = space.dim(n)
+        for i in range(n):
+            r_i = space.dim(i)
+            mat = hom_parts.get(i, Matrix.zeros(r_n, r_i))
+            if mat.shape != (r_n, r_i):
+                raise ValueError(f"hom part {i} must be {r_n}x{r_i}")
+            for w, image in enumerate(mat.transpose().sparse):
+                hom_images[space.offset(i) + w] = image
+        out = self.gl(images)
+        out.update(self.hom(hom_images))
+        return densify(out, self.tor.total_dim)
+
+
+def _boundary(result: ProlongationResult, n: int) -> _Boundary:
+    tor = torsion_space(result, n)
+    return _Boundary(tor, result.base.bracket_row if n == 0 else extended_bracket(result).row)
+
+
+def partial1(m0: GradedLieAlgebra, a: Union[GradedMap, HomogeneousMap]) -> Vector:
+    """Torsion of a positive-degree endomorphism of m + g^0; only the
+
+    degree-1 part enters.
+    """
+    return _Boundary(torsion_space1(m0), m0.bracket_row).apply(a, {})
+
+
+def partial1_matrix(m0: GradedLieAlgebra) -> tuple[TorsionSpace, Matrix]:
+    """Matrix of the first boundary map over the degree-1 unit maps."""
+    bd = _Boundary(torsion_space1(m0), m0.bracket_row)
+    return bd.tor, bd.matrix()[0]
+
 
 def partial_np1_matrix(result: ProlongationResult,
                        n: int) -> tuple[TorsionSpace, Matrix, tuple[int, ...]]:
-    """Boundary matrix at level n+1 and the domain layout.
+    """Boundary matrix at level n+1 and the domain layout; n = 0 is the
+
+    first boundary map of m + g^0.
 
     Columns: first the units of Hom^{n+1}(m_n, m_n) in the fixed hom
     frame, then for i = 0..n-1 the units of Hom(g^i, g^n), source
     index outer, target index inner. The layout tuple gives the column
     count of each summand: (gl, hom_0, ..., hom_{n-1}).
     """
-    bd = _Boundary(result, n)
-    space = bd.tor.space
-    cols = [bd.gl({p: {q: 1}}) for p, q in hom_units(space, space, n + 1)]
-    layout = [len(cols)]
-    r_n = space.dim(n)
-    for i in range(n):
-        r_i = space.dim(i)
-        layout.append(r_i * r_n)
-        for w_local in range(r_i):
-            w = space.offset(i) + w_local
-            cols.extend(bd.hom({w: {t: 1}}) for t in range(r_n))
-    return bd.tor, Matrix.from_columns(cols, bd.tor.total_dim), tuple(layout)
+    bd = _boundary(result, n)
+    return (bd.tor, *bd.matrix())
 
 
 def partial_np1(result: ProlongationResult, n: int,
@@ -294,32 +318,7 @@ def partial_np1(result: ProlongationResult, n: int,
     (rows indexed by the g^n basis). The boundary formula is evaluated
     on the element's sparse columns; the matrix is not built.
     """
-    bd = _Boundary(result, n)
-    space = bd.tor.space
-    level = n + 1
-    images: dict[int, Sparse] = {}
-    if isinstance(gl_part, GradedMap):
-        if any(d < level for d in gl_part.part_degrees):
-            raise ValueError(f"expected parts of degree >= {level}")
-        gl_part = gl_part.part(level)
-    if gl_part is not None:
-        if gl_part.degree != level:
-            raise ValueError(f"expected degree {level}, got {gl_part.degree}")
-        if (gl_part.source, gl_part.target) != (space, space):
-            raise ValueError(f"expected an endomorphism of m_{n}")
-        images = _images(gl_part)
-    hom_images: dict[int, Sparse] = {}
-    r_n = space.dim(n)
-    for i in range(n):
-        r_i = space.dim(i)
-        mat = hom_parts.get(i, Matrix.zeros(r_n, r_i))
-        if mat.shape != (r_n, r_i):
-            raise ValueError(f"hom part {i} must be {r_n}x{r_i}")
-        for w, image in enumerate(mat.transpose().sparse):
-            hom_images[space.offset(i) + w] = image
-    out = bd.gl(images)
-    out.update(bd.hom(hom_images))
-    return densify(out, bd.tor.total_dim)
+    return _boundary(result, n).apply(gl_part, hom_parts)
 
 
 def gl_tail_dim(space: GradedSpace, p: int) -> int:
@@ -377,15 +376,8 @@ def kernel_reports(result: ProlongationResult, n: int) -> KernelReport:
     if n + 1 > result.depth and result.status.kind != "finite":
         raise ValueError(f"g^{n + 1} not available at depth {result.depth}")
     messages = []
-    if n == 0:
-        tor, matrix = partial1_matrix(result.base)
-        space0 = result.base.space
-        layout = (hom_space_dim(space0, space0, 1),)
-        hom_cols = 0
-    else:
-        tor, matrix, layout = partial_np1_matrix(result, n)
-        hom_cols = sum(layout[1:])
-    gl_cols = layout[0]
+    tor, matrix, layout = partial_np1_matrix(result, n)
+    gl_cols, hom_cols = layout[0], sum(layout[1:])
 
     # kernel on the gl summand vs the embedded next level
     if tor.total_dim == 0:
@@ -432,10 +424,7 @@ def complement_w(result: ProlongationResult, n: int) -> Subspace:
 
     coordinates (pivot rule).
     """
-    if n == 0:
-        tor, matrix = partial1_matrix(result.base)
-    else:
-        tor, matrix, _ = partial_np1_matrix(result, n)
+    tor, matrix, _ = partial_np1_matrix(result, n)
     return complement(Subspace.row_space(matrix.transpose()), Subspace.full(tor.total_dim))
 
 

@@ -116,6 +116,18 @@ def test_der0_text_and_json(capsys, tmp_path):
     assert out.splitlines()[0] == "truncated at 2; dims 6,9"
 
 
+def test_negative_denominator_in_g0_file_exits_2(capsys, tmp_path):
+    code, out, _ = run(capsys, "der0", "preset:heisenberg3", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    doc["generators"][0]["-2"][0][0] = "1/-2"
+    path = tmp_path / "g0.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "prolong", "preset:heisenberg3", "--g0", f"file:{path}")
+    assert code == 2
+    assert "bad rational string '1/-2'" in err
+
+
 def test_torsion_level0(capsys):
     code, out, _ = run(capsys, "torsion", "preset:abelian2", "--g0", "gl",
                        "--max-degree", "2")

@@ -32,7 +32,8 @@ def test_rational_forms():
     assert parse_rational("-5/10", "x") == Fraction(-1, 2)
     assert parse_rational({"num": 2, "den": 4}, "x") == Fraction(1, 2)
     assert parse_rational({"num": 7}, "x") == Fraction(7)
-    for bad in (1.5, True, "1.5", "a", {"num": 1, "den": 0}, {"num": 1, "extra": 2}, [1]):
+    for bad in (1.5, True, "1.5", "a", "1/-2", "-1/-2", {"num": 1, "den": 0},
+                {"num": 1, "extra": 2}, [1]):
         with pytest.raises(AlgebraInputError):
             parse_rational(bad, "x")
     assert emit_rational(Fraction(4, 2)) == 2

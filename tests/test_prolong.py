@@ -10,8 +10,9 @@ from slow_oracle import slow_prolong_dims
 from tanaka.catalog import make_algebra
 from tanaka.exact_linear import Matrix, Subspace
 from tanaka.graded import HomogeneousMap, hom_basis, hom_coords, hom_space_dim
-from tanaka.lie import G0Spec, adjoin_g0, resubstitute
+from tanaka.lie import G0Spec, GradedLieAlgebra, adjoin_g0, jacobi_triples, resubstitute, validate
 from tanaka.prolong import (
+    ExtendedBracket,
     LevelInconsistency,
     _express_in_level,
     extended_bracket,
@@ -223,6 +224,52 @@ def test_extended_bracket_truncated_range():
     with pytest.raises(ValueError, match="above degree"):
         a, b = next(iter(expected))
         eb.bracket_basis(a, b)
+    assert jacobi_failures(eb) == []
+
+
+def test_jacobi_failures_finds_a_perturbed_bracket():
+    """One in-range [g^0, g^1] entry of a truncated tower, bumped by a g^1
+
+    basis vector: the broken triple is reported, every triple that needs
+    an escaped pair is skipped, and validate on an algebra carrying the
+    same table names the same in-range triples.
+    """
+    res = prolong(make_algebra("heisenberg3"), G0Spec("der0"), max_degree=2)
+    eb = extended_bracket(res)
+    space = eb.space
+    a, b = space.offset(0), space.offset(1)
+    assert eb.in_range(a, b)
+    act = [list(row) for row in eb.act]
+    bumped = dict(act[a][b])
+    bumped[b] = bumped.get(b, 0) + 1
+    act[a][b] = {k: e for k, e in bumped.items() if e}
+    act[b][a] = {k: -e for k, e in act[a][b].items()}
+    broken = ExtendedBracket(space, eb.depth, tuple(map(tuple, act)), eb.out_of_range)
+
+    bad = jacobi_failures(broken)
+    # [[a, b], x] moves by [e_b, e_x] = g1_0(x), nonzero for some x in m
+    x = next(x for x in range(res.negative.space.total_dim) if eb.row(b, x))
+    assert (x, a, b) in bad
+
+    def needs_escaped(triple):
+        p, q, r = triple
+        return any(not broken.in_range(u, v)
+                   or any(not broken.in_range(k, w) for k in broken.act[u][v])
+                   for u, v, w in ((p, q, r), (q, r, p), (r, p, q)))
+
+    assert not any(needs_escaped(t) for t in bad)
+    # read with their empty placeholders, some escaped triples fail too
+    unchecked = set(jacobi_triples(broken.act)) - set(bad)
+    assert unchecked and all(needs_escaped(t) for t in unchecked)
+
+    problems = validate(GradedLieAlgebra(space, broken.table))
+    label = space.label_of_index
+    n = space.total_dim
+    named = [(p, q, r) for p in range(n) for q in range(p + 1, n) for r in range(q + 1, n)
+             if not needs_escaped((p, q, r))
+             and f"Jacobi fails on ({label(p)}, {label(q)}, {label(r)})" in problems]
+    assert named == bad
+    assert f"Jacobi fails on ({label(x)}, {label(a)}, {label(b)})" in problems
     assert jacobi_failures(eb) == []
 
 
