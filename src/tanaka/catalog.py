@@ -10,9 +10,9 @@ form is classical, live in the acceptance suite.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import record
 from .graded import GradedSpace
 from .lie import GradedLieAlgebra
 
@@ -49,7 +49,7 @@ def make_algebra(name: str) -> GradedLieAlgebra:
     return GradedLieAlgebra.from_bracket_dict(space, table)
 
 
-@dataclass(frozen=True)
+@record
 class ExpectedCheck:
     """One frozen regression value with its provenance.
 
@@ -95,7 +95,7 @@ EXPECTED: dict[str, tuple[ExpectedCheck, ...]] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     name: str
     algebra: GradedLieAlgebra

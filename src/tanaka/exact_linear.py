@@ -35,12 +35,13 @@ rows alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
+
+from ._record import record
 
 Vector = tuple[Fraction, ...]
 
@@ -115,7 +116,7 @@ def densify(row: Sparse, n: int) -> Vector:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class Matrix:
     """Immutable sparse matrix over Q with an explicit shape.
 
@@ -370,12 +371,12 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix(tuple({j - n: e for j, e in row.items() if j >= n} for row in rref.sparse), n)
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """Subspace of Q^ambient_dim, basis rows stored in RREF.
 
-    The RREF basis is the unique canonical representative, so dataclass
-    equality is subspace equality.
+    The RREF basis is the unique canonical representative, so equality
+    of the stored fields is subspace equality.
     """
 
     ambient_dim: int

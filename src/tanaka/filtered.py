@@ -26,15 +26,15 @@ these blocks, never a lift-then-solve per column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from ._record import field, record
 from .exact_linear import Matrix, Subspace, Vector, complement, quotient_basis, rank, solve
 from .graded import GradedMap, GradedSpace, HomogeneousMap
 
 
-@dataclass(frozen=True)
+@record
 class FilteredSpace:
     """Chain V_low >= ... >= V_high, V_low the full ambient space."""
 
@@ -119,7 +119,7 @@ class FilteredSpace:
         return t
 
 
-@dataclass(frozen=True)
+@record
 class _Frame:
     """Cached data of the quotient V_i/V_{i+m}: V_i itself, the canonical
 
@@ -145,7 +145,7 @@ def _parts_tuple(low: int, high: int,
     return tuple(sorted(parts.items()))
 
 
-@dataclass(frozen=True)
+@record
 class AdaptedGradation:
     """Subspaces H^i with V_i = H^i direct sum V_{i+1}."""
 
@@ -168,7 +168,7 @@ class AdaptedGradation:
         return Subspace.zero(self.space.ambient_dim)
 
 
-@dataclass(frozen=True)
+@record
 class QuasiGradation:
     """Subspaces H'^i with V_i = H'^i + V_{i+1}, H'^i ^ V_{i+1} = V_{i+m}."""
 
@@ -200,7 +200,7 @@ class QuasiGradation:
         return Subspace.zero(self.space.ambient_dim)
 
 
-@dataclass(frozen=True)
+@record
 class GradedFrame:
     """Graded isomorphism u: m -> gr(V), one invertible block per degree.
 
@@ -241,7 +241,7 @@ class GradedFrame:
         raise KeyError(f"no frame block at degree {i}")
 
 
-@dataclass(frozen=True)
+@record
 class MLift:
     """Blocks F^i: m^i -> V_i/V_{i+degree} with gr o F = u."""
 

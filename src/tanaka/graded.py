@@ -21,16 +21,16 @@ frame is fixed package-wide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence, Union
 
+from ._record import record
 from .exact_linear import (Matrix, Sparse, Subspace, Vector, add_scaled, add_vectors, combination,
                            densify, zero_vector)
 
 
-@dataclass(frozen=True)
+@record
 class GradedSpace:
     components: tuple[tuple[int, tuple[str, ...]], ...]
 
@@ -128,7 +128,7 @@ class GradedSpace:
         return GradedSpace.make(as_dict)
 
 
-@dataclass(frozen=True)
+@record
 class HomogeneousMap:
     """Linear map of pure degree between graded spaces, stored blockwise.
 
@@ -360,7 +360,7 @@ def gl_degree_subspace(space: GradedSpace, degree: int) -> Subspace:
     return Subspace.span(n * n, rows)
 
 
-@dataclass(frozen=True)
+@record
 class GradedMap:
     """Endomorphism-style map stored as a sum of homogeneous parts."""
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence
 
+from ._record import record
 from .exact_linear import Matrix
 from .graded import GradedSpace, HomogeneousMap
 from .lie import G0Spec, GradedLieAlgebra, validate
@@ -99,7 +99,7 @@ def _emit_matrix(m: Matrix) -> list:
     return [[emit_rational(row[j]) if j in row else 0 for j in range(m.cols)] for row in m.sparse]
 
 
-@dataclass(frozen=True)
+@record
 class LoadedAlgebra:
     """Parse result: the algebra (when a table could be assembled) and
 

@@ -22,11 +22,11 @@ truncated tower's depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
+from ._record import field, record
 from .exact_linear import (
     NO_TERMS,
     Matrix,
@@ -52,7 +52,7 @@ from .graded import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class GradedLieAlgebra:
     """Structure-constant presentation of a graded Lie algebra.
 
@@ -65,7 +65,7 @@ class GradedLieAlgebra:
 
     space: GradedSpace
     brackets: tuple[tuple[tuple[int, int], Vector], ...]
-    act: tuple = field(init=False, compare=False, repr=False, hash=False, default=None)
+    act: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         n = self.space.total_dim
@@ -329,7 +329,7 @@ def der0(alg: GradedLieAlgebra) -> Subspace:
 PRESET_NAMES = ("zero", "gl", "sl", "so", "sp", "co", "der0")
 
 
-@dataclass(frozen=True)
+@record
 class G0Spec:
     """Choice of the degree-0 part: a named preset or explicit generators.
 

@@ -36,11 +36,11 @@ boundary maps) shares one copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
+from ._record import field, record
 from .exact_linear import NO_TERMS, Sparse, Subspace, Vector, add_scaled, densify
 from .graded import GradedSpace, HomogeneousMap, fresh_labels
 from .lie import (
@@ -57,7 +57,7 @@ from .lie import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class ProlongationLevel:
     """One level g^s of the tower, with its ambient hom-space data.
 
@@ -75,7 +75,7 @@ class ProlongationLevel:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
+@record
 class ProlongationStatus:
     kind: str  # "finite" | "truncated"
     order: Optional[int]
@@ -172,7 +172,7 @@ def prolong(m: GradedLieAlgebra, g0: Union[G0Spec, Sequence[HomogeneousMap]],
     return result
 
 
-@dataclass(frozen=True)
+@record
 class ProlongationResult:
     base: GradedLieAlgebra  # m + g^0
     negative: GradedLieAlgebra  # m alone
@@ -242,7 +242,7 @@ def order_and_bound(result: ProlongationResult, base_dim: Optional[int] = None) 
     return order, bound
 
 
-@dataclass(frozen=True)
+@record
 class ExtendedBracket:
     """Structure constants on m + g^0 + ... + g^D.
 

@@ -12,17 +12,14 @@ re-runs every frozen regression value through the engine.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
 
+from ._record import record
 from .catalog import entries
 from .exact_linear import Matrix
 from .filtered import (
     AdaptedGradation,
     FilteredSpace,
-    GradedFrame,
-    MLift,
     act_quasi,
     full_lift,
     gradation_of_quasi,
@@ -38,7 +35,7 @@ from .lie import G0Spec, der0_basis
 from .prolong import order_and_bound, prolong
 
 
-@dataclass(frozen=True)
+@record
 class SuiteReport:
     name: str
     cases: int

@@ -32,10 +32,10 @@ element's cached columns otherwise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
 
+from ._record import record
 from .exact_linear import (
     NO_TERMS,
     Matrix,
@@ -61,7 +61,7 @@ from .lie import GradedLieAlgebra
 from .prolong import ProlongationResult, extended_bracket
 
 
-@dataclass(frozen=True)
+@record
 class TorsionSpace:
     """Coordinates for torsion at one level.
 
@@ -116,7 +116,9 @@ def torsion_space_np1(result: ProlongationResult, n: int) -> TorsionSpace:
 
     m^-1 ^ g^i pairs for i = 0..n-1.
     """
-    if n < 1:
+    if n < 0:
+        raise ValueError(f"negative level {n}: levels are n >= 0")
+    if n == 0:
         raise ValueError("use torsion_space1 for the first level")
     if n > result.depth:
         raise ValueError(f"level {n} not computed")
@@ -345,7 +347,7 @@ def _embedded_level_span(result: ProlongationResult, s: int) -> Subspace:
     return Subspace.row_space(Matrix(tuple(rows), amb))
 
 
-@dataclass(frozen=True)
+@record
 class KernelReport:
     """Outcome of the kernel cross-validation at one level."""
 
@@ -428,7 +430,7 @@ def complement_w(result: ProlongationResult, n: int) -> Subspace:
     return complement(Subspace.row_space(matrix.transpose()), Subspace.full(tor.total_dim))
 
 
-@dataclass(frozen=True)
+@record
 class TowerRow:
     """Reduction data for the step from level n to n+1."""
 
@@ -442,7 +444,7 @@ class TowerRow:
     dim_total: int
 
 
-@dataclass(frozen=True)
+@record
 class TowerReport:
     base_dim: int
     kind: str  # "finite" | "truncated"

@@ -1,7 +1,6 @@
 """Prolongation engine tests: catalog regressions, the slow-path oracle,
 incremental stepping, and the laws of the extended bracket."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +13,8 @@ from tanaka.lie import G0Spec, GradedLieAlgebra, adjoin_g0, jacobi_triples, resu
 from tanaka.prolong import (
     ExtendedBracket,
     LevelInconsistency,
+    ProlongationLevel,
+    ProlongationResult,
     _express_in_level,
     extended_bracket,
     jacobi_failures,
@@ -369,7 +370,8 @@ def test_resubstitution_catches_a_perturbed_basis_map():
     unit = next(u for u in hom_basis(m.space, below, 1)
                 if not level.carrier.contains(hom_coords(u)))
     perturbed = level.basis[0].add(unit)
-    bad = replace(level, basis=(perturbed,) + level.basis[1:])
+    bad = ProlongationLevel(level.degree, level.space_below, level.carrier,
+                            (perturbed,) + level.basis[1:])
     act = res._tower().act
     with pytest.raises(LevelInconsistency, match="bracket identity"):
         resubstitute(m, act, bad.basis)
@@ -385,8 +387,10 @@ def test_extended_bracket_catches_a_truncated_carrier():
     res = prolong(make_algebra("heisenberg3"), G0Spec("der0"), max_degree=2)
     g2 = res.level(2)
     rows = g2.carrier.basis.entries[:-1]
-    lost = replace(g2, carrier=Subspace(g2.carrier.ambient_dim,
-                                        Matrix.from_rows(rows, g2.carrier.ambient_dim)))
-    broken = replace(res, levels=(res.level(1), lost))
+    lost = ProlongationLevel(g2.degree, g2.space_below,
+                             Subspace(g2.carrier.ambient_dim,
+                                      Matrix.from_rows(rows, g2.carrier.ambient_dim)),
+                             g2.basis)
+    broken = ProlongationResult(res.base, res.negative, res.g0, (res.level(1), lost), res.status)
     with pytest.raises(LevelInconsistency, match="computed g\\^2"):
         extended_bracket(broken)

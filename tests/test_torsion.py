@@ -214,6 +214,18 @@ def test_kernel_report_errors_beyond_computed_levels():
         torsion_space_np1(res, 2)
 
 
+def test_negative_levels_are_named_in_the_error():
+    res = _result("heisenberg(3)", "der0", 2)
+    with pytest.raises(ValueError, match="negative level -1"):
+        kernel_reports(res, -1)
+    with pytest.raises(ValueError, match="negative level -2"):
+        complement_w(res, -2)
+    with pytest.raises(ValueError, match="negative level -1"):
+        partial_np1_matrix(res, -1)
+    with pytest.raises(ValueError, match="torsion_space1"):
+        torsion_space_np1(res, 0)
+
+
 def test_kernel_report_past_the_order_of_a_finite_tower():
     # g^2 = 0 is known exactly, so the level-2 report is available and
     # its kernel must be all of gl_2's trivially acting part
