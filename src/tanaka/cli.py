@@ -17,7 +17,7 @@ import json
 import sys
 from typing import Callable, Optional, TextIO
 
-from .catalog import make_algebra
+from . import catalog, selftest, torsion
 from .jsonio import (
     AlgebraInputError,
     LoadedAlgebra,
@@ -29,8 +29,14 @@ from .jsonio import (
 )
 from .lie import G0Spec, GradedLieAlgebra, der0_basis, is_fundamental, resolve_g0
 from .prolong import ProlongationResult, order_and_bound, prolong
-from .selftest import run_catalog_suite, run_filtered_suite
-from .torsion import kernel_reports, tower_report
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise AlgebraInputError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_algebra(args: argparse.Namespace) -> LoadedAlgebra:
@@ -40,15 +46,10 @@ def _load_algebra(args: argparse.Namespace) -> LoadedAlgebra:
     if source.startswith("preset:"):
         name = source[len("preset:"):]
         try:
-            return LoadedAlgebra(name, make_algebra(name), ())
+            return LoadedAlgebra(name, catalog.make_algebra(name), ())
         except ValueError as exc:
             raise AlgebraInputError(str(exc)) from exc
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise AlgebraInputError(f"cannot read {source}: {exc}") from exc
-    loaded = parse_algebra(text)
+    loaded = parse_algebra(_read_text(source))
     return loaded if loaded.name else LoadedAlgebra(source, loaded.algebra, loaded.violations)
 
 
@@ -79,13 +80,7 @@ def _require_usable(loaded: LoadedAlgebra, out: TextIO) -> Optional[int]:
 
 def _resolve_g0(args: argparse.Namespace, alg: GradedLieAlgebra):
     if args.g0.startswith("file:"):
-        path = args.g0[len("file:"):]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise AlgebraInputError(f"cannot read {path}: {exc}") from exc
-        spec = parse_g0(text, alg)
+        spec = parse_g0(_read_text(args.g0[len("file:"):]), alg)
     else:
         try:
             spec = G0Spec(args.g0)
@@ -196,7 +191,7 @@ def cmd_torsion(args: argparse.Namespace, out: TextIO) -> int:
     result = _run_prolong(args, loaded)
     n = args.level
     try:
-        report = kernel_reports(result, n)
+        report = torsion.kernel_reports(result, n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -238,7 +233,7 @@ def cmd_tower(args: argparse.Namespace, out: TextIO) -> int:
         return failed
     base_dim = _base_dim(args, loaded.algebra)
     result = _run_prolong(args, loaded)
-    report = tower_report(result, base_dim)
+    report = torsion.tower_report(result, base_dim)
     if args.fmt == "json":
         doc = {
             "base_dim": report.base_dim,
@@ -280,7 +275,7 @@ def cmd_tower(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace, out: TextIO) -> int:
-    reports = [run_filtered_suite(args.seed), run_catalog_suite()]
+    reports = [selftest.run_filtered_suite(args.seed), selftest.run_catalog_suite()]
     for rep in reports:
         print(f"{rep.name}: {rep.cases} cases, {rep.checks} checks, "
               f"{len(rep.failures)} failures", file=out)

@@ -82,8 +82,52 @@ def _load_json(text: str) -> Any:
             from exc
 
 
+# the scalars of a document, and how json.dumps writes each of them
+_LEAVES = {
+    str: json.encoder.encode_basestring,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
 def _dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """json.dumps(obj, indent=2, ensure_ascii=False) + "\\n", byte for byte,
+
+    for documents of dicts with string keys, lists and the _LEAVES
+    scalars. A list of scalars is written in one join.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj: Any, nl: str, out: list[str]) -> None:
+    """Append obj; nl is the line break and indent of its own nesting."""
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        out.append(leaf(obj))
+        return
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        out.append(json.dumps(obj))
+        return
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        out.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            out.append((sep if i else inner) + _LEAVES[str](key) + ": ")
+            _write(value, inner, out)
+        out.append(nl + "}")
+    elif set(map(type, obj)) <= _LEAVES.keys():
+        out.append("[" + inner + sep.join([_LEAVES[type(x)](x) for x in obj]) + nl + "]")
+    else:
+        out.append("[")
+        for i, value in enumerate(obj):
+            out.append(sep if i else inner)
+            _write(value, inner, out)
+        out.append(nl + "]")
 
 
 def _parse_matrix(obj: Any, rows: int, cols: int, where: str) -> Matrix:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from ._record import record
 from .catalog import entries
-from .exact_linear import Matrix
+from .exact_linear import Matrix, Subspace
 from .filtered import (
     AdaptedGradation,
     FilteredSpace,
@@ -110,8 +110,6 @@ def _random_action(rng: random.Random, model: GradedSpace,
 
 def _gradation_from_columns(space: FilteredSpace, model: GradedSpace,
                             t: Matrix) -> AdaptedGradation:
-    from .exact_linear import Subspace
-
     parts = {}
     for i in range(space.low, space.high + 1):
         cols = [t.col(j) for j in range(model.total_dim)

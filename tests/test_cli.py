@@ -102,6 +102,15 @@ def test_prolong_output_has_no_floats(capsys):
     assert "." not in "".join(json.dumps(json.loads(out)))
 
 
+def test_non_utf8_source_and_g0_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2 and f"cannot read {path}" in err and "utf-8" in err
+    code, _, err = run(capsys, "prolong", "preset:heisenberg3", "--g0", f"file:{path}")
+    assert code == 2 and f"cannot read {path}" in err and "utf-8" in err
+
+
 def test_der0_text_and_json(capsys, tmp_path):
     code, out, _ = run(capsys, "der0", "preset:heisenberg3")
     assert code == 0

@@ -7,6 +7,7 @@ import pytest
 from tanaka.catalog import make_algebra
 from tanaka.jsonio import (
     AlgebraInputError,
+    _dumps,
     emit_algebra,
     emit_g0_generators,
     emit_rational,
@@ -17,7 +18,7 @@ from tanaka.jsonio import (
     parse_rational,
     parse_result,
 )
-from tanaka.lie import G0Spec, resolve_g0
+from tanaka.lie import G0Spec, der0_basis, resolve_g0
 from tanaka.prolong import prolong
 from fractions import Fraction
 
@@ -178,3 +179,40 @@ def test_result_document_validation():
     doc["levels"][0]["dim"] = 99
     with pytest.raises(AlgebraInputError):
         parse_result(json.dumps(doc))
+
+
+def _reference(obj):
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_emitted_documents_match_the_json_module_byte_for_byte():
+    texts = [emit_algebra(make_algebra("free_235"), "free_235"),
+             emit_g0_generators(der0_basis(make_algebra("heisenberg5"))),
+             emit_g0_generators([]),
+             emit_result(_prolonged("heisenberg3", "der0", 2)),
+             emit_result(_prolonged("abelian3", "co", 4), base_dim=5),
+             emit_result(_prolonged("free_235", "der0", 3))]
+    # a basis with non-integral entries, written as "num/den" strings
+    fractional = _prolonged("abelian2", "gl", 2)
+    texts.append(emit_g0_generators([g.scale(Fraction(-2, 3)) for g in fractional.g0]))
+    assert any('"-2/3"' in t for t in texts)
+    for text in texts:
+        doc = json.loads(text)
+        assert text == _reference(doc)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], "", 0, True, False, None, [[]], [{}], {"a": {}}, {"a": []},
+    [[], {}, [[], [{}]], {"b": {"c": []}}],
+    {"text": ["é", "ü∂", "quote\"", "back\\slash", "tab\t", "line\n", "\x01", "\u2028",
+              "🎉", ""]},
+    {"ñ key": "ä value", "": ""},
+    [0, -1, 10 ** 40, -(10 ** 40), 2 ** 63, -(2 ** 63)],
+    [1, "1/3", -2, "-5/7"],
+    [True, False, None, 1, 0, "x"],
+    {"t": True, "f": False, "n": None, "i": -7, "s": "\u00e4"},
+    {"deep": [[1, 2], ["a", {"y": [None, [True]]}]], "tuple": (1, "a")},
+    [1.5, -0.0, 1e300],
+])
+def test_dumps_edge_cases_match_the_json_module(obj):
+    assert _dumps(obj) == _reference(obj)
