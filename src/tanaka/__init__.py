@@ -37,7 +37,7 @@ _EXPORTS = {
     "jsonio": ("AlgebraInputError", "LoadedAlgebra", "emit_algebra", "emit_g0_generators",
                "emit_result", "emit_result_document", "parse_algebra", "parse_g0",
                "parse_result"),
-    "selftest": ("SuiteReport", "run_all", "run_catalog_suite", "run_filtered_suite"),
+    "selftest": ("SuiteReport", "run_catalog_suite", "run_filtered_suite"),
 }
 _OWNER = {name: layer for layer, names in _EXPORTS.items() for name in names}
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Optional, TextIO
+from typing import TYPE_CHECKING, Callable, Optional, TextIO
 
 from . import catalog, selftest, torsion
 from .jsonio import (
@@ -28,7 +28,9 @@ from .jsonio import (
     parse_g0,
 )
 from .lie import G0Spec, GradedLieAlgebra, der0_basis, is_fundamental, resolve_g0
-from .prolong import ProlongationResult, order_and_bound, prolong
+
+if TYPE_CHECKING:
+    from .prolong import ProlongationResult
 
 
 def _read_text(path: str) -> str:
@@ -66,7 +68,7 @@ def _require_valid(loaded: LoadedAlgebra) -> Optional[int]:
     return 1
 
 
-def _require_usable(loaded: LoadedAlgebra, out: TextIO) -> Optional[int]:
+def _require_usable(loaded: LoadedAlgebra) -> Optional[int]:
     """Shared gate for the prolonging commands: valid, then fundamental;
 
     None means proceed.
@@ -103,6 +105,9 @@ def _base_dim(args: argparse.Namespace, alg: GradedLieAlgebra) -> int:
 
 
 def _run_prolong(args: argparse.Namespace, loaded: LoadedAlgebra) -> ProlongationResult:
+    # the public name: the function, loaded with its layer on first call
+    from . import prolong
+
     g0 = _resolve_g0(args, loaded.algebra)
     return prolong(loaded.algebra, g0, max_degree=args.max_degree)
 
@@ -154,6 +159,8 @@ def cmd_der0(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _finite_lines(result: ProlongationResult, base_dim: int) -> list[str]:
+    from . import order_and_bound
+
     order, bound = order_and_bound(result, base_dim)
     dims = [len(result.g0)] + [result.dim_g(s) for s in range(1, order + 1)]
     head = f"order {order}"
@@ -166,7 +173,7 @@ def _finite_lines(result: ProlongationResult, base_dim: int) -> list[str]:
 
 def cmd_prolong(args: argparse.Namespace, out: TextIO) -> int:
     loaded = _load_algebra(args)
-    failed = _require_usable(loaded, out)
+    failed = _require_usable(loaded)
     if failed is not None:
         return failed
     base_dim = _base_dim(args, loaded.algebra)
@@ -185,7 +192,7 @@ def cmd_prolong(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_torsion(args: argparse.Namespace, out: TextIO) -> int:
     loaded = _load_algebra(args)
-    failed = _require_usable(loaded, out)
+    failed = _require_usable(loaded)
     if failed is not None:
         return failed
     result = _run_prolong(args, loaded)
@@ -228,7 +235,7 @@ def cmd_torsion(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_tower(args: argparse.Namespace, out: TextIO) -> int:
     loaded = _load_algebra(args)
-    failed = _require_usable(loaded, out)
+    failed = _require_usable(loaded)
     if failed is not None:
         return failed
     base_dim = _base_dim(args, loaded.algebra)

@@ -16,7 +16,9 @@ columns they were built from, and evaluation reads only those nonzeros.
 Coordinates on the space Hom^d(U, W) itself (used whenever a subspace
 of maps is computed) enumerate elementary units as: source degree
 ascending, then source basis index, then target basis index. This
-frame is fixed package-wide.
+frame (`hom_units`) is fixed package-wide. `hom_terms_of_columns` is
+the one reader of it from sparse columns, and `hom_from_coords` the
+one writer back.
 """
 
 from __future__ import annotations
@@ -301,17 +303,34 @@ def hom_basis(source: GradedSpace, target: GradedSpace, degree: int) -> list[Hom
             for k in range(hom_space_dim(source, target, degree))]
 
 
+@lru_cache(maxsize=16)
+def _unit_index(source: GradedSpace, target: GradedSpace, degree: int) -> dict[tuple[int, int], int]:
+    return {unit: k for k, unit in enumerate(hom_units(source, target, degree))}
+
+
+def hom_terms_of_columns(source: GradedSpace, target: GradedSpace, degree: int,
+                         columns: Sequence[Sparse]) -> dict[int, Fraction]:
+    """Coordinates in the hom_units frame, as a sparse row, of the map
+
+    sending the j-th source basis vector to columns[j] (a sparse column
+    in global coordinates; absent trailing columns are zero). A value
+    outside the target component of degree deg(j) + degree, or a column
+    past the source, raises ValueError.
+    """
+    index = _unit_index(source, target, degree)
+    out = {}
+    for j, col in enumerate(columns):
+        for t, v in col.items():
+            k = index.get((j, t))
+            if k is None:
+                raise ValueError(f"column {j} has a value at {t}, outside its graded block")
+            out[k] = v
+    return out
+
+
 def hom_terms(f: HomogeneousMap) -> dict[int, Fraction]:
     """Coordinates of a homogeneous map in the hom_basis frame, as a sparse row."""
-    out = {}
-    pos = 0
-    for i in HomogeneousMap.present_source_degrees(f.source, f.target, f.degree):
-        block = f.block(i)
-        for t, row in enumerate(block.sparse):
-            for s, e in row.items():
-                out[pos + s * block.rows + t] = e
-        pos += block.rows * block.cols
-    return out
+    return hom_terms_of_columns(f.source, f.target, f.degree, f.columns)
 
 
 def hom_coords(f: HomogeneousMap) -> Vector:

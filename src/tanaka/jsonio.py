@@ -8,6 +8,12 @@ through validation rather than a parse failure. Genuinely malformed
 input (bad syntax, unknown labels, non-negative degrees, floating
 point numbers) raises AlgebraInputError.
 
+A homogeneous map is written one way everywhere: an object keyed by
+source degree, each value the matrix of one block (`generator_doc`).
+One parser reads it back (`_parse_maps`), checking every block's shape
+against (source, target, degree); it reads the g^0 generators against
+m and each level basis of a result against the tower space below it.
+
 All emitters produce one canonical byte form: keys in a fixed order,
 degrees ascending, bracket entries sorted by basis-index pair with
 the mirrored orientation adjacent, rationals as ints when integral
@@ -20,54 +26,52 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 from ._record import record
 from .exact_linear import Matrix
 from .graded import GradedSpace, HomogeneousMap
 from .lie import G0Spec, GradedLieAlgebra, validate
-from .prolong import ProlongationResult, order_and_bound
+
+if TYPE_CHECKING:
+    from .prolong import ProlongationResult
 
 
 class AlgebraInputError(Exception):
     """Malformed document: syntax, schema, or unknown references."""
 
 
-def _fail(msg: str) -> "AlgebraInputError":
-    return AlgebraInputError(msg)
-
-
 def _as_int(obj: Any, where: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
-        raise _fail(f"{where}: expected an integer, got {obj!r}")
+        raise AlgebraInputError(f"{where}: expected an integer, got {obj!r}")
     return obj
 
 
 def parse_rational(obj: Any, where: str) -> Fraction:
     """int, "num/den" string, or {"num": .., "den": ..}; floats rejected."""
     if isinstance(obj, bool):
-        raise _fail(f"{where}: expected a rational, got {obj!r}")
+        raise AlgebraInputError(f"{where}: expected a rational, got {obj!r}")
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, float):
-        raise _fail(f"{where}: floating point is not accepted, use num/den")
+        raise AlgebraInputError(f"{where}: floating point is not accepted, use num/den")
     if isinstance(obj, str):
         if not re.fullmatch(r"-?\d+(/\d+)?", obj):
-            raise _fail(f"{where}: bad rational string {obj!r}")
+            raise AlgebraInputError(f"{where}: bad rational string {obj!r}")
         try:
             return Fraction(obj)
         except ZeroDivisionError as exc:
-            raise _fail(f"{where}: zero denominator in {obj!r}") from exc
+            raise AlgebraInputError(f"{where}: zero denominator in {obj!r}") from exc
     if isinstance(obj, dict):
         extra = set(obj) - {"num", "den"}
         if extra:
-            raise _fail(f"{where}: unexpected keys {sorted(extra)}")
+            raise AlgebraInputError(f"{where}: unexpected keys {sorted(extra)}")
         num = _as_int(obj.get("num", None), f"{where}.num")
         den = _as_int(obj.get("den", 1), f"{where}.den")
         if den == 0:
-            raise _fail(f"{where}: zero denominator")
+            raise AlgebraInputError(f"{where}: zero denominator")
         return Fraction(num, den)
-    raise _fail(f"{where}: expected a rational, got {type(obj).__name__}")
+    raise AlgebraInputError(f"{where}: expected a rational, got {type(obj).__name__}")
 
 
 def emit_rational(q: Fraction) -> Any:
@@ -78,8 +82,8 @@ def _load_json(text: str) -> Any:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _fail(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") \
-            from exc
+        raise AlgebraInputError(
+            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
 # the scalars of a document, and how json.dumps writes each of them
@@ -133,7 +137,7 @@ def _write(obj: Any, nl: str, out: list[str]) -> None:
 def _parse_matrix(obj: Any, rows: int, cols: int, where: str) -> Matrix:
     if not isinstance(obj, list) or len(obj) != rows \
             or any(not isinstance(r, list) or len(r) != cols for r in obj):
-        raise _fail(f"{where}: expected a {rows}x{cols} matrix")
+        raise AlgebraInputError(f"{where}: expected a {rows}x{cols} matrix")
     return Matrix.from_rows(
         [[parse_rational(e, f"{where}[{i}][{j}]") for j, e in enumerate(row)]
          for i, row in enumerate(obj)], cols)
@@ -157,23 +161,23 @@ class LoadedAlgebra:
 
 def _parse_degrees(obj: Any) -> GradedSpace:
     if not isinstance(obj, dict) or not obj:
-        raise _fail("degrees: expected a non-empty object")
+        raise AlgebraInputError("degrees: expected a non-empty object")
     by_degree: dict[int, list[str]] = {}
     seen: set[str] = set()
     for key, labels in obj.items():
         try:
             d = int(key)
         except ValueError as exc:
-            raise _fail(f"degrees: bad degree key {key!r}") from exc
+            raise AlgebraInputError(f"degrees: bad degree key {key!r}") from exc
         if d >= 0:
-            raise _fail(f"degrees: degree {d} is not negative")
+            raise AlgebraInputError(f"degrees: degree {d} is not negative")
         if not isinstance(labels, list) or not labels:
-            raise _fail(f"degrees[{key}]: expected a non-empty list of labels")
+            raise AlgebraInputError(f"degrees[{key}]: expected a non-empty list of labels")
         for lbl in labels:
             if not isinstance(lbl, str) or not lbl:
-                raise _fail(f"degrees[{key}]: bad label {lbl!r}")
+                raise AlgebraInputError(f"degrees[{key}]: bad label {lbl!r}")
             if lbl in seen:
-                raise _fail(f"degrees: duplicate label {lbl!r}")
+                raise AlgebraInputError(f"degrees: duplicate label {lbl!r}")
             seen.add(lbl)
         by_degree[d] = list(labels)
     return GradedSpace.make(by_degree)
@@ -184,73 +188,69 @@ def parse_algebra(text: str) -> LoadedAlgebra:
 
     AlgebraInputError, mathematical ones land in violations.
     """
-    doc = _load_json(text)
+    return _read_algebra(_load_json(text))
+
+
+def _read_algebra(doc: Any) -> LoadedAlgebra:
     if not isinstance(doc, dict):
-        raise _fail("top level: expected an object")
+        raise AlgebraInputError("top level: expected an object")
     extra = set(doc) - {"name", "degrees", "brackets"}
     if extra:
-        raise _fail(f"top level: unexpected keys {sorted(extra)}")
+        raise AlgebraInputError(f"top level: unexpected keys {sorted(extra)}")
     name = doc.get("name", "")
     if not isinstance(name, str):
-        raise _fail("name: expected a string")
+        raise AlgebraInputError("name: expected a string")
     space = _parse_degrees(doc.get("degrees"))
 
     entries = doc.get("brackets", [])
     if not isinstance(entries, list):
-        raise _fail("brackets: expected a list")
+        raise AlgebraInputError("brackets: expected a list")
     known = {space.label_of_index(i) for i in range(space.total_dim)}
-    raw: dict[tuple[str, str], dict[str, Fraction]] = {}
-    violations: list[str] = []
+    seen: set[tuple[str, str]] = set()
+    # the pair in basis order -> (index of its first entry, value in that order)
+    table: dict[tuple[str, str], tuple[int, dict[str, Fraction]]] = {}
+    flagged: dict[int, str] = {}  # entry index -> its antisymmetry violation
     for idx, entry in enumerate(entries):
         where = f"brackets[{idx}]"
         if not isinstance(entry, dict) or set(entry) != {"left", "right", "value"}:
-            raise _fail(f"{where}: expected keys left, right, value")
+            raise AlgebraInputError(f"{where}: expected keys left, right, value")
         left, right = entry["left"], entry["right"]
         for lbl in (left, right):
             if not isinstance(lbl, str) or lbl not in known:
-                raise _fail(f"{where}: unknown basis label {lbl!r}")
+                raise AlgebraInputError(f"{where}: unknown basis label {lbl!r}")
         if not isinstance(entry["value"], list):
-            raise _fail(f"{where}.value: expected a list")
+            raise AlgebraInputError(f"{where}.value: expected a list")
         value: dict[str, Fraction] = {}
         for t, term in enumerate(entry["value"]):
             tw = f"{where}.value[{t}]"
             if not isinstance(term, dict) or set(term) - {"basis", "num", "den"}:
-                raise _fail(f"{tw}: expected keys basis, num, den")
+                raise AlgebraInputError(f"{tw}: expected keys basis, num, den")
             basis = term.get("basis")
             if not isinstance(basis, str) or basis not in known:
-                raise _fail(f"{tw}: unknown basis label {basis!r}")
+                raise AlgebraInputError(f"{tw}: unknown basis label {basis!r}")
             if basis in value:
-                raise _fail(f"{tw}: repeated basis label {basis!r}")
-            num = _as_int(term.get("num"), f"{tw}.num")
-            den = _as_int(term.get("den", 1), f"{tw}.den")
-            if den == 0:
-                raise _fail(f"{tw}: zero denominator")
-            value[basis] = Fraction(num, den)
+                raise AlgebraInputError(f"{tw}: repeated basis label {basis!r}")
+            value[basis] = parse_rational({k: v for k, v in term.items() if k != "basis"}, tw)
         value = {b: q for b, q in value.items() if q != 0}
-        if (left, right) in raw:
-            raise _fail(f"{where}: duplicate entry for ({left}, {right})")
-        raw[(left, right)] = value
-
-    table: dict[tuple[str, str], dict[str, Fraction]] = {}
-    for (left, right), value in raw.items():
+        if (left, right) in seen:
+            raise AlgebraInputError(f"{where}: duplicate entry for ({left}, {right})")
+        seen.add((left, right))
         if left == right:
             if value:
-                violations.append(f"antisymmetry fails on ({left}, {right})")
+                flagged[idx] = f"antisymmetry fails on ({left}, {right})"
             continue
-        mirror = raw.get((right, left))
-        if mirror is not None:
-            negated = {b: -q for b, q in mirror.items()}
-            if negated != value:
-                if (right, left) not in table and (left, right) not in table:
-                    violations.append(f"antisymmetry fails on ({left}, {right})")
-        key = (left, right) if space.index_of_label(left) < space.index_of_label(right) \
-            else (right, left)
-        if key not in table:
-            table[key] = value if key == (left, right) \
-                else {b: -q for b, q in value.items()}
+        if space.index_of_label(left) < space.index_of_label(right):
+            pair, oriented = (left, right), value
+        else:
+            pair, oriented = (right, left), {b: -q for b, q in value.items()}
+        first, agreed = table.setdefault(pair, (idx, oriented))
+        if agreed != oriented:
+            # the first entry is this one's mirror, and is the one named
+            flagged[first] = f"antisymmetry fails on ({right}, {left})"
 
-    algebra = GradedLieAlgebra.from_bracket_dict(space, table)
-    violations.extend(validate(algebra))
+    algebra = GradedLieAlgebra.from_bracket_dict(
+        space, {pair: value for pair, (_, value) in table.items()})
+    violations = [flagged[i] for i in sorted(flagged)] + validate(algebra)
     return LoadedAlgebra(name, algebra, tuple(violations))
 
 
@@ -279,20 +279,49 @@ def _algebra_doc(alg: GradedLieAlgebra, name: str) -> dict:
     return {"name": name, "degrees": degrees, "brackets": brackets}
 
 
+def _parse_maps(obj: Any, source: GradedSpace, target: GradedSpace, degree: int,
+                where: str) -> list[HomogeneousMap]:
+    """The one reader of map documents: a list of maps in Hom^degree(source,
+
+    target), each an object keyed by source degree as generator_doc
+    writes it, each block checked against its shape. Absent blocks are
+    zero.
+    """
+    if not isinstance(obj, list):
+        raise AlgebraInputError(f"{where}: expected a list")
+    maps = []
+    for i, gen in enumerate(obj):
+        here = f"{where}[{i}]"
+        if not isinstance(gen, dict):
+            raise AlgebraInputError(f"{here}: expected an object keyed by degree")
+        blocks = {}
+        for key, rows in gen.items():
+            try:
+                d = int(key)
+            except ValueError as exc:
+                raise AlgebraInputError(f"{here}: bad degree key {key!r}") from exc
+            shape = (target.dim(d + degree), source.dim(d))
+            if 0 in shape:
+                raise AlgebraInputError(f"{here}: no component of degree {d}")
+            blocks[d] = _parse_matrix(rows, *shape, f"{here}[{key}]")
+        maps.append(HomogeneousMap.make(source, target, degree, blocks))
+    return maps
+
+
 def parse_g0(obj: Any, algebra: GradedLieAlgebra) -> G0Spec:
     """Degree-0 document: {"preset": .., "form": ..} or {"generators": [..]}."""
     if isinstance(obj, str):
         obj = _load_json(obj)
     if not isinstance(obj, dict):
-        raise _fail("g0 document: expected an object")
+        raise AlgebraInputError("g0 document: expected an object")
     space = algebra.space
     if "preset" in obj:
         extra = set(obj) - {"preset", "form"}
         if extra:
-            raise _fail(f"g0 document: unexpected keys {sorted(extra)}")
+            raise AlgebraInputError(f"g0 document: unexpected keys {sorted(extra)}")
         preset = obj["preset"]
         if not isinstance(preset, str):
-            raise _fail("g0 preset: expected a string")
+            raise AlgebraInputError("g0 preset: expected a string")
         form = None
         if "form" in obj:
             n1 = space.dim(-1)
@@ -300,36 +329,22 @@ def parse_g0(obj: Any, algebra: GradedLieAlgebra) -> G0Spec:
         try:
             return G0Spec(preset, form=form)
         except ValueError as exc:
-            raise _fail(str(exc)) from exc
-    if "generators" not in obj or set(obj) != {"generators"}:
-        raise _fail("g0 document: expected either a preset or generators")
-    gens = obj["generators"]
-    if not isinstance(gens, list):
-        raise _fail("g0 generators: expected a list")
-    maps = []
-    for i, gen in enumerate(gens):
-        where = f"g0 generators[{i}]"
-        if not isinstance(gen, dict):
-            raise _fail(f"{where}: expected an object keyed by degree")
-        blocks = {}
-        for key, rows in gen.items():
-            try:
-                d = int(key)
-            except ValueError as exc:
-                raise _fail(f"{where}: bad degree key {key!r}") from exc
-            n = space.dim(d)
-            if n == 0:
-                raise _fail(f"{where}: no component of degree {d}")
-            blocks[d] = _parse_matrix(rows, n, n, f"{where}[{key}]")
-        maps.append(HomogeneousMap.make(space, space, 0, blocks))
+            raise AlgebraInputError(str(exc)) from exc
+    if set(obj) != {"generators"}:
+        raise AlgebraInputError("g0 document: expected either a preset or generators")
+    maps = _parse_maps(obj["generators"], space, space, 0, "g0 generators")
     try:
         return G0Spec(generators=tuple(maps))
     except ValueError as exc:
-        raise _fail(str(exc)) from exc
+        raise AlgebraInputError(str(exc)) from exc
 
 
 def emit_g0_generators(maps: Sequence[HomogeneousMap]) -> str:
-    return _dumps({"generators": [generator_doc(g) for g in maps]})
+    return _dumps(_generators_doc(maps))
+
+
+def _generators_doc(maps: Sequence[HomogeneousMap]) -> dict:
+    return {"generators": [generator_doc(g) for g in maps]}
 
 
 def generator_doc(g: HomogeneousMap) -> dict:
@@ -342,20 +357,20 @@ def generator_doc(g: HomogeneousMap) -> dict:
     return doc
 
 
-def _level_doc(result: ProlongationResult, s: int) -> dict:
-    level = result.level(s)
-    return {"degree": s, "dim": level.dim, "basis": [generator_doc(a) for a in level.basis]}
+def _level_doc(s: int, basis: Sequence[HomogeneousMap]) -> dict:
+    return {"degree": s, "dim": len(basis), "basis": [generator_doc(a) for a in basis]}
 
 
 def result_document(result: ProlongationResult,
                     base_dim: Optional[int] = None) -> dict:
     """Plain-data form of a prolongation run, ready for _dumps."""
-    dim_m = result.negative.space.total_dim
+    from .prolong import order_and_bound
+
     if base_dim is None:
-        base_dim = dim_m
+        base_dim = result.negative.space.total_dim
     doc = {
         "algebra": _algebra_doc(result.negative, ""),
-        "g0": {"generators": [generator_doc(g) for g in result.g0]},
+        "g0": _generators_doc(result.g0),
         "status": {
             "kind": result.status.kind,
             "order": result.status.order,
@@ -363,7 +378,7 @@ def result_document(result: ProlongationResult,
         },
         "dim_g0": len(result.g0),
         "dims": list(result.dims),
-        "levels": [_level_doc(result, s) for s in range(1, result.depth + 1)],
+        "levels": [_level_doc(s, level.basis) for s, level in enumerate(result.levels, start=1)],
         "base_dim": base_dim,
     }
     if result.status.kind == "finite":
@@ -375,69 +390,74 @@ def emit_result(result: ProlongationResult, base_dim: Optional[int] = None) -> s
     return _dumps(result_document(result, base_dim))
 
 
-def _check_level_doc(obj: Any, where: str) -> dict:
-    if not isinstance(obj, dict) or set(obj) != {"degree", "dim", "basis"}:
-        raise _fail(f"{where}: expected keys degree, dim, basis")
-    _as_int(obj["degree"], f"{where}.degree")
-    _as_int(obj["dim"], f"{where}.dim")
-    if not isinstance(obj["basis"], list) or len(obj["basis"]) != obj["dim"]:
-        raise _fail(f"{where}.basis: expected {obj['dim']} entries")
-    basis = []
-    for i, gen in enumerate(obj["basis"]):
-        if not isinstance(gen, dict):
-            raise _fail(f"{where}.basis[{i}]: expected an object keyed by degree")
-        blocks = {}
-        for key, rows in gen.items():
-            try:
-                int(key)
-            except ValueError as exc:
-                raise _fail(f"{where}.basis[{i}]: bad degree key {key!r}") from exc
-            if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-                raise _fail(f"{where}.basis[{i}][{key}]: expected a matrix")
-            blocks[key] = [[emit_rational(parse_rational(
-                e, f"{where}.basis[{i}][{key}]")) for e in row] for row in rows]
-        basis.append(blocks)
-    return {"degree": obj["degree"], "dim": obj["dim"], "basis": basis}
-
-
 def parse_result(text: str) -> dict:
     """Validate an emitted prolongation document; returns the canonical
 
     plain-data form, so emit_result_document(parse_result(s)) == s for
-    any s this module emitted.
+    any s this module emitted. The g^0 generators and every level basis
+    are read by _parse_maps, level s against the tower space m + g^0 +
+    ... + g^(s-1) of the document's own counts, and re-emitted; dim_g0,
+    dims, the level degrees and dims, and the bound must agree.
     """
     doc = _load_json(text)
     if not isinstance(doc, dict):
-        raise _fail("top level: expected an object")
+        raise AlgebraInputError("top level: expected an object")
     required = {"algebra", "g0", "status", "dim_g0", "dims", "levels", "base_dim"}
     if set(doc) - (required | {"bound"}) or required - set(doc):
-        raise _fail(f"top level: expected keys {sorted(required)} and optional bound")
-    loaded = parse_algebra(json.dumps(doc["algebra"]))
+        raise AlgebraInputError(f"top level: expected keys {sorted(required)} and optional bound")
+    loaded = _read_algebra(doc["algebra"])
     if loaded.violations:
-        raise _fail(f"algebra part is invalid: {loaded.violations[0]}")
-    parse_g0(doc["g0"], loaded.algebra)
+        raise AlgebraInputError(f"algebra part is invalid: {loaded.violations[0]}")
+    space = loaded.algebra.space
+    if not isinstance(doc["g0"], dict) or set(doc["g0"]) != {"generators"}:
+        raise AlgebraInputError("g0: expected keys generators")
+    g0 = _parse_maps(doc["g0"]["generators"], space, space, 0, "g0 generators")
     status = doc["status"]
     if not isinstance(status, dict) or set(status) != {"kind", "order", "max_degree"}:
-        raise _fail("status: expected keys kind, order, max_degree")
-    if status["kind"] not in ("finite", "truncated"):
-        raise _fail(f"status.kind: unexpected value {status['kind']!r}")
-    if status["order"] is not None:
-        _as_int(status["order"], "status.order")
+        raise AlgebraInputError("status: expected keys kind, order, max_degree")
+    kind, order = status["kind"], status["order"]
+    if kind not in ("finite", "truncated"):
+        raise AlgebraInputError(f"status.kind: unexpected value {kind!r}")
+    if (kind == "finite") != (order is not None):
+        raise AlgebraInputError("status.order: expected exactly on finite documents")
+    if order is not None:
+        _as_int(order, "status.order")
     _as_int(status["max_degree"], "status.max_degree")
-    _as_int(doc["dim_g0"], "dim_g0")
-    _as_int(doc["base_dim"], "base_dim")
-    if "bound" in doc:
-        _as_int(doc["bound"], "bound")
+    dim_g0 = _as_int(doc["dim_g0"], "dim_g0")
+    if dim_g0 != len(g0):
+        raise AlgebraInputError(f"dim_g0: {dim_g0}, but {len(g0)} generators")
+    base_dim = _as_int(doc["base_dim"], "base_dim")
     if not isinstance(doc["dims"], list):
-        raise _fail("dims: expected a list")
-    for d in doc["dims"]:
-        _as_int(d, "dims entry")
+        raise AlgebraInputError("dims: expected a list")
+    dims = [_as_int(d, "dims entry") for d in doc["dims"]]
     if not isinstance(doc["levels"], list):
-        raise _fail("levels: expected a list")
-    out = dict(doc)
-    out["levels"] = [_check_level_doc(lv, f"levels[{i}]")
-                     for i, lv in enumerate(doc["levels"])]
-    return out
+        raise AlgebraInputError("levels: expected a list")
+    tower = {d: space.dim(d) for d in space.degrees}
+    tower[0] = dim_g0
+    levels = []
+    for s, level in enumerate(doc["levels"], start=1):
+        where = f"levels[{s - 1}]"
+        if not isinstance(level, dict) or set(level) != {"degree", "dim", "basis"}:
+            raise AlgebraInputError(f"{where}: expected keys degree, dim, basis")
+        if _as_int(level["degree"], f"{where}.degree") != s:
+            raise AlgebraInputError(f"{where}.degree: expected {s}")
+        dim = _as_int(level["dim"], f"{where}.dim")
+        basis = _parse_maps(level["basis"], space, GradedSpace.from_dims(tower), s,
+                            f"{where}.basis")
+        if len(basis) != dim:
+            raise AlgebraInputError(f"{where}.basis: expected {dim} entries")
+        levels.append(_level_doc(s, basis))
+        tower[s] = dim
+    if dims != [level["dim"] for level in levels]:
+        raise AlgebraInputError(f"dims: {dims} differ from the level dims")
+    if ("bound" in doc) != (kind == "finite"):
+        raise AlgebraInputError("bound: expected exactly on finite documents")
+    if "bound" in doc:
+        bound = base_dim + dim_g0 + sum(dims[:order])
+        if _as_int(doc["bound"], "bound") != bound:
+            raise AlgebraInputError(
+                f"bound: expected base_dim + dim_g0 + sum(dims[:order]) = {bound}")
+    return {**doc, "g0": _generators_doc(g0), "levels": levels}
 
 
 def emit_result_document(doc: Mapping[str, Any]) -> str:

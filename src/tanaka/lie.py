@@ -115,10 +115,6 @@ class GradedLieAlgebra:
         """[e_a, e_b] as a sparse row; shared, so callers must not mutate it."""
         return self.act[a][b]
 
-    @property
-    def min_degree(self) -> int:
-        return min(self.space.degrees)
-
     def negative_part(self) -> "GradedLieAlgebra":
         """The subalgebra spanned by the negative-degree components."""
         sub = GradedSpace.make({d: self.space.labels(d) for d in self.space.degrees if d < 0})

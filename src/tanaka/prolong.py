@@ -42,7 +42,7 @@ from typing import Optional, Sequence, Union
 
 from ._record import field, record
 from .exact_linear import NO_TERMS, Sparse, Subspace, Vector, add_scaled, densify
-from .graded import GradedSpace, HomogeneousMap, fresh_labels
+from .graded import GradedSpace, HomogeneousMap, fresh_labels, hom_terms_of_columns
 from .lie import (
     G0Spec,
     GradedLieAlgebra,
@@ -387,23 +387,10 @@ def _express_in_level(result: ProlongationResult, s: int, cols: Sequence[Sparse]
     if s > result.depth:
         raise LevelInconsistency(f"bracket lands in uncomputed level {s}")
     level = result.levels[s - 1]
-    below = level.space_below
-    n_below = below.total_dim
-    neg_space = result.negative.space
-    coords: dict[int, Fraction] = {}  # over the units of Hom^s(m, m_(s-1))
-    pos = 0
-    for i in neg_space.degrees:
-        tgt = i + s
-        rows = below.dim(tgt)
-        start = below.offset(tgt) if rows else 0
-        for x in range(neg_space.offset(i), neg_space.offset(i) + neg_space.dim(i)):
-            for t, v in cols[x].items():
-                if t >= n_below:
-                    raise LevelInconsistency("bracket value escapes m_(s-1)")
-                if not start <= t < start + rows:
-                    raise LevelInconsistency("bracket value outside the graded block")
-                coords[pos + t - start] = v
-            pos += rows
+    try:
+        coords = hom_terms_of_columns(result.negative.space, level.space_below, s, cols)
+    except ValueError as exc:
+        raise LevelInconsistency(f"bracket value: {exc}") from exc
     found = level.carrier.coords_of(coords)
     if found is None:
         raise LevelInconsistency(f"bracket value is not in the computed g^{s}")

@@ -51,15 +51,6 @@ class SuiteReport:
         """How many times the named law was exercised."""
         return dict(self.counts).get(label, 0)
 
-    def merge(self, other: "SuiteReport") -> "SuiteReport":
-        return SuiteReport(
-            name=f"{self.name}+{other.name}",
-            cases=self.cases + other.cases,
-            checks=self.checks + other.checks,
-            failures=self.failures + other.failures,
-            counts=self.counts + other.counts,
-        )
-
 
 MODEL_SHAPES = (
     {-1: 2, 0: 1},
@@ -237,7 +228,3 @@ def run_catalog_suite() -> SuiteReport:
                         f"{entry.name}/{rec.g0_preset} bound: expected {rec.bound},"
                         f" got {bound}")
     return SuiteReport("catalog", ncases, checks, tuple(failures))
-
-
-def run_all(seed: int, cases: int = 200) -> SuiteReport:
-    return run_filtered_suite(seed, cases).merge(run_catalog_suite())

@@ -54,7 +54,7 @@ from .graded import (
     GradedSpace,
     HomogeneousMap,
     hom_space_dim,
-    hom_terms,
+    hom_terms_of_columns,
     hom_units,
 )
 from .lie import GradedLieAlgebra
@@ -338,13 +338,9 @@ def _embedded_level_span(result: ProlongationResult, s: int) -> Subspace:
     blocks have no target).
     """
     space = result.tower_space(min(s - 1, result.depth))
-    amb = hom_space_dim(space, space, s)
-    rows = []
-    if s <= result.depth:
-        for a in result.level(s).basis:
-            blocks = {d: a.block(d) for d in result.negative.space.degrees}
-            rows.append(hom_terms(HomogeneousMap.make(space, space, s, blocks)))
-    return Subspace.row_space(Matrix(tuple(rows), amb))
+    basis = result.level(s).basis if s <= result.depth else ()
+    rows = tuple(hom_terms_of_columns(space, space, s, a.columns) for a in basis)
+    return Subspace.row_space(Matrix(rows, hom_space_dim(space, space, s)))
 
 
 @record

@@ -15,6 +15,7 @@ from tanaka.graded import (
     hom_coords,
     hom_from_coords,
     hom_space_dim,
+    hom_terms_of_columns,
     hom_units,
     unipotent_inverse,
     wedge_basis,
@@ -74,6 +75,42 @@ def test_hom_units_name_the_hom_basis():
         for (src, tgt), u in zip(pairs, units):
             assert [dict(col) for col in u.columns] == [
                 {tgt: 1} if j == src else {} for j in range(TwoOne.total_dim)]
+
+
+def _frame_walk(f):
+    """Reference coordinates: each present block in turn, source index
+
+    outer, target index inner, walked by hand.
+    """
+    out, pos = {}, 0
+    for i in HomogeneousMap.present_source_degrees(f.source, f.target, f.degree):
+        block = f.block(i)
+        for t, row in enumerate(block.sparse):
+            for s, e in row.items():
+                out[pos + s * block.rows + t] = e
+        pos += block.rows * block.cols
+    return out
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.data())
+def test_hom_terms_of_columns_is_the_hom_frame(data):
+    source, target = data.draw(spaces()), data.draw(spaces())
+    degree = data.draw(st.integers(-2, 2))
+    f = data.draw(homogeneous_maps(source, target, degree))
+    terms = hom_terms_of_columns(source, target, degree, f.columns)
+    assert terms == _frame_walk(f)
+    assert hom_from_coords(source, target, degree, terms) == f
+
+
+def test_hom_terms_of_columns_rejects_values_off_the_block():
+    # e1 (degree -1) -> e3 (degree -2) is not a degree-0 value
+    with pytest.raises(ValueError, match="graded block"):
+        hom_terms_of_columns(TwoOne, TwoOne, 0, [{}, {0: Fraction(1)}, {}])
+    # absent trailing columns are zero, a column past the source is refused
+    assert hom_terms_of_columns(TwoOne, TwoOne, 0, [{0: Fraction(2)}]) == {0: Fraction(2)}
+    with pytest.raises(ValueError, match="graded block"):
+        hom_terms_of_columns(TwoOne, TwoOne, 0, [{}, {}, {}, {0: Fraction(1)}])
 
 
 def test_wedge_basis_by_degree():

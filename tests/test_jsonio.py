@@ -1,6 +1,7 @@
 """Document parsing, canonical emission, and the error taxonomy."""
 
 import json
+import re
 
 import pytest
 
@@ -91,6 +92,26 @@ def test_diagonal_entry_is_a_violation():
     assert any("antisymmetry" in v for v in loaded.violations)
 
 
+def test_antisymmetry_violations_follow_the_entry_order():
+    """A disagreeing pair is named as its first entry wrote it, at that
+
+    entry's place among the other violations.
+    """
+    doc = {
+        "degrees": {"-1": ["a", "b"], "-2": ["c"]},
+        "brackets": [
+            {"left": "b", "right": "a", "value": [{"basis": "c", "num": 1}]},
+            {"left": "c", "right": "c", "value": [{"basis": "c", "num": 1}]},
+            {"left": "a", "right": "b", "value": [{"basis": "c", "num": 1}]},
+        ],
+    }
+    loaded = parse_algebra(json.dumps(doc))
+    assert loaded.violations == ("antisymmetry fails on (b, a)", "antisymmetry fails on (c, c)")
+    # the first entry's value is kept: [b, a] = c, so [a, b] = -c
+    a, b, c = (loaded.algebra.space.index_of_label(x) for x in "abc")
+    assert loaded.algebra.bracket_row(a, b) == {c: Fraction(-1)}
+
+
 def test_grading_and_jacobi_violations_surface():
     bad_grading = {
         "degrees": {"-1": ["a", "b"], "-2": ["c"]},
@@ -148,7 +169,8 @@ def test_g0_documents():
 
 def test_result_round_trip_is_byte_identical():
     for name, preset, depth in (("abelian2", "gl", 3), ("abelian3", "co", 4),
-                                ("heisenberg3", "der0", 2)):
+                                ("heisenberg3", "der0", 2), ("abelian2", "zero", 2),
+                                ("free_235", "der0", 4), ("heisenberg5", "zero", 2)):
         text = emit_result(_prolonged(name, preset, depth))
         assert emit_result_document(parse_result(text)) == text
 
@@ -179,6 +201,71 @@ def test_result_document_validation():
     doc["levels"][0]["dim"] = 99
     with pytest.raises(AlgebraInputError):
         parse_result(json.dumps(doc))
+
+
+def _edited(text, edit):
+    doc = json.loads(text)
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _drop_row(doc):
+    del doc["levels"][0]["basis"][0]["-1"][0]
+
+
+def _drop_generator(doc):
+    del doc["g0"]["generators"][0]
+
+
+def _drop_level(doc):
+    del doc["levels"][-1]
+
+
+@pytest.mark.parametrize("name, preset, depth, edit, fragment", [
+    # level blocks are shape-checked like g0 generators
+    ("abelian2", "gl", 2, _drop_row, "levels[0].basis[0][-1]: expected a 4x2 matrix"),
+    ("abelian2", "gl", 2, lambda d: d["levels"][1]["basis"][0].update({"-1": [[1]]}),
+     "expected a 6x2 matrix"),
+    ("abelian2", "gl", 2, lambda d: d["levels"][0]["basis"][0].update({"-3": []}),
+     "levels[0].basis[0]: no component of degree -3"),
+    ("abelian2", "gl", 2, lambda d: d["levels"][0]["basis"][0].update({"x": []}),
+     "bad degree key"),
+    ("abelian2", "gl", 2, lambda d: d["levels"][0].update({"basis": {}}), "expected a list"),
+    ("heisenberg3", "der0", 2, lambda d: d["levels"][0]["basis"][0].update({"-2": [[1]]}),
+     "expected a 2x1 matrix"),
+    # the counts are cross-checked
+    ("abelian2", "gl", 2, lambda d: d["dims"].append(0), "differ from the level dims"),
+    ("abelian2", "gl", 2, lambda d: d.update({"dims": [6, 9]}), "differ from the level dims"),
+    ("abelian2", "gl", 2, lambda d: d.update({"dims": [6.0, 8]}), "expected an integer"),
+    ("abelian2", "gl", 2, lambda d: d.update({"dim_g0": 3}), "dim_g0: 3, but 4 generators"),
+    ("abelian2", "gl", 2, _drop_generator, "dim_g0: 4, but 3 generators"),
+    ("abelian2", "gl", 2, lambda d: d["levels"][1].update({"degree": 1}),
+     "levels[1].degree: expected 2"),
+    ("abelian2", "gl", 2, _drop_level, "differ from the level dims"),
+    ("abelian2", "gl", 2, lambda d: d.update({"bound": 18}), "bound: expected exactly"),
+    ("abelian3", "co", 4, lambda d: d.pop("bound"), "bound: expected exactly"),
+    ("abelian3", "co", 4, lambda d: d.update({"bound": 11}), "sum(dims[:order]) = 10"),
+    ("abelian3", "co", 4, lambda d: d.update({"base_dim": 5}), "sum(dims[:order]) = 12"),
+    ("abelian3", "co", 4, lambda d: d["status"].update({"order": None}), "status.order"),
+    ("abelian2", "gl", 2, lambda d: d["status"].update({"order": 1}), "status.order"),
+    ("abelian2", "gl", 2, lambda d: d.update({"g0": {"preset": "gl"}}), "g0: expected keys"),
+    ("abelian2", "zero", 2, lambda d: d["g0"].update({"generators": {}}), "expected a list"),
+])
+def test_result_document_counts_and_shapes_are_checked(name, preset, depth, edit, fragment):
+    text = emit_result(_prolonged(name, preset, depth))
+    with pytest.raises(AlgebraInputError, match=re.escape(fragment)):
+        parse_result(_edited(text, edit))
+
+
+def test_result_documents_are_canonicalised():
+    """Accepted spellings of the same numbers come back in the emitted form."""
+    text = emit_result(_prolonged("abelian2", "gl", 2))
+
+    def respell(doc):
+        doc["levels"][0]["basis"][0]["-1"][0][0] = {"num": 2, "den": 2}
+        doc["g0"]["generators"][0]["-1"][0][0] = "1/1"
+    doc = parse_result(_edited(text, respell))
+    assert emit_result_document(doc) == text
 
 
 def _reference(obj):

@@ -359,6 +359,10 @@ def test_express_in_level_rejects_off_block_values():
     cols[x] = {z: Fraction(1)}
     with pytest.raises(LevelInconsistency, match="graded block"):
         _express_in_level(res, 1, cols)
+    # a value past m_0 (in g^1) is outside the block too
+    cols[x] = {res.level(1).space_below.total_dim: Fraction(1)}
+    with pytest.raises(LevelInconsistency, match="graded block"):
+        _express_in_level(res, 1, cols)
 
 
 def test_resubstitution_catches_a_perturbed_basis_map():
