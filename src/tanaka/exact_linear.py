@@ -19,6 +19,11 @@ entries (row-content normalisation of Bareiss' integer-preserving
 elimination, Math. Comp. 22 (1968)). Back-substitution stays in ints,
 and rows become Fractions only in the final, canonical output.
 
+`solve(a, b)` solves a x = b for a whole block b of right-hand-side
+columns in one reduction of [a | b] and returns the solution Matrix,
+free unknowns zero, or None if any column is inconsistent; `inverse`
+is its identity case, solve(m, I).
+
 Callers that evaluate brackets and maps work on the same sparse rows
 {index: Fraction}: `add_scaled` accumulates them, `combination` sums
 them with sparse coefficients, and `densify` turns one into a Vector
@@ -344,31 +349,35 @@ def kernel(m: Matrix) -> "Subspace":
     return Subspace.row_space(Matrix(tuple(free.values()), m.cols))
 
 
-def solve(a: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
-    """One exact solution x of a x = b, or None if inconsistent."""
-    if len(b) != a.rows:
-        raise ValueError(f"length mismatch: {a.shape} vs rhs {len(b)}")
+def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
+    """The solution x of a x = b for a block b of right-hand-side columns,
+
+    with every free unknown zero, or None if any column is inconsistent.
+    One reduction of [a | b]: its RREF restricted to [a | b_j] is the
+    RREF of that system, so each column is solved as if on its own.
+    """
+    if b.rows != a.rows:
+        raise ValueError(f"shape mismatch: {a.shape} vs rhs {b.shape}")
     n = a.cols
-    aug = Matrix(tuple({**row, n: bv} if bv else row for row, bv in zip(a.sparse, b)), n + 1)
+    aug = Matrix(tuple({**row, **{n + j: e for j, e in rhs.items()}}
+                       for row, rhs in zip(a.sparse, b.sparse)), n + b.cols)
     rref, pivots = _rref_with_pivots(aug)
-    if n in pivots:
+    if pivots and pivots[-1] >= n:
         return None
-    x = [_ZERO] * n
+    x = [NO_TERMS] * n
     for p, row in zip(pivots, rref.sparse):
-        x[p] = row.get(n, _ZERO)
-    return tuple(x)
+        x[p] = {j - n: e for j, e in row.items() if j >= n}
+    return Matrix(tuple(x), b.cols)
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Inverse of a square invertible matrix; raises on singular input."""
-    n = m.rows
-    if m.cols != n:
+    """Inverse of a square invertible matrix, solve(m, I); raises on singular input."""
+    if m.cols != m.rows:
         raise ValueError(f"not square: {m.shape}")
-    aug = Matrix(tuple({**row, n + i: _ONE} for i, row in enumerate(m.sparse)), 2 * n)
-    rref, pivots = _rref_with_pivots(aug)
-    if pivots[:n] != tuple(range(n)):
+    x = solve(m, Matrix.identity(m.rows))
+    if x is None:
         raise ValueError("matrix is singular")
-    return Matrix(tuple({j - n: e for j, e in row.items() if j >= n} for row in rref.sparse), n)
+    return x
 
 
 @record

@@ -5,32 +5,38 @@ subspaces of an ambient coordinate space, with V_low the full space,
 V_j read as zero above the range and as the full space below it.
 
 A quasi-gradation of degree m chooses subspaces H' = {H'^i} with
-V_i = H'^i + V_{i+1} and H'^i intersect V_{i+1} = V_{i+m}; degree
-k + l + 1 or more makes the second axiom trivial and the data an
-adapted gradation (V_i = H^i direct sum V_{i+1}). An m-lift carries
+V_i = H'^i + V_{i+1} and H'^i intersect V_{i+1} = V_{i+m}. At the full
+degree k + l + 1 the second axiom says H'^i intersect V_{i+1} = 0, so
+an adapted gradation (V_i = H^i direct sum V_{i+1}) is a quasi-gradation
+of full degree and is checked by the same axioms. An m-lift carries
 the same data as blocks F^i mapping a model component m^i into the
 quotient V_i/V_{i+m}, normalized so that projecting one step further
 reproduces a fixed graded frame u: m^i -> V_i/V_{i+1}.
 
 All quotients V_i/V_{i+m} use coordinates in the canonical
 pivot-complement basis of V_{i+m} inside V_i, so the identities of
-the calculus are exact matrix identities. A FilteredSpace caches, per
-quotient, the quotient coordinates of V_i's RREF basis rows (read off
-the reduction that picks the complement, `quotient_basis`, with no
-solve), so `quotient_of` is a membership check in V_i plus one
-product with a cached matrix; and, per pair of quotients, the matrix
-`transfer` of the map induced by inclusion. The action, the lifts,
-the transition and the projection check of MLift.make are products of
-these blocks, never a lift-then-solve per column.
+the calculus are exact matrix identities, and every operation works on
+whole blocks. A FilteredSpace caches, per quotient, the quotient
+coordinates of V_i's RREF basis rows (read off the reduction that picks
+the complement, `quotient_basis`, with no solve). `quotient_block` is
+the one reader of quotient coordinates: it checks that each vector of
+a block lies in V_i and returns their coordinates as the columns of
+one matrix, and `quotient_of` is its one-vector case. Quotient
+coordinates lift back to V_i as one product with the complement basis.
+Per pair of quotients, `transfer` caches the matrix of the map induced
+by inclusion. The lifts and the transition solve each block once, for
+all of its columns (`solve` takes a block of right-hand sides); the
+action and the projection check of MLift.make are products of blocks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, Union
 
 from ._record import field, record
-from .exact_linear import Matrix, Subspace, Vector, complement, quotient_basis, rank, solve
+from .exact_linear import (Matrix, Sparse, Subspace, Vector, combination, complement,
+                           quotient_basis, rank, solve)
 from .graded import GradedMap, GradedSpace, HomogeneousMap
 
 
@@ -42,12 +48,8 @@ class FilteredSpace:
     low: int
     high: int
     chain: tuple[Subspace, ...]
-    _frames: dict = field(init=False, compare=False, repr=False, default=None)
-    _transfers: dict = field(init=False, compare=False, repr=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_frames", {})
-        object.__setattr__(self, "_transfers", {})
+    _frames: dict = field(init=False, compare=False, repr=False, default_factory=dict)
+    _transfers: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     @staticmethod
     def make(low: int, parts: Sequence[Subspace]) -> "FilteredSpace":
@@ -85,36 +87,44 @@ class FilteredSpace:
         frame = self._frames.get(key)
         if frame is None:
             within = self.part(i)
-            comp, rows = quotient_basis(self.part(i + m), within)
-            frame = _Frame(within, comp, Matrix.from_columns(rows, comp.dim), comp.basis.transpose())
+            frame = _Frame(within, *quotient_basis(self.part(i + m), within))
             self._frames[key] = frame
         return frame
 
-    def quotient_of(self, v: Sequence[Fraction], i: int, m: int) -> Vector:
-        """Coordinates of v + V_{i+m} in V_i/V_{i+m}; v must lie in V_i."""
+    def quotient_block(self, vectors: Iterable[Union[Sequence[Fraction], Sparse]],
+                       i: int, m: int) -> Matrix:
+        """The matrix whose k-th column is the V_i/V_{i+m} coordinates of
+
+        the k-th vector, dense or sparse; every vector must lie in V_i.
+        """
         frame = self._frame(i, m)
-        coords = frame.within.coords_of(v)
-        if coords is None:
-            raise ValueError("vector is not in the given space")
-        return frame.quotient.apply(coords)
+        cols = []
+        for v in vectors:
+            coords = frame.within.coords_of(v)
+            if coords is None:
+                raise ValueError("vector is not in the given space")
+            cols.append(combination({r: c for r, c in enumerate(coords) if c}, frame.rows))
+        return Matrix.from_columns(cols, frame.comp.dim)
+
+    def quotient_of(self, v: Union[Sequence[Fraction], Sparse], i: int, m: int) -> Vector:
+        """Coordinates of v + V_{i+m} in V_i/V_{i+m}; v must lie in V_i."""
+        return self.quotient_block([v], i, m).col(0)
 
     def quotient_lift(self, coords: Sequence[Fraction], i: int, m: int) -> Vector:
         """Canonical representative in V_i of a V_i/V_{i+m} coordinate vector."""
-        return self._frame(i, m).lift.apply(coords)
+        return (Matrix.from_rows([coords]) @ self._frame(i, m).comp.basis).entries[0]
 
     def transfer(self, a: int, ma: int, b: int, mb: int) -> Matrix:
         """Matrix of V_a/V_{a+ma} -> V_b/V_{b+mb} induced by inclusion;
 
         needs V_a <= V_b and V_{a+ma} <= V_{b+mb}. Built once per
-        argument tuple: column c is the checked quotient_of of the lift of
-        the c-th unit vector, which is the c-th complement basis row.
+        argument tuple: column c is the checked quotient coordinates of
+        the lift of the c-th unit vector, the c-th complement basis row.
         """
         key = (a, ma, b, mb)
         t = self._transfers.get(key)
         if t is None:
-            cols = [self.quotient_of(row, b, mb)
-                    for row in self._frame(a, ma).comp.basis.sparse]
-            t = Matrix.from_rows(cols, self.quotient_dim(b, mb)).transpose()
+            t = self.quotient_block(self._frame(a, ma).comp.basis.sparse, b, mb)
             self._transfers[key] = t
         return t
 
@@ -123,15 +133,31 @@ class FilteredSpace:
 class _Frame:
     """Cached data of the quotient V_i/V_{i+m}: V_i itself, the canonical
 
-    complement of V_{i+m} in V_i, the matrix taking coordinates over
-    V_i's RREF basis to quotient coordinates, and the lift, whose columns
-    are the complement's basis rows.
+    complement of V_{i+m} in V_i, whose basis rows lift quotient
+    coordinates, and the quotient coordinates of each RREF basis row of
+    V_i, as sparse rows.
     """
 
     within: Subspace
     comp: Subspace
-    quotient: Matrix
-    lift: Matrix
+    rows: tuple[Sparse, ...]
+
+
+def _at(pairs: tuple, i: int, what: str):
+    """The value stored for degree i in (degree, value) pairs."""
+    for deg, value in pairs:
+        if deg == i:
+            return value
+    raise KeyError(f"no {what} at degree {i}")
+
+
+class _Parts:
+    """part(i) of a gradation or quasi-gradation; zero outside the range."""
+
+    def part(self, i: int) -> Subspace:
+        if self.space.low <= i <= self.space.high:
+            return _at(self.parts, i, "part")
+        return Subspace.zero(self.space.ambient_dim)
 
 
 def _parts_tuple(low: int, high: int,
@@ -146,7 +172,7 @@ def _parts_tuple(low: int, high: int,
 
 
 @record
-class AdaptedGradation:
+class AdaptedGradation(_Parts):
     """Subspaces H^i with V_i = H^i direct sum V_{i+1}."""
 
     space: FilteredSpace
@@ -154,22 +180,12 @@ class AdaptedGradation:
 
     @staticmethod
     def make(space: FilteredSpace, parts: Mapping[int, Subspace]) -> "AdaptedGradation":
-        stored = _parts_tuple(space.low, space.high, parts)
-        for i, h in stored:
-            nxt = space.part(i + 1)
-            if h.dim + nxt.dim != space.part(i).dim or h.add(nxt) != space.part(i):
-                raise ValueError(f"H^{i} does not complement V_{i + 1} in V_{i}")
-        return AdaptedGradation(space, stored)
-
-    def part(self, i: int) -> Subspace:
-        for deg, h in self.parts:
-            if deg == i:
-                return h
-        return Subspace.zero(self.space.ambient_dim)
+        """The quasi-gradation axioms at the full degree."""
+        return AdaptedGradation(space, QuasiGradation.make(space, space.full_degree, parts).parts)
 
 
 @record
-class QuasiGradation:
+class QuasiGradation(_Parts):
     """Subspaces H'^i with V_i = H'^i + V_{i+1}, H'^i ^ V_{i+1} = V_{i+m}."""
 
     space: FilteredSpace
@@ -192,12 +208,6 @@ class QuasiGradation:
                     or h.dim + space.part(i + 1).dim - space.part(i).dim != mod.dim):
                 raise ValueError(f"H'^{i} ^ V_{i + 1} is not V_{i + degree}")
         return QuasiGradation(space, degree, stored)
-
-    def part(self, i: int) -> Subspace:
-        for deg, h in self.parts:
-            if deg == i:
-                return h
-        return Subspace.zero(self.space.ambient_dim)
 
 
 @record
@@ -235,10 +245,7 @@ class GradedFrame:
         return GradedFrame(space, model, tuple(stored))
 
     def block(self, i: int) -> Matrix:
-        for deg, b in self.blocks:
-            if deg == i:
-                return b
-        raise KeyError(f"no frame block at degree {i}")
+        return _at(self.blocks, i, "frame block")
 
 
 @record
@@ -269,10 +276,7 @@ class MLift:
         return MLift(frame, degree, tuple(stored))
 
     def block(self, i: int) -> Matrix:
-        for deg, b in self.blocks:
-            if deg == i:
-                return b
-        raise KeyError(f"no lift block at degree {i}")
+        return _at(self.blocks, i, "lift block")
 
 
 def make_filtered_from_graded(model: GradedSpace,
@@ -287,40 +291,36 @@ def make_filtered_from_graded(model: GradedSpace,
     if t.shape != (n, n) or rank(t) != n:
         raise ValueError("T must be an invertible endomorphism of the model space")
     degs = [model.degree_of_index(j) for j in range(n)]
-    for c in range(n):
-        col = t.col(c)
-        if any(col[r] != 0 and degs[r] < degs[c] for r in range(n)):
+    cols = t.transpose().sparse  # column c of T as {row: value}
+    for c, col in enumerate(cols):
+        if any(degs[r] < degs[c] for r in col):
             raise ValueError(f"column {c} drops below degree {degs[c]}")
     low, high = model.degrees[0], model.degrees[-1]
-    parts = []
-    for i in range(low, high + 1):
-        cols = [t.col(j) for j in range(n) if degs[j] >= i]
-        parts.append(Subspace.span(n, cols))
-    space = FilteredSpace.make(low, parts)
-    blocks = {}
-    for i in model.degrees:
-        d = model.dim(i)
-        cols = [space.quotient_of(t.col(model.offset(i) + j), i, 1) for j in range(d)]
-        blocks[i] = Matrix.from_rows([[col[r] for col in cols] for r in range(d)])
+    space = FilteredSpace.make(low, [
+        Subspace.row_space(Matrix(tuple(col for col, d in zip(cols, degs) if d >= i), n))
+        for i in range(low, high + 1)])
+    blocks = {i: space.quotient_block(cols[model.offset(i):model.offset(i) + model.dim(i)], i, 1)
+              for i in model.degrees}
     return space, GradedFrame.make(space, model, blocks)
+
+
+def _project(g: Union[AdaptedGradation, QuasiGradation], m: int) -> QuasiGradation:
+    space = g.space
+    return QuasiGradation.make(space, m, {i: part.add(space.part(i + m)) for i, part in g.parts})
 
 
 def project_gradation(h: AdaptedGradation, m: int) -> QuasiGradation:
     """The degree-m quasi-gradation {H^i + V_{i+m}}."""
     if m < 1:
         raise ValueError("projection degree must be >= 1")
-    space = h.space
-    return QuasiGradation.make(
-        space, m, {i: part.add(space.part(i + m)) for i, part in h.parts})
+    return _project(h, m)
 
 
 def project_quasi(q: QuasiGradation, m: int) -> QuasiGradation:
     """Projection to a lower degree: {H'^i + V_{i+m}}, 1 <= m <= degree."""
     if not 1 <= m <= q.degree:
         raise ValueError(f"projection degree must be in 1..{q.degree}")
-    space = q.space
-    return QuasiGradation.make(
-        space, m, {i: part.add(space.part(i + m)) for i, part in q.parts})
+    return _project(q, m)
 
 
 def compatible_gradation(q: QuasiGradation) -> AdaptedGradation:
@@ -337,7 +337,8 @@ def gradation_of_quasi(q: QuasiGradation) -> AdaptedGradation:
     """Reinterpret a quasi-gradation of full degree as an adapted gradation."""
     if q.degree < q.space.full_degree:
         raise ValueError("only full-degree quasi-gradations are gradations")
-    return AdaptedGradation.make(q.space, dict(q.parts))
+    # at degree >= full_degree, make() checked q against the gradation axioms
+    return AdaptedGradation(q.space, q.parts)
 
 
 def mlift_of_quasi(q: QuasiGradation, u: GradedFrame) -> MLift:
@@ -351,24 +352,19 @@ def mlift_of_quasi(q: QuasiGradation, u: GradedFrame) -> MLift:
     m = q.degree
     blocks = {}
     for i in model.degrees:
-        h_basis = q.part(i).basis.sparse
-        image = Matrix.from_rows([space.quotient_of(h, i, m) for h in h_basis],
-                                 space.quotient_dim(i, m)).transpose()
-        proj = space.transfer(i, m, i, 1) @ image
-        sols = []
-        for c in range(model.dim(i)):
-            sol = solve(proj, u.block(i).col(c))
-            if sol is None:
-                raise ValueError(f"H'^{i} does not surject onto V_{i}/V_{i + 1}")
-            sols.append(sol)
-        blocks[i] = image @ Matrix.from_rows(sols, len(h_basis)).transpose()
+        image = space.quotient_block(q.part(i).basis.sparse, i, m)
+        sol = solve(space.transfer(i, m, i, 1) @ image, u.block(i))
+        if sol is None:
+            raise ValueError(f"H'^{i} does not surject onto V_{i}/V_{i + 1}")
+        blocks[i] = image @ sol
     return MLift.make(u, m, blocks)
 
 
 def quasi_of_mlift(f: MLift, u: GradedFrame) -> QuasiGradation:
-    """H'^i := preimage in V_i of the image of F^i, i.e. lifted columns
+    """H'^i := preimage in V_i of the image of F^i: V_{i+m} stacked with
 
-    plus V_{i+m}; inverse to mlift_of_quasi.
+    the columns of (frame lift) @ F^i, taken as the rows of
+    F^i^T @ (complement basis); inverse to mlift_of_quasi.
     """
     if f.frame != u:
         raise ValueError("lift was built over a different frame")
@@ -376,12 +372,10 @@ def quasi_of_mlift(f: MLift, u: GradedFrame) -> QuasiGradation:
     m = f.degree
     parts = {}
     for i in range(space.low, space.high + 1):
-        vecs = list(space.part(i + m).basis.entries)
+        rows = space.part(i + m).basis
         if model.dim(i):
-            block = f.block(i)
-            vecs.extend(space.quotient_lift(block.col(c), i, m)
-                        for c in range(block.cols))
-        parts[i] = Subspace.span(space.ambient_dim, vecs)
+            rows = rows.stack(f.block(i).transpose() @ space._frame(i, m).comp.basis)
+        parts[i] = Subspace.row_space(rows)
     return QuasiGradation.make(space, m, parts)
 
 
@@ -446,13 +440,9 @@ def transition(f1: MLift, f2: MLift) -> GradedMap:
             # y -> F1^{i+d}(y) mod V_{i+d+1}, an injective map
             carrier = space.transfer(i + d, m, i, d + 1) @ f1.block(i + d)
             goal = space.transfer(i, m, i, d + 1) @ (f2.block(i) - have)
-            sols = []
-            for c in range(model.dim(i)):
-                sol = solve(carrier, goal.col(c))
-                if sol is None:
-                    raise ValueError("no transition: filtration invariants violated")
-                sols.append(sol)
-            blocks[i] = Matrix.from_rows(sols, model.dim(i + d)).transpose()
+            blocks[i] = solve(carrier, goal)
+            if blocks[i] is None:
+                raise ValueError("no transition: filtration invariants violated")
         if blocks:
             parts[d] = HomogeneousMap.make(model, model, d, blocks)
 

@@ -6,7 +6,10 @@ as an antisymmetry violation to report, not as a malformed document,
 so that any single corrupted constant in a well-formed file surfaces
 through validation rather than a parse failure. Genuinely malformed
 input (bad syntax, unknown labels, non-negative degrees, floating
-point numbers) raises AlgebraInputError.
+point numbers, integers of more than 4300 digits) raises
+AlgebraInputError. The digit cap is the package's own, equal to
+CPython's default int_max_str_digits: longer integers are rejected
+even where the interpreter is configured to convert them.
 
 A homogeneous map is written one way everywhere: an object keyed by
 source degree, each value the matrix of one block (`generator_doc`).
@@ -41,6 +44,16 @@ class AlgebraInputError(Exception):
     """Malformed document: syntax, schema, or unknown references."""
 
 
+# CPython's default int_max_str_digits, applied whatever the
+# interpreter's own setting is
+_MAX_DIGITS = 4300
+
+
+def _check_digits(digits: str, where: str) -> None:
+    if len(digits) - digits.startswith("-") > _MAX_DIGITS:
+        raise AlgebraInputError(f"{where}: more than {_MAX_DIGITS} digits")
+
+
 def _as_int(obj: Any, where: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise AlgebraInputError(f"{where}: expected an integer, got {obj!r}")
@@ -58,6 +71,8 @@ def parse_rational(obj: Any, where: str) -> Fraction:
     if isinstance(obj, str):
         if not re.fullmatch(r"-?\d+(/\d+)?", obj):
             raise AlgebraInputError(f"{where}: bad rational string {obj!r}")
+        for digits in obj.split("/"):
+            _check_digits(digits, where)
         try:
             return Fraction(obj)
         except ZeroDivisionError as exc:
@@ -78,9 +93,14 @@ def emit_rational(q: Fraction) -> Any:
     return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _parse_int(digits: str) -> int:
+    _check_digits(digits, "integer literal")
+    return int(digits)
+
+
 def _load_json(text: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise AlgebraInputError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
@@ -309,7 +329,11 @@ def _parse_maps(obj: Any, source: GradedSpace, target: GradedSpace, degree: int,
 
 
 def parse_g0(obj: Any, algebra: GradedLieAlgebra) -> G0Spec:
-    """Degree-0 document: {"preset": .., "form": ..} or {"generators": [..]}."""
+    """Degree-0 document: {"preset": .., "form": ..} or {"generators": [..]};
+
+    an empty generator list, as emit_g0_generators([]) writes it, is the
+    zero g^0.
+    """
     if isinstance(obj, str):
         obj = _load_json(obj)
     if not isinstance(obj, dict):
@@ -334,7 +358,7 @@ def parse_g0(obj: Any, algebra: GradedLieAlgebra) -> G0Spec:
         raise AlgebraInputError("g0 document: expected either a preset or generators")
     maps = _parse_maps(obj["generators"], space, space, 0, "g0 generators")
     try:
-        return G0Spec(generators=tuple(maps))
+        return G0Spec(generators=tuple(maps)) if maps else G0Spec("zero")
     except ValueError as exc:
         raise AlgebraInputError(str(exc)) from exc
 

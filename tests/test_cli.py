@@ -1,12 +1,17 @@
 """Driver behavior: output contracts, exit codes, mutation detection."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tanaka
 from tanaka.catalog import entries, make_algebra
 from tanaka.cli import main
-from tanaka.jsonio import emit_algebra, emit_result_document, parse_result
+from tanaka.jsonio import emit_algebra, emit_g0_generators, emit_result_document, parse_result
 
 
 def run(capsys, *args):
@@ -135,6 +140,45 @@ def test_negative_denominator_in_g0_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "prolong", "preset:heisenberg3", "--g0", f"file:{path}")
     assert code == 2
     assert "bad rational string '1/-2'" in err
+
+
+# Integers longer than CPython's default int_max_str_digits (4300) fail
+# as input errors under the package's own cap, whatever the interpreter
+# allows.
+
+def test_over_long_integer_in_algebra_document_exits_2(tmp_path):
+    text = emit_algebra(make_algebra("heisenberg3"))
+    assert '"num": 1,' in text
+    path = tmp_path / "big.json"
+    path.write_text(text.replace('"num": 1,', '"num": 1' + "0" * 5000 + ",", 1))
+    env = dict(os.environ, PYTHONPATH=str(Path(tanaka.__file__).parent.parent),
+               PYTHONINTMAXSTRDIGITS="0")  # no interpreter limit
+    out = subprocess.run([sys.executable, "-m", "tanaka.cli", "check", str(path)], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert "more than 4300 digits" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_over_long_rational_in_g0_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "g0.json"
+    for entry in ('"1/' + "3" * 4301 + '"', '"-' + "7" * 4301 + '"', "1" + "0" * 4300):
+        path.write_text('{"generators": [{"-1": [[' + entry + ', 0], [0, 1]]}]}')
+        code, _, err = run(capsys, "prolong", "preset:abelian2", "--g0", f"file:{path}")
+        assert code == 2 and "more than 4300 digits" in err
+    path.write_text('{"generators": [{"-1": [["-' + "7" * 4300 + '", 0], [0, 1]]}]}')
+    code, _, _ = run(capsys, "prolong", "preset:abelian2", "--g0", f"file:{path}")
+    assert code == 0  # 4300 digits are accepted
+
+
+def test_empty_g0_generators_file_is_the_zero_g0(capsys, tmp_path):
+    path = tmp_path / "g0.json"
+    path.write_text(emit_g0_generators([]))
+    for fmt in ("text", "json"):
+        from_file = run(capsys, "prolong", "preset:heisenberg3", "--g0", f"file:{path}",
+                        "--format", fmt)
+        assert from_file == run(capsys, "prolong", "preset:heisenberg3", "--g0", "zero",
+                                "--format", fmt)
+        assert from_file[0] == 0
 
 
 def test_torsion_level0(capsys):

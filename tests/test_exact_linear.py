@@ -152,11 +152,11 @@ def test_lift_inverts_quotient_coords(m, data):
 @given(matrices(rows=3, cols=3), st.data())
 def test_solve_finds_exact_solutions(m, data):
     """solve returns an exact solution whenever the system is consistent."""
-    x = tuple(data.draw(Scalars) for _ in range(3))
-    b = m.apply(x)
+    x = Matrix.from_rows([[data.draw(Scalars)] for _ in range(3)], 1)
+    b = m @ x
     got = solve(m, b)
     assert got is not None
-    assert m.apply(got) == b
+    assert m @ got == b
 
 
 def test_inverse_round_trip():
@@ -186,7 +186,8 @@ def test_product_through_empty_inner_dimension():
 
 
 def test_solve_without_equations_returns_zero_vector():
-    assert solve(Matrix.zeros(0, 3), ()) == (rat(0), rat(0), rat(0))
+    assert solve(Matrix.zeros(0, 3), Matrix.zeros(0, 2)) == Matrix.zeros(3, 2)
+    assert solve(Matrix.zeros(0, 3), Matrix.zeros(0, 1)).col(0) == (rat(0), rat(0), rat(0))
 
 
 def test_stack_rejects_width_mismatch_of_empty_matrix():
@@ -244,18 +245,25 @@ def test_rref_rank_kernel_match_dense_oracle(m):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(oracle_matrices(), st.data())
 def test_solve_matches_dense_oracle(m, data):
-    """Consistent systems give the oracle's solution; inconsistent ones None."""
-    x = tuple(data.draw(st.one_of(Scalars, Huge)) for _ in range(m.cols))
-    b = m.apply(x)
+    """Each column of a consistent block of 0-3 right-hand sides gets the
+
+    oracle's solution; a block with one inconsistent column gives None.
+    """
+    k = data.draw(st.integers(0, 3))
+    x = Matrix.from_rows([[data.draw(st.one_of(Scalars, Huge)) for _ in range(k)]
+                          for _ in range(m.cols)], k)
+    b = m @ x
     got = solve(m, b)
-    assert got == _dense_solve(m, b)
-    assert m.apply(got) == b
+    assert got.shape == (m.cols, k)
+    assert all(got.col(j) == _dense_solve(m, b.col(j)) for j in range(k))
+    assert m @ got == b
     left = dense_kernel(list(m.transpose().entries), m.rows)
-    if left:
-        # b + y with y^T m = 0 and y != 0 has y^T (b + y) = |y|^2 != 0
-        bad = tuple(u + v for u, v in zip(b, left[0]))
+    if left and k:
+        # b_j + y with y^T m = 0 and y != 0 has y^T (b_j + y) = |y|^2 != 0
+        j = data.draw(st.integers(0, k - 1))
+        bad = b + Matrix.from_rows([[y if c == j else 0 for c in range(k)] for y in left[0]], k)
         assert solve(m, bad) is None
-        assert _dense_solve(m, bad) is None
+        assert _dense_solve(m, bad.col(j)) is None
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

@@ -123,9 +123,9 @@ def _fresh_quotient_of(space, v, i, m):
     """V_i/V_{i+m} coordinates by a solve on the stacked basis, no cache."""
     mod = space.part(i + m)
     comp = complement(mod, space.part(i))
-    coeffs = solve(mod.basis.stack(comp.basis).transpose(), v)
+    coeffs = solve(mod.basis.stack(comp.basis).transpose(), Matrix.from_rows([v]).transpose())
     assert coeffs is not None
-    return coeffs[mod.dim:]
+    return coeffs.col(0)[mod.dim:]
 
 
 def _fresh_quotient_lift(space, coords, i, m):
@@ -232,6 +232,61 @@ def test_quasi_gradation_parts_must_contain_the_deeper_step():
     # contains V_-1 but is too big: the intersection with V_-2 is all of V_-2
     with pytest.raises(ValueError, match="V_-1"):
         QuasiGradation.make(space, 2, {**good, -3: Subspace.full(3)})
+
+
+def _accepts(make, *args):
+    try:
+        make(*args)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_direct_complement(space, parts):
+    """V_i = H^i direct sum V_{i+1} at every degree, checked by dimensions and sums."""
+    return all(h.dim + space.part(i + 1).dim == space.part(i).dim
+               and h.add(space.part(i + 1)) == space.part(i) for i, h in parts.items())
+
+
+def _perturbed(rng, space, parts):
+    """parts with one basis row of one part replaced: moved within its class
+
+    modulo V_{i+1} (still a complement), or by a vector of V_{i+1}, of V_i,
+    or of the ambient space (usually not).
+    """
+    i = rng.choice(sorted(parts))
+    rows = [list(row) for row in parts[i].basis.entries]
+    if not rows:
+        return parts
+    r = rng.randrange(len(rows))
+    kind = rng.choice(("shift", "deeper", "within", "ambient"))
+    source = {"shift": space.part(i + 1), "deeper": space.part(i + 1),
+              "within": space.part(i), "ambient": Subspace.full(space.ambient_dim)}[kind]
+    v = _random_vector_in(rng, source)
+    rows[r] = [a + b for a, b in zip(rows[r], v)] if kind == "shift" else list(v)
+    return {**parts, i: Subspace.span(space.ambient_dim, rows)}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_adapted_gradation_is_the_full_degree_quasi_gradation(seed):
+    """AdaptedGradation.make accepts exactly what QuasiGradation.make does at
+
+    the full degree, and both agree with the direct-sum definition, on the
+    selftest fixtures and on their parts with one row perturbed.
+    """
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(25):
+        model = GradedSpace.from_dims(rng.choice(tanaka.selftest.MODEL_SHAPES))
+        t = tanaka.selftest._random_triangular(rng, model)
+        space, _ = make_filtered_from_graded(model, t)
+        h = tanaka.selftest._gradation_from_columns(space, model, t)
+        for parts in (dict(h.parts), _perturbed(rng, space, dict(h.parts))):
+            adapted = _accepts(AdaptedGradation.make, space, parts)
+            assert adapted == _accepts(QuasiGradation.make, space, space.full_degree, parts)
+            assert adapted == _is_direct_complement(space, parts)
+            outcomes.add(adapted)
+    assert outcomes == {True, False}
 
 
 def test_graded_frame_rejects_stray_blocks():

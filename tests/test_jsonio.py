@@ -167,6 +167,16 @@ def test_g0_documents():
             parse_g0(bad, alg)
 
 
+def test_over_long_integer_in_result_document_raises():
+    text = emit_result(_prolonged("heisenberg3", "der0", 2))
+    assert '"base_dim": 3' in text
+    with pytest.raises(AlgebraInputError, match="more than 4300 digits"):
+        parse_result(text.replace('"base_dim": 3', '"base_dim": 3' + "0" * 4300))
+    for bad in ("1" * 4301, "-1/" + "2" * 4301):
+        with pytest.raises(AlgebraInputError, match="more than 4300 digits"):
+            parse_rational(bad, "x")
+
+
 def test_result_round_trip_is_byte_identical():
     for name, preset, depth in (("abelian2", "gl", 3), ("abelian3", "co", 4),
                                 ("heisenberg3", "der0", 2), ("abelian2", "zero", 2),
