@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 1 domain failure (invalid
 or non-fundamental algebra, failed identity, unreachable level, failing
-self-test), 2 input error (unreadable file, malformed document, unknown
-preset, out-of-range option).
+self-test, a result number too long to write), 2 input error (unreadable
+file, malformed document, unknown preset, out-of-range option).
 
 All numbers are printed exactly: dimensions as integers, rationals as
 num/den. The json format of `prolong` round-trips through parse_result
@@ -21,6 +21,7 @@ from . import catalog, selftest, torsion
 from .jsonio import (
     AlgebraInputError,
     LoadedAlgebra,
+    OutputBudgetError,
     emit_g0_generators,
     emit_result,
     generator_doc,
@@ -335,6 +336,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except AlgebraInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OutputBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 if __name__ == "__main__":
     sys.exit(main())

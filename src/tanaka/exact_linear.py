@@ -13,7 +13,8 @@ built on first use.
 Every reduction goes through one sparse, fraction-free eliminator.
 Each nonzero row is scaled by the lcm of its denominators into a
 primitive row of ints stored as {column: value}. Columns are cleared
-leftmost first, taking as pivot the sparsest row with a nonzero in the
+leftmost first, the next one popped from a heap of the waiting leading
+columns, taking as pivot the sparsest row with a nonzero in the
 column; each combination a*row - b*pivot is divided by the gcd of its
 entries (row-content normalisation of Bareiss' integer-preserving
 elimination, Math. Comp. 22 (1968)). Back-substitution stays in ints,
@@ -29,6 +30,11 @@ Callers that evaluate brackets and maps work on the same sparse rows
 them with sparse coefficients, and `densify` turns one into a Vector
 where a dense result is the interface.
 
+Degenerate operands are answered without an elimination or a
+product: a sum, intersection or containment with a zero or full
+subspace, coordinates in the full space (whose RREF basis is the
+identity), and `solve` or `@` with an identity matrix.
+
 Subspaces are stored in reduced row echelon form. RREF is a canonical
 representative of a row space, so two subspaces are equal iff their
 stored bases are equal entrywise, whichever pivot rows the eliminator
@@ -42,6 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -219,9 +226,18 @@ class Matrix:
             return Matrix.zeros(*self.shape)
         return Matrix(tuple({j: c * e for j, e in row.items()} for row in self.sparse), self.cols)
 
+    def is_identity(self) -> bool:
+        """Square with a single 1 on each diagonal cell; stops at the first other row."""
+        return len(self.sparse) == self.cols and all(
+            len(row) == 1 and row.get(i) == 1 for i, row in enumerate(self.sparse))
+
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
+        if self.is_identity():
+            return other
+        if other.is_identity():
+            return self
         return Matrix(tuple(combination(row, other.sparse) for row in self.sparse), other.cols)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
@@ -260,16 +276,20 @@ def _integer_rows(m: Matrix) -> list[SparseRow]:
 def _echelon(rows: list[SparseRow]) -> list[tuple[int, SparseRow]]:
     """Forward elimination: (pivot column, row) pairs, columns ascending.
 
-    Rows wait in buckets keyed by their leading column. When a column
-    comes up, every row with a nonzero there is in its bucket; the
-    sparsest becomes the pivot and the others are combined with it.
+    Rows wait in buckets keyed by their leading column, and the keys in
+    a heap. When a column comes up, every row with a nonzero there is in
+    its bucket; the sparsest becomes the pivot and the others are
+    combined with it. A combined row leads right of the column, so each
+    column is pushed once.
     """
     by_lead: dict[int, list[SparseRow]] = {}
     for row in rows:
         by_lead.setdefault(min(row), []).append(row)
+    waiting = list(by_lead)
+    heapify(waiting)
     out = []
-    while by_lead:
-        c = min(by_lead)
+    while waiting:
+        c = heappop(waiting)
         group = by_lead.pop(c)
         pivot = min(group, key=len)
         out.append((c, pivot))
@@ -287,7 +307,10 @@ def _echelon(rows: list[SparseRow]) -> list[tuple[int, SparseRow]]:
                     del new[j]
             if new:
                 new = _primitive(new)
-                by_lead.setdefault(min(new), []).append(new)
+                lead = min(new)
+                if lead not in by_lead:
+                    heappush(waiting, lead)
+                by_lead.setdefault(lead, []).append(new)
     return out
 
 
@@ -358,6 +381,8 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """
     if b.rows != a.rows:
         raise ValueError(f"shape mismatch: {a.shape} vs rhs {b.shape}")
+    if a.is_identity():
+        return b
     n = a.cols
     aug = Matrix(tuple({**row, **{n + j: e for j, e in rhs.items()}}
                        for row, rhs in zip(a.sparse, b.sparse)), n + b.cols)
@@ -429,10 +454,14 @@ class Subspace:
         rows used, in ints: with D clearing v's denominators and L the
         basis's, D L (v - sum c_r b_r) = L (D v) - sum (D c_r)(L b_r).
         """
+        n = self.ambient_dim
         if not isinstance(v, Mapping):
-            if len(v) != self.ambient_dim:
-                raise ValueError(f"length {len(v)} != ambient {self.ambient_dim}")
+            if len(v) != n:
+                raise ValueError(f"length {len(v)} != ambient {n}")
             v = {j: e for j, e in enumerate(v) if e}
+        if self.is_full():  # the RREF basis is the identity: v is its own coordinates
+            outside = any(e for j, e in v.items() if not 0 <= j < n)
+            return None if outside else tuple(_as_fraction(v.get(j, _ZERO)) for j in range(n))
         coeffs = tuple(_as_fraction(v.get(p, _ZERO)) for p in self.pivots)
         den, rows = self._integer_basis
         d, (residual,) = clear_denominators([v])
@@ -448,22 +477,34 @@ class Subspace:
     def _integer_basis(self) -> tuple[int, list[SparseRow]]:
         return clear_denominators(self.basis.sparse)
 
+    def is_full(self) -> bool:
+        return self.dim == self.ambient_dim
+
     def contains_subspace(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
+        if other.dim == 0 or self.is_full():
+            return True
         return all(self.contains(row) for row in other.basis.sparse)
 
     def add(self, other: "Subspace") -> "Subspace":
+        """The sum; a zero or full operand gives the answer without a reduction."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
+        if other.dim == 0 or self.is_full():
+            return self
+        if self.dim == 0 or other.is_full():
+            return other
         return Subspace.row_space(self.basis.stack(other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the kernel of the stacked-transpose system."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
+        if self.dim == 0 or other.is_full():
+            return self
+        if other.dim == 0 or self.is_full():
+            return other
         # x in both spans: sum_i c_i a_i = sum_j d_j b_j, unknowns (c, -d).
         system = self.basis.stack(-other.basis).transpose()
         return Subspace.row_space(kernel(system).basis.column_slice(0, self.dim) @ self.basis)

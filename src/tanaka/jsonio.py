@@ -9,7 +9,10 @@ input (bad syntax, unknown labels, non-negative degrees, floating
 point numbers, integers of more than 4300 digits) raises
 AlgebraInputError. The digit cap is the package's own, equal to
 CPython's default int_max_str_digits: longer integers are rejected
-even where the interpreter is configured to convert them.
+even where the interpreter is configured to convert them. The
+emitters hold to the same cap, so every document they write parses
+back: a rational with a longer numerator or denominator raises
+OutputBudgetError.
 
 A homogeneous map is written one way everywhere: an object keyed by
 source degree, each value the matrix of one block (`generator_doc`).
@@ -44,9 +47,14 @@ class AlgebraInputError(Exception):
     """Malformed document: syntax, schema, or unknown references."""
 
 
+class OutputBudgetError(Exception):
+    """A result holds a number too long for a document to carry."""
+
+
 # CPython's default int_max_str_digits, applied whatever the
 # interpreter's own setting is
 _MAX_DIGITS = 4300
+_DIGIT_BOUND = 10 ** _MAX_DIGITS  # the least int of more than _MAX_DIGITS digits
 
 
 def _check_digits(digits: str, where: str) -> None:
@@ -90,6 +98,8 @@ def parse_rational(obj: Any, where: str) -> Fraction:
 
 
 def emit_rational(q: Fraction) -> Any:
+    if abs(q.numerator) >= _DIGIT_BOUND or q.denominator >= _DIGIT_BOUND:
+        raise OutputBudgetError(f"a coefficient of the result has more than {_MAX_DIGITS} digits")
     return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 

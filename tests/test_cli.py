@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,22 @@ def test_over_long_integer_in_algebra_document_exits_2(tmp_path):
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 2
     assert "more than 4300 digits" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_over_long_result_number_exits_1_with_one_line(capsys, monkeypatch):
+    """A result coefficient past the cap ends the command with exit 1 and
+
+    one budget line on stderr, in both formats, not a traceback.
+    """
+    from tanaka import cli
+    from tanaka.lie import der0_basis
+
+    huge = Fraction(10**5000, 3)
+    monkeypatch.setattr(cli, "der0_basis", lambda alg: [g.scale(huge) for g in der0_basis(alg)])
+    for fmt in ("json", "text"):
+        code, _, err = run(capsys, "der0", "preset:heisenberg3", "--format", fmt)
+        assert code == 1
+        assert err == "error: a coefficient of the result has more than 4300 digits\n"
 
 
 def test_over_long_rational_in_g0_file_exits_2(capsys, tmp_path):

@@ -264,6 +264,11 @@ def test_solve_matches_dense_oracle(m, data):
         bad = b + Matrix.from_rows([[y if c == j else 0 for c in range(k)] for y in left[0]], k)
         assert solve(m, bad) is None
         assert _dense_solve(m, bad.col(j)) is None
+    # the identity as coefficient matrix, on the same block
+    ident = Matrix.identity(m.rows)
+    got = solve(ident, b)
+    assert got == b
+    assert all(got.col(j) == _dense_solve(ident, b.col(j)) for j in range(k))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -376,3 +381,138 @@ def test_entries_is_the_dense_view_of_the_sparse_rows():
             assert len(row) == m.cols
             assert row == tuple(m.sparse[i].get(j, Fraction(0)) for j in range(m.cols))
             assert all(0 <= j < m.cols and e != 0 for j, e in m.sparse[i].items())
+
+
+# Degenerate operands are answered without an elimination: a zero or
+# full subspace, coordinates in the full space, the identity as a
+# factor or coefficient matrix. Each fast path against the long way:
+# the dense reduction of the stacked rows, or the dense product.
+
+def _dense(m: Matrix) -> list[list[Fraction]]:
+    return [list(row) for row in m.entries]
+
+
+def _long_span(ambient: int, rows: list[list[Fraction]]) -> Subspace:
+    return Subspace(ambient, Matrix.from_rows(dense_rref(rows, ambient)[0], ambient))
+
+
+def _long_intersection(s: Subspace, t: Subspace) -> Subspace:
+    """c s = d t from the dense kernel of [s^T | -t^T], then the span of c s."""
+    a, b = _dense(s.basis), _dense(t.basis)
+    system = [[row[j] for row in a] + [-row[j] for row in b] for j in range(s.ambient_dim)]
+    images = [[sum((c * row[j] for c, row in zip(x, a)), Fraction(0)) for j in range(s.ambient_dim)]
+              for x in dense_kernel(system, len(a) + len(b))]
+    return _long_span(s.ambient_dim, images)
+
+
+def _long_product(a: Matrix, b: Matrix) -> Matrix:
+    cols = list(zip(*_dense(b)))
+    return Matrix.from_rows([[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols]
+                             for row in _dense(a)], b.cols)
+
+
+def _degenerate_pairs():
+    """(s, t) with a zero or a full operand on either side, ambient 0..4."""
+    middle = [Subspace.span(3, [[1, 2, 0]]), Subspace.span(4, [[0, 1, rat(1, 2), 0], [0, 0, 3, 1]]),
+              Subspace.span(2, [[0, 5]])]
+    for n in range(5):
+        for other in [Subspace.zero(n), Subspace.full(n)] + [s for s in middle if s.ambient_dim == n]:
+            for degenerate in (Subspace.zero(n), Subspace.full(n)):
+                yield degenerate, other
+                yield other, degenerate
+
+
+@pytest.mark.parametrize("s, t", list(_degenerate_pairs()))
+def test_sum_intersection_containment_of_zero_or_full_match_the_long_way(s, t):
+    stacked = _dense(s.basis) + _dense(t.basis)
+    assert s.add(t) == _long_span(s.ambient_dim, stacked)
+    assert s.intersect(t) == _long_intersection(s, t)
+    assert s.contains_subspace(t) == (len(dense_rref(stacked, s.ambient_dim)[1]) == s.dim)
+
+
+def test_sum_with_a_zero_or_full_operand_returns_the_canonical_operand():
+    s, zero, full = Subspace.span(3, [[1, 2, 0]]), Subspace.zero(3), Subspace.full(3)
+    assert s.add(zero) is s and zero.add(s) is s
+    assert full.add(s) is full and s.add(full) is full
+    assert s.intersect(full) is s and full.intersect(s) is s
+
+
+def test_coords_in_the_full_space_match_the_long_way():
+    full = Subspace.full(4)
+    v = [rat(1, 2), Fraction(0), rat(-3), rat(7, 5)]
+    expected = _dense_solve(full.basis.transpose(), v)
+    assert full.coords_of(v) == expected  # dense
+    assert full.coords_of({0: rat(1, 2), 2: rat(-3), 3: rat(7, 5)}) == expected  # sparse
+    assert full.coords_of((0, 1, 0, 0)) == (0, 1, 0, 0)  # ints come back as Fractions
+    assert all(type(e) is Fraction for e in full.coords_of((0, 1, 0, 0)))
+    assert Subspace.full(0).coords_of(()) == () and Subspace.full(0).coords_of({}) == ()
+
+
+def test_coords_in_the_full_space_keep_the_edge_behaviour():
+    full = Subspace.full(3)
+    assert full.coords_of({3: rat(1)}) is None  # outside 0..n-1, as the residual says
+    assert full.coords_of({0: rat(1), -1: rat(2)}) is None
+    assert not full.contains({5: rat(1)})
+    with pytest.raises(ValueError):
+        full.coords_of((rat(1), rat(2)))
+    with pytest.raises(ValueError):
+        full.coords_of((rat(1),) * 4)
+
+
+def test_solve_with_the_identity_matches_the_long_way():
+    b = Matrix.from_rows([[rat(1, 2), 0], [0, 0], [rat(-3), rat(4, 7)]])
+    got = solve(Matrix.identity(3), b)
+    assert got == b
+    assert all(got.col(j) == _dense_solve(Matrix.identity(3), b.col(j)) for j in range(2))
+    assert solve(Matrix.identity(0), Matrix.zeros(0, 2)) == Matrix.zeros(0, 2)
+    with pytest.raises(ValueError):
+        solve(Matrix.identity(3), Matrix.zeros(2, 1))
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (2, 3), (3, 3)])
+def test_product_with_an_identity_factor_matches_the_long_way(rows, cols):
+    m = Matrix.from_rows([[Fraction(i - j, 1 + i + j) for j in range(cols)] for i in range(rows)], cols)
+    assert Matrix.identity(rows) @ m == _long_product(Matrix.identity(rows), m) == m
+    assert m @ Matrix.identity(cols) == _long_product(m, Matrix.identity(cols)) == m
+    with pytest.raises(ValueError):
+        Matrix.identity(rows + 1) @ m
+
+
+def test_is_identity_rejects_every_near_identity():
+    assert Matrix.identity(0).is_identity() and Matrix.identity(3).is_identity()
+    for m in (Matrix.identity(3).scale(2), Matrix.zeros(3, 3), Matrix.identity(3).stack(Matrix.zeros(1, 3)),
+              Matrix.from_rows([[1, 0], [1, 1]]), Matrix.from_rows([[0, 1], [1, 0]])):
+        assert not m.is_identity()
+
+
+def _combined_leads(rows: list[list[Fraction]]) -> set[int]:
+    """Leading columns of the rows combined with the first pivot of the elimination."""
+    lead = min(j for row in rows for j, e in enumerate(row) if e)
+    group = [row for row in rows if row[lead]]
+    pivot = min(group, key=lambda row: sum(1 for e in row if e))
+    combined = ([a - row[lead] / pivot[lead] * b for a, b in zip(row, pivot)]
+                for row in group if row is not pivot)
+    return {next(j for j, e in enumerate(new) if e) for new in combined if any(new)}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pivot_heap_takes_new_leading_columns_before_waiting_ones(seed):
+    """Rows sharing column 0 combine into rows that lead at new columns
+
+    left of columns already waiting; the RREF and pivots stay those of
+    dense Gauss-Jordan.
+    """
+    rng = random.Random(seed)
+    n = 24
+    rows = [[Fraction(rng.randint(1, 5))] + [Fraction(rng.choice([0, 0, 0, 1, -2, 3])) for _ in range(n - 1)]
+            for _ in range(8)]
+    rows += [[Fraction(0)] * (n - k) + [Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(k)]
+             for k in (3, 5, 6)]  # waiting at columns n-3, n-5 and n-6
+    rng.shuffle(rows)
+    waiting = {n - 3, n - 5, n - 6}
+    assert any(c < min(waiting) for c in _combined_leads(rows) - waiting)  # the push path runs
+    m = Matrix.from_rows(rows, n)
+    dense, pivots = dense_rref(rows, n)
+    assert rref_canonicalize(m) == Matrix.from_rows(dense, n)
+    assert Subspace.row_space(m).pivots == tuple(pivots)
+    assert rank(m) == len(pivots)

@@ -1,13 +1,19 @@
 """Document parsing, canonical emission, and the error taxonomy."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tanaka
 from tanaka.catalog import make_algebra
 from tanaka.jsonio import (
     AlgebraInputError,
+    OutputBudgetError,
     _dumps,
     emit_algebra,
     emit_g0_generators,
@@ -175,6 +181,29 @@ def test_over_long_integer_in_result_document_raises():
     for bad in ("1" * 4301, "-1/" + "2" * 4301):
         with pytest.raises(AlgebraInputError, match="more than 4300 digits"):
             parse_rational(bad, "x")
+
+
+def test_over_long_rational_is_not_emitted():
+    """The emitters hold to the parser's cap: numerators and denominators
+
+    of 4300 digits are written and read back; longer ones raise
+    OutputBudgetError, not the interpreter's ValueError.
+    """
+    for q in (Fraction(10**4300 - 1, 3), Fraction(-(10**4300 - 1)), Fraction(1, 10**4300 - 1)):
+        assert parse_rational(json.loads(_dumps({"x": emit_rational(q)}))["x"], "x") == q
+    for q in (Fraction(10**5000, 3), Fraction(-(10**4300)), Fraction(1, 10**4300)):
+        with pytest.raises(OutputBudgetError, match="more than 4300 digits"):
+            _dumps({"x": emit_rational(q)})
+
+
+def test_emit_cap_holds_without_the_interpreter_limit():
+    code = ("from fractions import Fraction; from tanaka.jsonio import emit_rational; "
+            "emit_rational(Fraction(10**5000, 3))")
+    env = dict(os.environ, PYTHONPATH=str(Path(tanaka.__file__).parent.parent),
+               PYTHONINTMAXSTRDIGITS="0")  # no interpreter limit
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 1 and "OutputBudgetError: a coefficient" in out.stderr
 
 
 def test_result_round_trip_is_byte_identical():
