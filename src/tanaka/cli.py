@@ -152,10 +152,10 @@ def cmd_der0(args: argparse.Namespace, out: TextIO) -> int:
     if args.fmt == "json":
         out.write(emit_g0_generators(basis))
         return 0
+    docs = [generator_doc(gen) for gen in basis]  # an over-long number fails before any output
     print(f"dim der0 = {len(basis)}", file=out)
-    for i, gen in enumerate(basis, start=1):
-        blocks = (f"{d}: {rows}" for d, rows in generator_doc(gen).items())
-        print(f"D{i}: " + "; ".join(blocks), file=out)
+    for i, doc in enumerate(docs, start=1):
+        print(f"D{i}: " + "; ".join(f"{d}: {rows}" for d, rows in doc.items()), file=out)
     return 0
 
 

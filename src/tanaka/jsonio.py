@@ -15,10 +15,14 @@ back: a rational with a longer numerator or denominator raises
 OutputBudgetError.
 
 A homogeneous map is written one way everywhere: an object keyed by
-source degree, each value the matrix of one block (`generator_doc`).
-One parser reads it back (`_parse_maps`), checking every block's shape
-against (source, target, degree); it reads the g^0 generators against
-m and each level basis of a result against the tower space below it.
+source degree, each value the matrix of one block. The emitters put the
+`Matrix` blocks themselves in the document (`_map_doc`), and the writer
+renders each one straight from its sparse rows, so no per-cell list is
+built; `generator_doc` is the plain-data form of the same object, lists
+of rows, as `parse_result` returns it. One parser reads a map back
+(`_parse_maps`), checking every block's shape against (source, target,
+degree); it reads the g^0 generators against m and each level basis of
+a result against the tower space below it.
 
 All emitters produce one canonical byte form: keys in a fixed order,
 degrees ascending, bracket entries sorted by basis-index pair with
@@ -32,6 +36,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from numbers import Rational
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 from ._record import record
@@ -97,9 +102,15 @@ def parse_rational(obj: Any, where: str) -> Fraction:
     raise AlgebraInputError(f"{where}: expected a rational, got {type(obj).__name__}")
 
 
-def emit_rational(q: Fraction) -> Any:
+def _within_cap(q: Rational) -> Rational:
+    """q, a Fraction or an int, if a document can carry it."""
     if abs(q.numerator) >= _DIGIT_BOUND or q.denominator >= _DIGIT_BOUND:
         raise OutputBudgetError(f"a coefficient of the result has more than {_MAX_DIGITS} digits")
+    return q
+
+
+def emit_rational(q: Fraction) -> Any:
+    q = _within_cap(q)
     return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
@@ -129,7 +140,8 @@ def _dumps(obj: Any) -> str:
     """json.dumps(obj, indent=2, ensure_ascii=False) + "\\n", byte for byte,
 
     for documents of dicts with string keys, lists and the _LEAVES
-    scalars. A list of scalars is written in one join.
+    scalars. A list of scalars is written in one join, and a Matrix as
+    the list of its rows of emitted rationals.
     """
     out: list[str] = []
     _write(obj, "\n", out)
@@ -142,6 +154,9 @@ def _write(obj: Any, nl: str, out: list[str]) -> None:
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
         out.append(leaf(obj))
+        return
+    if type(obj) is Matrix:
+        out.append(_matrix_text(obj, nl))
         return
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         out.append(json.dumps(obj))
@@ -162,6 +177,29 @@ def _write(obj: Any, nl: str, out: list[str]) -> None:
             out.append(sep if i else inner)
             _write(value, inner, out)
         out.append(nl + "]")
+
+
+def _matrix_text(m: Matrix, nl: str) -> str:
+    """What _write makes of _emit_matrix(m), one string per row. The zero
+
+    rows, nearly all rows of a level basis, share one string.
+    """
+    inner = nl + "  "
+    zeros = ["0"] * m.cols
+
+    def line(cells: list[str]) -> str:
+        return "[" + inner + "  " + ("," + inner + "  ").join(cells) + inner + "]" if cells else "[]"
+
+    def cells_of(row: dict[int, Fraction]) -> list[str]:
+        cells = zeros.copy()
+        for j, q in row.items():
+            cell = emit_rational(q)
+            cells[j] = _LEAVES[type(cell)](cell)
+        return cells
+
+    blank = line(zeros)
+    rows = [line(cells_of(row)) if row else blank for row in m.sparse]
+    return "[" + inner + ("," + inner).join(rows) + nl + "]" if rows else "[]"
 
 
 def _parse_matrix(obj: Any, rows: int, cols: int, where: str) -> Matrix:
@@ -296,7 +334,7 @@ def _algebra_doc(alg: GradedLieAlgebra, name: str) -> dict:
     for a in range(space.total_dim):
         for b in range(a + 1, space.total_dim):
             terms = [{"basis": space.label_of_index(i),
-                      "num": e.numerator, "den": e.denominator}
+                      "num": _within_cap(e).numerator, "den": e.denominator}
                      for i, e in sorted(alg.bracket_row(a, b).items())]
             if not terms:
                 continue
@@ -377,27 +415,28 @@ def emit_g0_generators(maps: Sequence[HomogeneousMap]) -> str:
     return _dumps(_generators_doc(maps))
 
 
-def _generators_doc(maps: Sequence[HomogeneousMap]) -> dict:
-    return {"generators": [generator_doc(g) for g in maps]}
-
-
-def generator_doc(g: HomogeneousMap) -> dict:
+def _map_doc(g: HomogeneousMap) -> dict[str, Matrix]:
     """The nonempty blocks of a homogeneous map, keyed by source degree."""
-    doc = {}
-    for d in g.source.degrees:
-        block = g.block(d)
-        if block.rows and block.cols:
-            doc[str(d)] = _emit_matrix(block)
-    return doc
+    blocks = ((str(d), g.block(d)) for d in g.source.degrees)
+    return {d: block for d, block in blocks if block.rows and block.cols}
 
 
-def _level_doc(s: int, basis: Sequence[HomogeneousMap]) -> dict:
-    return {"degree": s, "dim": len(basis), "basis": [generator_doc(a) for a in basis]}
+def generator_doc(g: HomogeneousMap) -> dict[str, list]:
+    """_map_doc(g) in plain data: each block a list of rows of emitted rationals."""
+    return {d: _emit_matrix(block) for d, block in _map_doc(g).items()}
+
+
+def _generators_doc(maps: Sequence[HomogeneousMap], map_doc=_map_doc) -> dict:
+    return {"generators": [map_doc(g) for g in maps]}
+
+
+def _level_doc(s: int, basis: Sequence[HomogeneousMap], map_doc=_map_doc) -> dict:
+    return {"degree": s, "dim": len(basis), "basis": [map_doc(a) for a in basis]}
 
 
 def result_document(result: ProlongationResult,
                     base_dim: Optional[int] = None) -> dict:
-    """Plain-data form of a prolongation run, ready for _dumps."""
+    """A prolongation run as a document for _dumps, its maps as Matrix blocks."""
     from .prolong import order_and_bound
 
     if base_dim is None:
@@ -416,7 +455,7 @@ def result_document(result: ProlongationResult,
         "base_dim": base_dim,
     }
     if result.status.kind == "finite":
-        doc["bound"] = order_and_bound(result, base_dim)[1]
+        doc["bound"] = _within_cap(order_and_bound(result, base_dim)[1])
     return doc
 
 
@@ -480,7 +519,7 @@ def parse_result(text: str) -> dict:
                             f"{where}.basis")
         if len(basis) != dim:
             raise AlgebraInputError(f"{where}.basis: expected {dim} entries")
-        levels.append(_level_doc(s, basis))
+        levels.append(_level_doc(s, basis, generator_doc))
         tower[s] = dim
     if dims != [level["dim"] for level in levels]:
         raise AlgebraInputError(f"dims: {dims} differ from the level dims")
@@ -489,9 +528,11 @@ def parse_result(text: str) -> dict:
     if "bound" in doc:
         bound = base_dim + dim_g0 + sum(dims[:order])
         if _as_int(doc["bound"], "bound") != bound:
+            # base_dim may have _MAX_DIGITS digits, and the bound one more
+            shown = bound if abs(bound) < _DIGIT_BOUND else f"more than {_MAX_DIGITS} digits"
             raise AlgebraInputError(
-                f"bound: expected base_dim + dim_g0 + sum(dims[:order]) = {bound}")
-    return {**doc, "g0": _generators_doc(g0), "levels": levels}
+                f"bound: expected base_dim + dim_g0 + sum(dims[:order]) = {shown}")
+    return {**doc, "g0": _generators_doc(g0, generator_doc), "levels": levels}
 
 
 def emit_result_document(doc: Mapping[str, Any]) -> str:

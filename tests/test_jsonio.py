@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import tanaka
-from tanaka.catalog import make_algebra
+from tanaka.catalog import entries, make_algebra
+from tanaka.exact_linear import Matrix
 from tanaka.jsonio import (
     AlgebraInputError,
     OutputBudgetError,
@@ -20,12 +21,13 @@ from tanaka.jsonio import (
     emit_rational,
     emit_result,
     emit_result_document,
+    generator_doc,
     parse_algebra,
     parse_g0,
     parse_rational,
     parse_result,
 )
-from tanaka.lie import G0Spec, der0_basis, resolve_g0
+from tanaka.lie import G0Spec, GradedLieAlgebra, der0_basis, resolve_g0
 from tanaka.prolong import prolong
 from fractions import Fraction
 
@@ -196,13 +198,43 @@ def test_over_long_rational_is_not_emitted():
             _dumps({"x": emit_rational(q)})
 
 
+def _run_without_the_interpreter_limit(code):
+    env = dict(os.environ, PYTHONPATH=str(Path(tanaka.__file__).parent.parent),
+               PYTHONINTMAXSTRDIGITS="0")  # no interpreter limit
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
 def test_emit_cap_holds_without_the_interpreter_limit():
     code = ("from fractions import Fraction; from tanaka.jsonio import emit_rational; "
             "emit_rational(Fraction(10**5000, 3))")
-    env = dict(os.environ, PYTHONPATH=str(Path(tanaka.__file__).parent.parent),
-               PYTHONINTMAXSTRDIGITS="0")  # no interpreter limit
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=60)
+    out = _run_without_the_interpreter_limit(code)
+    assert out.returncode == 1 and "OutputBudgetError: a coefficient" in out.stderr
+
+
+def _scaled_heisenberg3(constant):
+    space = make_algebra("heisenberg3").space
+    return GradedLieAlgebra.from_bracket_dict(space, {("e1", "e2"): {"e3": constant}})
+
+
+def test_emit_algebra_holds_the_output_cap():
+    """Structure constants pass the same cap as every other emitted number:
+
+    4300 digits are written and parse back; longer numerators and
+    denominators raise OutputBudgetError, not the interpreter's
+    ValueError, and with the interpreter's limit lifted no document the
+    parser rejects is written.
+    """
+    for q in (Fraction(10**4300 - 1), Fraction(-1, 10**4300 - 1)):
+        alg = _scaled_heisenberg3(q)
+        assert parse_algebra(emit_algebra(alg)).algebra.brackets == alg.brackets
+    for q in (Fraction(10**5000), Fraction(1, 10**4300)):
+        with pytest.raises(OutputBudgetError, match="more than 4300 digits"):
+            emit_algebra(_scaled_heisenberg3(q))
+    out = _run_without_the_interpreter_limit(
+        "from tanaka.catalog import make_algebra; from tanaka.lie import GradedLieAlgebra; "
+        "from tanaka.jsonio import emit_algebra; space = make_algebra('heisenberg3').space; "
+        "emit_algebra(GradedLieAlgebra.from_bracket_dict(space, {('e1', 'e2'): {'e3': 10**5000}}))")
     assert out.returncode == 1 and "OutputBudgetError: a coefficient" in out.stderr
 
 
@@ -212,6 +244,77 @@ def test_result_round_trip_is_byte_identical():
                                 ("free_235", "der0", 4), ("heisenberg5", "zero", 2)):
         text = emit_result(_prolonged(name, preset, depth))
         assert emit_result_document(parse_result(text)) == text
+
+
+def test_result_bound_holds_the_output_cap():
+    """The bound is base_dim + dim g^0 + the level dims: a base_dim of 4300
+
+    digits can carry it past the cap. The emitter then raises
+    OutputBudgetError, and the parser reports a mismatched bound as an
+    input error rather than failing to print the one it expected.
+    """
+    result = _prolonged("abelian3", "co", 4)  # dim g^0 + dims = 4 + 3
+    text = emit_result(result, base_dim=10**4300 - 8)
+    assert parse_result(text)["bound"] == 10**4300 - 1
+    with pytest.raises(OutputBudgetError, match="more than 4300 digits"):
+        emit_result(result, base_dim=10**4300 - 7)
+    text = emit_result(result, base_dim=3)
+    with pytest.raises(AlgebraInputError, match=re.escape("= more than 4300 digits")):
+        parse_result(text.replace('"base_dim": 3', '"base_dim": ' + "9" * 4300))
+
+
+def _catalog_runs():
+    for entry in entries():
+        for check in entry.expected:
+            if check.kind == "prolong":
+                g0 = resolve_g0(G0Spec(check.g0_preset), entry.algebra)
+                yield prolong(entry.algebra, g0, max_degree=check.depth)
+
+
+def test_matrix_blocks_are_written_as_the_list_path_writes_them():
+    """emit_result and emit_g0_generators render Matrix blocks; parse_result
+
+    and generator_doc give the plain-data lists, which _dumps writes on
+    its list path. Both paths write the same bytes.
+    """
+    for result in _catalog_runs():
+        text = emit_result(result)
+        assert emit_result_document(parse_result(text)) == text
+    for name in ("abelian1", "abelian2", "abelian3", "heisenberg3", "heisenberg5", "free_235"):
+        basis = der0_basis(make_algebra(name))
+        assert emit_g0_generators(basis) == _dumps({"generators": [generator_doc(g) for g in basis]})
+
+
+def test_parse_result_returns_plain_data():
+    """The parsed form is json.dumps-able, every block a list of row lists."""
+    doc = parse_result(emit_result(_prolonged("free_235", "der0", 4)))
+    json.dumps(doc)
+    maps = doc["g0"]["generators"] + [g for level in doc["levels"] for g in level["basis"]]
+    blocks = [block for g in maps for block in g.values()]
+    assert blocks and all(type(b) is list and all(type(r) is list for r in b) for b in blocks)
+
+
+_LONG = 10**4300 - 1  # 4300 digits, the longest a document carries
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[], [], []],
+    [[0, 0, 0]],
+    [[-1, 0, Fraction(-2, 3)], [0, 0, 0], [5, Fraction(7, 2), Fraction(-10**30, 7)]],
+    [[_LONG, 0], [0, Fraction(-1, _LONG)]],
+])
+def test_matrix_leaf_matches_the_json_module(rows):
+    m = Matrix.from_rows(rows, 3 if not rows else None)
+    plain = [[emit_rational(Fraction(x)) for x in row] for row in rows]
+    assert _dumps(m) == _reference(plain)
+    assert _dumps({"a": [m, {"b": m}]}) == _reference({"a": [plain, {"b": plain}]})
+
+
+def test_matrix_leaf_holds_the_output_cap():
+    for big in (Fraction(10**4300), Fraction(1, 10**4300)):
+        with pytest.raises(OutputBudgetError, match="more than 4300 digits"):
+            _dumps(Matrix.from_rows([[0, big]]))
 
 
 def test_result_document_fields():
