@@ -22,6 +22,7 @@ from .jsonio import (
     AlgebraInputError,
     LoadedAlgebra,
     OutputBudgetError,
+    _within_cap,
     emit_g0_generators,
     emit_result,
     generator_doc,
@@ -163,6 +164,7 @@ def _finite_lines(result: ProlongationResult, base_dim: int) -> list[str]:
     from . import order_and_bound
 
     order, bound = order_and_bound(result, base_dim)
+    _within_cap(bound)  # base_dim and every dim are at most the bound
     dims = [len(result.g0)] + [result.dim_g(s) for s in range(1, order + 1)]
     head = f"order {order}"
     if any(dims):
@@ -242,6 +244,8 @@ def cmd_tower(args: argparse.Namespace, out: TextIO) -> int:
     base_dim = _base_dim(args, loaded.algebra)
     result = _run_prolong(args, loaded)
     report = torsion.tower_report(result, base_dim)
+    for n in (report.base_dim, report.bound or 0, *(r.dim_total for r in report.rows)):
+        _within_cap(n)  # the numbers base_dim enters, before any output
     if args.fmt == "json":
         doc = {
             "base_dim": report.base_dim,

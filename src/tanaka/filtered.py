@@ -50,6 +50,10 @@ class FilteredSpace:
     chain: tuple[Subspace, ...]
     _frames: dict = field(init=False, compare=False, repr=False, default_factory=dict)
     _transfers: dict = field(init=False, compare=False, repr=False, default_factory=dict)
+    _zero: Subspace = field(init=False, compare=False, repr=False, default=None)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_zero", Subspace.zero(self.ambient_dim))  # V_j above high
 
     @staticmethod
     def make(low: int, parts: Sequence[Subspace]) -> "FilteredSpace":
@@ -67,7 +71,7 @@ class FilteredSpace:
 
     def part(self, i: int) -> Subspace:
         if i > self.high:
-            return Subspace.zero(self.ambient_dim)
+            return self._zero
         return self.chain[max(i - self.low, 0)]  # chain[0] is the full space
 
     def gr_dim(self, i: int) -> int:

@@ -176,6 +176,22 @@ def test_over_long_result_number_exits_1_with_one_line(capsys, monkeypatch):
         assert err == "error: a coefficient of the result has more than 4300 digits\n"
 
 
+@pytest.mark.parametrize("command", ["prolong", "tower"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_over_long_base_dim_exits_1_with_one_line(capsys, command, fmt):
+    """A --base-dim of 4300 digits makes the bound one digit longer: the
+
+    command exits 1 with the budget line before it prints anything.
+    """
+    code, out, err = run(capsys, command, "preset:abelian3", "--g0", "co", "--format", fmt,
+                         "--base-dim", "9" * 4300)
+    assert code == 1 and out == ""
+    assert err == "error: a coefficient of the result has more than 4300 digits\n"
+    code, out, _ = run(capsys, command, "preset:abelian3", "--g0", "co", "--format", fmt,
+                       "--base-dim", "9" * 4299)
+    assert code == 0 and str(10**4299 + 6) in out  # 4300 digits are written
+
+
 def test_over_long_rational_in_g0_file_exits_2(capsys, tmp_path):
     path = tmp_path / "g0.json"
     for entry in ('"1/' + "3" * 4301 + '"', '"-' + "7" * 4301 + '"', "1" + "0" * 4300):

@@ -1,6 +1,10 @@
 """Filtered spaces, quasi-gradations, lifts, and the unipotent action."""
 
+import os
 import random
+import signal
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -424,3 +428,133 @@ def test_suite_failures_name_the_seed(monkeypatch):
     report = run_filtered_suite(seed=3, cases=1)
     assert report.failures == (
         "seed 3 case 0 (same projection implies transition in degrees >= m)",)
+    # every case fails once; the report keeps the first 25, in case order,
+    # whichever process checked them
+    report = run_filtered_suite(seed=3, cases=200)
+    assert report.failures == tuple(
+        f"seed 3 case {k} (same projection implies transition in degrees >= m)"
+        for k in range(25))
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def one_cpu():
+    """This process pinned to one of its CPUs, so the suite runs in it alone."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in this process if the block runs past seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("seed", [5, 7, 11, 20240811])
+def test_report_is_the_same_on_one_cpu_and_on_all(seed):
+    with one_cpu():
+        alone = run_filtered_suite(seed)
+    shared = run_filtered_suite(seed)
+    assert shared == alone and repr(shared) == repr(alone)
+
+
+def test_more_processes_than_cpus_give_the_same_report(monkeypatch):
+    with one_cpu():
+        alone = [run_filtered_suite(seed=13, cases=n) for n in (3, 23)]
+    monkeypatch.setattr(tanaka.selftest, "_processes", lambda cases: min(5, cases))
+    with deadline(60):
+        assert [run_filtered_suite(seed=13, cases=n) for n in (3, 23)] == alone
+
+
+def test_a_raising_case_raises_what_the_case_order_raises_first(monkeypatch):
+    """transition raises from case 1 on, naming the case: the call raises
+
+    case 1's error, though another process may check case 1 and this
+    one case 2.
+    """
+    rng = random.Random(17)
+    frames = [make_filtered_from_graded(*tanaka.selftest._draw_case(rng)[:2])[1]
+              for _ in range(3)]
+    assert len(set(frames)) == 3
+    real = tanaka.selftest.transition
+
+    def transition(f, g):
+        if f.frame in frames[1:]:
+            raise ValueError(f"case {frames.index(f.frame)}")
+        return real(f, g)
+
+    monkeypatch.setattr(tanaka.selftest, "transition", transition)
+    for cases in (3, 200):
+        with deadline(60), pytest.raises(ValueError, match="^case 1$"):
+            run_filtered_suite(seed=17, cases=cases)
+        with one_cpu(), pytest.raises(ValueError, match="^case 1$"):
+            run_filtered_suite(seed=17, cases=cases)
+
+
+def test_a_broken_transition_fails_the_suite_without_hanging(monkeypatch):
+    def transition(f, g):
+        raise ArithmeticError("transition is broken")
+
+    monkeypatch.setattr(tanaka.selftest, "transition", transition)
+    with deadline(60), pytest.raises(ArithmeticError, match="transition is broken"):
+        run_filtered_suite(seed=5)
+
+
+def test_a_worker_ending_without_a_reply_makes_the_call_raise(monkeypatch):
+    parent = os.getpid()
+    share = tanaka.selftest._share
+
+    def vanish(seed, cases, first, step):
+        if os.getpid() != parent:
+            os._exit(0)
+        return share(seed, cases, first, step)
+
+    def killed(seed, cases, first, step):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return share(seed, cases, first, step)
+
+    monkeypatch.setattr(tanaka.selftest, "_processes", lambda cases: min(3, cases))
+    for end in (vanish, killed):
+        monkeypatch.setattr(tanaka.selftest, "_share", end)
+        with deadline(60), pytest.raises(RuntimeError, match="without a reply"):
+            run_filtered_suite(seed=5, cases=9)
+
+
+def test_workers_are_killed_when_this_process_raises(monkeypatch):
+    parent = os.getpid()
+
+    class Interrupted(BaseException):
+        pass
+
+    def stuck(seed, cases, first, step):
+        if os.getpid() != parent:
+            time.sleep(120)
+            os._exit(0)
+        raise Interrupted
+
+    monkeypatch.setattr(tanaka.selftest, "_processes", lambda cases: min(3, cases))
+    monkeypatch.setattr(tanaka.selftest, "_share", stuck)
+    start = time.monotonic()
+    with deadline(60), pytest.raises(Interrupted):
+        run_filtered_suite(seed=5, cases=9)
+    assert time.monotonic() - start < 30
