@@ -22,12 +22,13 @@ from .jsonio import (
     AlgebraInputError,
     LoadedAlgebra,
     OutputBudgetError,
+    _generators_doc,
     _within_cap,
-    emit_g0_generators,
-    emit_result,
     generator_doc,
     parse_algebra,
     parse_g0,
+    result_document,
+    write_document,
 )
 from .lie import G0Spec, GradedLieAlgebra, der0_basis, is_fundamental, resolve_g0
 
@@ -151,7 +152,7 @@ def cmd_der0(args: argparse.Namespace, out: TextIO) -> int:
         return failed
     basis = der0_basis(loaded.algebra)
     if args.fmt == "json":
-        out.write(emit_g0_generators(basis))
+        write_document(_generators_doc(basis), out)
         return 0
     docs = [generator_doc(gen) for gen in basis]  # an over-long number fails before any output
     print(f"dim der0 = {len(basis)}", file=out)
@@ -182,7 +183,7 @@ def cmd_prolong(args: argparse.Namespace, out: TextIO) -> int:
     base_dim = _base_dim(args, loaded.algebra)
     result = _run_prolong(args, loaded)
     if args.fmt == "json":
-        out.write(emit_result(result, base_dim))
+        write_document(result_document(result, base_dim), out)
         return 0
     if result.status.kind == "finite":
         for line in _finite_lines(result, base_dim):

@@ -29,6 +29,12 @@ degrees ascending, bracket entries sorted by basis-index pair with
 the mirrored orientation adjacent, rationals as ints when integral
 and "num/den" strings otherwise (never floats). Parsing an emitted
 document and re-emitting it reproduces the bytes exactly.
+
+A document is rendered whole into a list of pieces, then either joined
+(`_dumps`, for the `emit_*` functions) or written to a stream piece by
+piece (`write_document`, for the CLI), so a writing process holds it
+about once. Nothing is written before the last piece is rendered, so
+an OutputBudgetError leaves the stream empty.
 """
 
 from __future__ import annotations
@@ -37,10 +43,10 @@ import json
 import re
 from fractions import Fraction
 from numbers import Rational
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence, TextIO
 
 from ._record import record
-from .exact_linear import Matrix
+from .exact_linear import NO_TERMS, Matrix
 from .graded import GradedSpace, HomogeneousMap
 from .lie import G0Spec, GradedLieAlgebra, validate
 
@@ -136,17 +142,31 @@ _LEAVES = {
 }
 
 
-def _dumps(obj: Any) -> str:
+def _pieces(obj: Any) -> list[str]:
     """json.dumps(obj, indent=2, ensure_ascii=False) + "\\n", byte for byte,
 
-    for documents of dicts with string keys, lists and the _LEAVES
-    scalars. A list of scalars is written in one join, and a Matrix as
-    the list of its rows of emitted rationals.
+    as the list of pieces that join to it, for documents of dicts with
+    string keys, lists and the _LEAVES scalars. A list of scalars is
+    written in one join, and a Matrix as the list of its rows of emitted
+    rationals.
     """
     out: list[str] = []
     _write(obj, "\n", out)
     out.append("\n")
-    return "".join(out)
+    return out
+
+
+def _dumps(obj: Any) -> str:
+    return "".join(_pieces(obj))
+
+
+def write_document(obj: Any, stream: TextIO) -> None:
+    """Write _dumps(obj) to stream piece by piece, without joining them.
+
+    The whole document is rendered before the first write, so an
+    OutputBudgetError leaves the stream untouched.
+    """
+    stream.writelines(_pieces(obj))
 
 
 def _write(obj: Any, nl: str, out: list[str]) -> None:
@@ -206,9 +226,17 @@ def _parse_matrix(obj: Any, rows: int, cols: int, where: str) -> Matrix:
     if not isinstance(obj, list) or len(obj) != rows \
             or any(not isinstance(r, list) or len(r) != cols for r in obj):
         raise AlgebraInputError(f"{where}: expected a {rows}x{cols} matrix")
-    return Matrix.from_rows(
-        [[parse_rational(e, f"{where}[{i}][{j}]") for j, e in enumerate(row)]
-         for i, row in enumerate(obj)], cols)
+    sparse = []
+    for i, row in enumerate(obj):
+        terms = {}
+        for j, e in enumerate(row):
+            if type(e) is int and not e:  # the literal 0, nearly every cell of a level basis
+                continue
+            q = parse_rational(e, f"{where}[{i}][{j}]")
+            if q:
+                terms[j] = q
+        sparse.append(terms or NO_TERMS)
+    return Matrix(tuple(sparse), cols)
 
 
 def _emit_matrix(m: Matrix) -> list:

@@ -12,6 +12,7 @@ import pytest
 import tanaka
 from tanaka.catalog import entries, make_algebra
 from tanaka.cli import main
+from tanaka.exact_linear import Matrix
 from tanaka.jsonio import emit_algebra, emit_g0_generators, emit_result_document, parse_result
 
 
@@ -174,6 +175,38 @@ def test_over_long_result_number_exits_1_with_one_line(capsys, monkeypatch):
         code, out, err = run(capsys, "der0", "preset:heisenberg3", "--format", fmt)
         assert code == 1 and out == ""
         assert err == "error: a coefficient of the result has more than 4300 digits\n"
+
+
+def test_over_long_level_coefficient_exits_1_with_empty_stdout(capsys, monkeypatch):
+    """One level-basis coefficient past the cap: the JSON document is
+
+    rendered whole before its first write, so nothing reaches stdout.
+    """
+    from tanaka import cli
+    from tanaka.graded import HomogeneousMap
+    from tanaka.prolong import ProlongationLevel, ProlongationResult
+
+    real = cli._run_prolong
+
+    def with_one_huge_coefficient(args, loaded):
+        result = real(args, loaded)
+        level = result.levels[-1]
+        g = level.basis[0]
+        blocks = dict(g.blocks)
+        d, block = next((d, b) for d, b in blocks.items() if not b.is_zero())
+        i = next(i for i, row in enumerate(block.sparse) if row)
+        rows = list(block.sparse)
+        rows[i] = {**rows[i], min(rows[i]): Fraction(10**4300)}
+        blocks[d] = Matrix(tuple(rows), block.cols)
+        huge = HomogeneousMap.make(g.source, g.target, g.degree, blocks)
+        levels = result.levels[:-1] + (ProlongationLevel(
+            level.degree, level.space_below, level.carrier, (huge,) + level.basis[1:]),)
+        return ProlongationResult(result.base, result.negative, result.g0, levels, result.status)
+
+    monkeypatch.setattr(cli, "_run_prolong", with_one_huge_coefficient)
+    code, out, err = run(capsys, "prolong", "preset:heisenberg3", "--format", "json")
+    assert code == 1 and out == ""
+    assert err == "error: a coefficient of the result has more than 4300 digits\n"
 
 
 @pytest.mark.parametrize("command", ["prolong", "tower"])

@@ -1,7 +1,8 @@
-"""Seeded mutation fuzzing of prolongation result documents.
+"""Seeded mutation fuzzing of prolongation result and g^0 documents.
 
-Each case takes the `prolong --format json` output of a preset and
-applies one mutation to its parsed tree: a value replaced, a key or a
+Each case takes the `prolong --format json` output of a preset, or the
+`der0 --format json` generators document of heisenberg3, and applies
+one mutation to its parsed tree: a value replaced, a key or a
 list entry deleted, or a key or a list entry added. Replacement values
 include extremes: integer literals one digit past the 4300-digit cap,
 rationals with such a denominator, floats, booleans, nulls and empty
@@ -10,7 +11,9 @@ stops at each container with probability 1/3, so the structural fields
 near the top are hit as often as the matrix cells below them.
 
 The properties: parse_result raises nothing but AlgebraInputError, and
-the document it accepts re-emits to its own fixed point.
+the document it accepts re-emits to its own fixed point. A mutated g^0
+document, given to `prolong --g0 file:`, ends the command with exit 0,
+1 or 2, never with an exception or a traceback.
 """
 
 import copy
@@ -98,3 +101,25 @@ def test_mutated_result_documents_fail_cleanly_or_round_trip(capsys):
         assert emit_result_document(parse_result(canonical)) == canonical, f"case {case}"
     # both outcomes occur, so neither property is checked vacuously
     assert all(outcomes.values()), outcomes
+
+
+def test_mutated_g0_documents_exit_cleanly(capsys, tmp_path):
+    rng = random.Random(SEED)
+    assert main(["der0", "preset:heisenberg3", "--format", "json"]) == 0
+    text = capsys.readouterr().out
+    path = tmp_path / "g0.json"
+    codes = set()
+    for case in range(CASES):
+        doc = json.loads(text)
+        kind = _mutate(rng, doc)
+        path.write_text(_text(doc), encoding="utf-8")
+        try:
+            code = main(["prolong", "preset:heisenberg3", "--g0", f"file:{path}",
+                         "--max-degree", "2"])
+        except Exception as exc:  # noqa: BLE001 - any exception is the finding
+            pytest.fail(f"case {case} (seed {SEED}, {kind}): {type(exc).__name__}: {exc}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err, f"case {case}: {code} {err}"
+        codes.add(code)
+    # mutants are both accepted and rejected
+    assert {0, 2} <= codes, codes

@@ -1,10 +1,12 @@
 """Document parsing, canonical emission, and the error taxonomy."""
 
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from tanaka.jsonio import (
     AlgebraInputError,
     OutputBudgetError,
     _dumps,
+    _generators_doc,
     emit_algebra,
     emit_g0_generators,
     emit_rational,
@@ -26,6 +29,8 @@ from tanaka.jsonio import (
     parse_g0,
     parse_rational,
     parse_result,
+    result_document,
+    write_document,
 )
 from tanaka.lie import G0Spec, GradedLieAlgebra, der0_basis, resolve_g0
 from tanaka.prolong import prolong
@@ -175,6 +180,28 @@ def test_g0_documents():
             parse_g0(bad, alg)
 
 
+@pytest.mark.parametrize("cell", ["false", "true", "0.0", "-0.0", '""', "null", "[]", "{}",
+                                  '"0"', '"-0"', '"0/5"', '{"num": 0}', '{"num": 0, "den": 3}'])
+def test_matrix_cells_other_than_the_int_0_are_read_as_rationals(cell):
+    """Only the literal 0 skips parse_rational: every other cell is read or
+
+    rejected as parse_rational reads or rejects it, zeros spelled another
+    way included.
+    """
+    flat = make_algebra("abelian2")
+    text = '{"generators": [{"-1": [[1, 0], [0, %s]]}]}' % cell
+    try:
+        value = parse_rational(json.loads(cell), "g0 generators[0][-1][1][1]")
+    except AlgebraInputError as exc:
+        with pytest.raises(AlgebraInputError) as raised:
+            parse_g0(text, flat)
+        assert str(raised.value) == str(exc)
+        return
+    assert value == 0
+    (g,) = parse_g0(text, flat).generators
+    assert g.block(-1) == Matrix.from_rows([[1, 0], [0, 0]])
+
+
 def test_over_long_integer_in_result_document_raises():
     text = emit_result(_prolonged("heisenberg3", "der0", 2))
     assert '"base_dim": 3' in text
@@ -238,12 +265,50 @@ def test_emit_algebra_holds_the_output_cap():
     assert out.returncode == 1 and "OutputBudgetError: a coefficient" in out.stderr
 
 
+ROUND_TRIP_RUNS = (("abelian2", "gl", 3), ("abelian3", "co", 4), ("heisenberg3", "der0", 2),
+                   ("abelian2", "zero", 2), ("free_235", "der0", 4), ("heisenberg5", "zero", 2))
+
+
 def test_result_round_trip_is_byte_identical():
-    for name, preset, depth in (("abelian2", "gl", 3), ("abelian3", "co", 4),
-                                ("heisenberg3", "der0", 2), ("abelian2", "zero", 2),
-                                ("free_235", "der0", 4), ("heisenberg5", "zero", 2)):
-        text = emit_result(_prolonged(name, preset, depth))
+    for run in ROUND_TRIP_RUNS:
+        text = emit_result(_prolonged(*run))
         assert emit_result_document(parse_result(text)) == text
+
+
+def test_write_document_writes_what_dumps_returns():
+    docs = [result_document(_prolonged(*run)) for run in ROUND_TRIP_RUNS]
+    docs += [_generators_doc(der0_basis(make_algebra("heisenberg5"))), _generators_doc([]),
+             [], {}, {"a": []}, Matrix.zeros(0, 3), Matrix.zeros(3, 0),
+             {"blocks": [Matrix.zeros(0, 2), [], Matrix.zeros(0, 0)]}]
+    for doc in docs:
+        stream = io.StringIO()
+        write_document(doc, stream)
+        assert stream.getvalue() == _dumps(doc)
+
+
+class _Discard(io.TextIOBase):
+    def write(self, s):
+        return len(s)
+
+
+def test_write_document_holds_the_document_about_once():
+    """Writing keeps the rendered pieces and no joined copy of them: the
+
+    traced peak stays under 1.5 times the document's length (a joined
+    string would take it past 2).
+    """
+    result = _prolonged("heisenberg5", "der0", 3)
+    length = len(emit_result(result))
+    doc = result_document(result)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        write_document(doc, _Discard())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * length, (peak, length)
 
 
 def test_result_bound_holds_the_output_cap():
