@@ -22,13 +22,12 @@ from .jsonio import (
     AlgebraInputError,
     LoadedAlgebra,
     OutputBudgetError,
-    _generators_doc,
     _within_cap,
+    emit_g0_generators,
+    emit_result,
     generator_doc,
     parse_algebra,
     parse_g0,
-    result_document,
-    write_document,
 )
 from .lie import G0Spec, GradedLieAlgebra, der0_basis, is_fundamental, resolve_g0
 
@@ -145,6 +144,21 @@ def cmd_check(args: argparse.Namespace, out: TextIO) -> int:
     return 0 if fundamental else 1
 
 
+_SLICE = 1 << 16
+
+
+def _write_document(text: str, out: TextIO) -> None:
+    """Write an emitted document in slices of _SLICE characters.
+
+    A text stream encodes what it is given in one piece, so one write
+    of the whole document would hold a second copy of it as bytes. The
+    document is rendered before this is called, so an OutputBudgetError
+    leaves out empty.
+    """
+    for start in range(0, len(text), _SLICE):
+        out.write(text[start:start + _SLICE])
+
+
 def cmd_der0(args: argparse.Namespace, out: TextIO) -> int:
     loaded = _load_algebra(args)
     failed = _require_valid(loaded)
@@ -152,7 +166,7 @@ def cmd_der0(args: argparse.Namespace, out: TextIO) -> int:
         return failed
     basis = der0_basis(loaded.algebra)
     if args.fmt == "json":
-        write_document(_generators_doc(basis), out)
+        _write_document(emit_g0_generators(basis), out)
         return 0
     docs = [generator_doc(gen) for gen in basis]  # an over-long number fails before any output
     print(f"dim der0 = {len(basis)}", file=out)
@@ -183,7 +197,7 @@ def cmd_prolong(args: argparse.Namespace, out: TextIO) -> int:
     base_dim = _base_dim(args, loaded.algebra)
     result = _run_prolong(args, loaded)
     if args.fmt == "json":
-        write_document(result_document(result, base_dim), out)
+        _write_document(emit_result(result, base_dim), out)
         return 0
     if result.status.kind == "finite":
         for line in _finite_lines(result, base_dim):

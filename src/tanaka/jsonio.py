@@ -29,12 +29,6 @@ degrees ascending, bracket entries sorted by basis-index pair with
 the mirrored orientation adjacent, rationals as ints when integral
 and "num/den" strings otherwise (never floats). Parsing an emitted
 document and re-emitting it reproduces the bytes exactly.
-
-A document is rendered whole into a list of pieces, then either joined
-(`_dumps`, for the `emit_*` functions) or written to a stream piece by
-piece (`write_document`, for the CLI), so a writing process holds it
-about once. Nothing is written before the last piece is rendered, so
-an OutputBudgetError leaves the stream empty.
 """
 
 from __future__ import annotations
@@ -43,7 +37,7 @@ import json
 import re
 from fractions import Fraction
 from numbers import Rational
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 from ._record import record
 from .exact_linear import NO_TERMS, Matrix
@@ -142,31 +136,17 @@ _LEAVES = {
 }
 
 
-def _pieces(obj: Any) -> list[str]:
+def _dumps(obj: Any) -> str:
     """json.dumps(obj, indent=2, ensure_ascii=False) + "\\n", byte for byte,
 
-    as the list of pieces that join to it, for documents of dicts with
-    string keys, lists and the _LEAVES scalars. A list of scalars is
-    written in one join, and a Matrix as the list of its rows of emitted
-    rationals.
+    for documents of dicts with string keys, lists and the _LEAVES
+    scalars. A list of scalars is written in one join, and a Matrix as
+    the list of its rows of emitted rationals.
     """
     out: list[str] = []
     _write(obj, "\n", out)
     out.append("\n")
-    return out
-
-
-def _dumps(obj: Any) -> str:
-    return "".join(_pieces(obj))
-
-
-def write_document(obj: Any, stream: TextIO) -> None:
-    """Write _dumps(obj) to stream piece by piece, without joining them.
-
-    The whole document is rendered before the first write, so an
-    OutputBudgetError leaves the stream untouched.
-    """
-    stream.writelines(_pieces(obj))
+    return "".join(out)
 
 
 def _write(obj: Any, nl: str, out: list[str]) -> None:

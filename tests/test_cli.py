@@ -1,9 +1,11 @@
 """Driver behavior: output contracts, exit codes, mutation detection."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,9 +13,17 @@ import pytest
 
 import tanaka
 from tanaka.catalog import entries, make_algebra
-from tanaka.cli import main
+from tanaka.cli import _SLICE, _write_document, main
 from tanaka.exact_linear import Matrix
-from tanaka.jsonio import emit_algebra, emit_g0_generators, emit_result_document, parse_result
+from tanaka.jsonio import (
+    emit_algebra,
+    emit_g0_generators,
+    emit_result,
+    emit_result_document,
+    parse_result,
+)
+from tanaka.lie import G0Spec, resolve_g0
+from tanaka.prolong import prolong
 
 
 def run(capsys, *args):
@@ -207,6 +217,33 @@ def test_over_long_level_coefficient_exits_1_with_empty_stdout(capsys, monkeypat
     code, out, err = run(capsys, "prolong", "preset:heisenberg3", "--format", "json")
     assert code == 1 and out == ""
     assert err == "error: a coefficient of the result has more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("length", [0, 1, _SLICE, _SLICE + 1, 3 * _SLICE - 1])
+def test_document_is_written_whole_in_slices(length):
+    text = ("é\n" * length)[:length]
+    out = io.StringIO()
+    _write_document(text, out)
+    assert out.getvalue() == text
+
+
+def test_writing_a_document_holds_no_encoded_copy_of_it():
+    """The stream encodes one slice at a time: the traced peak of the
+
+    write stays under half the document's length (one write of the
+    whole document takes it to the length).
+    """
+    alg = make_algebra("heisenberg5")
+    text = emit_result(prolong(alg, resolve_g0(G0Spec("der0"), alg), max_degree=3))
+    with open(os.devnull, "w", encoding="utf-8") as out:
+        tracemalloc.start()
+        try:
+            _write_document(text, out)
+            out.flush()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 0.5 * len(text), (peak, len(text))
 
 
 @pytest.mark.parametrize("command", ["prolong", "tower"])

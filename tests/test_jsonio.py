@@ -1,12 +1,10 @@
 """Document parsing, canonical emission, and the error taxonomy."""
 
-import io
 import json
 import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,7 +16,6 @@ from tanaka.jsonio import (
     AlgebraInputError,
     OutputBudgetError,
     _dumps,
-    _generators_doc,
     emit_algebra,
     emit_g0_generators,
     emit_rational,
@@ -29,8 +26,6 @@ from tanaka.jsonio import (
     parse_g0,
     parse_rational,
     parse_result,
-    result_document,
-    write_document,
 )
 from tanaka.lie import G0Spec, GradedLieAlgebra, der0_basis, resolve_g0
 from tanaka.prolong import prolong
@@ -265,50 +260,12 @@ def test_emit_algebra_holds_the_output_cap():
     assert out.returncode == 1 and "OutputBudgetError: a coefficient" in out.stderr
 
 
-ROUND_TRIP_RUNS = (("abelian2", "gl", 3), ("abelian3", "co", 4), ("heisenberg3", "der0", 2),
-                   ("abelian2", "zero", 2), ("free_235", "der0", 4), ("heisenberg5", "zero", 2))
-
-
 def test_result_round_trip_is_byte_identical():
-    for run in ROUND_TRIP_RUNS:
-        text = emit_result(_prolonged(*run))
+    for name, preset, depth in (("abelian2", "gl", 3), ("abelian3", "co", 4),
+                                ("heisenberg3", "der0", 2), ("abelian2", "zero", 2),
+                                ("free_235", "der0", 4), ("heisenberg5", "zero", 2)):
+        text = emit_result(_prolonged(name, preset, depth))
         assert emit_result_document(parse_result(text)) == text
-
-
-def test_write_document_writes_what_dumps_returns():
-    docs = [result_document(_prolonged(*run)) for run in ROUND_TRIP_RUNS]
-    docs += [_generators_doc(der0_basis(make_algebra("heisenberg5"))), _generators_doc([]),
-             [], {}, {"a": []}, Matrix.zeros(0, 3), Matrix.zeros(3, 0),
-             {"blocks": [Matrix.zeros(0, 2), [], Matrix.zeros(0, 0)]}]
-    for doc in docs:
-        stream = io.StringIO()
-        write_document(doc, stream)
-        assert stream.getvalue() == _dumps(doc)
-
-
-class _Discard(io.TextIOBase):
-    def write(self, s):
-        return len(s)
-
-
-def test_write_document_holds_the_document_about_once():
-    """Writing keeps the rendered pieces and no joined copy of them: the
-
-    traced peak stays under 1.5 times the document's length (a joined
-    string would take it past 2).
-    """
-    result = _prolonged("heisenberg5", "der0", 3)
-    length = len(emit_result(result))
-    doc = result_document(result)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        write_document(doc, _Discard())
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * length, (peak, length)
 
 
 def test_result_bound_holds_the_output_cap():
