@@ -20,29 +20,29 @@ Hom summand.
 
 Boundary matrices are assembled from the bracket, not from the
 solver's constraint systems, so the kernel comparisons genuinely
-cross-validate two code paths. One evaluator, `_Boundary(tor,
-bracket)`, serves every level, the matrices and the single-element
-maps partial1/partial_np1 alike: m + g^0's own table at level 1, the
+cross-validate two code paths. One assembly, `_boundary_matrix`,
+serves every level: it reads m + g^0's own table at level 1 and the
 memoised extended bracket above it, whose rows against m are the
-level maps themselves; the Hom summand is read as [E(w), x] through
-the same bracket. It reads a map through the sparse images of basis
-vectors (a unit (source, target) pair for a matrix column, the
-element's cached columns otherwise).
+level maps themselves. For each unit of the domain every term of the
+formula, the Hom summand's [E(w), x] included, is one row of that
+table, so the matrix is read off the table entry by entry, each
+entry moved and possibly negated, with no arithmetic. The
+single-element maps partial1/partial_np1 take the element's
+coordinates over those units (the hom_units frame for the gl part)
+and return the same combination of the matrix's columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from ._record import record
 from .exact_linear import (
-    NO_TERMS,
     Matrix,
     Sparse,
     Subspace,
     Vector,
-    add_scaled,
     complement,
     densify,
     kernel,
@@ -149,135 +149,93 @@ def torsion_space(result: ProlongationResult, n: int) -> TorsionSpace:
     return torsion_space1(result.base) if n == 0 else torsion_space_np1(result, n)
 
 
-def _pair_blocks(tor: TorsionSpace) -> list[tuple[int, int, int, int, int]]:
-    """(a, b, first row, block start, block dim) for each wedge pair: the
+def _boundary_matrix(tor: TorsionSpace,
+                     act: Sequence[Sequence[Sparse]]) -> tuple[Matrix, tuple[int, ...]]:
+    """The boundary matrix over the units of the domain, and its layout
 
-    pair's rows hold the component of degree deg(a) + deg(b) + level of
-    the tower space, which starts at block start.
+    (see partial_np1_matrix), read off the bracket table act[x][y] =
+    [e_x, e_y]. Every entry is one entry of a table row, moved and
+    possibly negated: in (dA)(a ^ b) = A[a, b] - [A(a), b] - [a, A(b)]
+    the three terms fill the columns of units with source of degree
+    deg(a) + deg(b), source a and source b, and each (x, w) Hom pair
+    has rows of its own, so nothing is summed. The table is graded, so
+    every value lands in its pair's block. Columns are filled in
+    order, so each sparse row lists them ascending.
     """
-    space = tor.space
-    out = []
+    space, n = tor.space, tor.level - 1
+    rows: list[dict[int, Fraction]] = [{} for _ in range(tor.total_dim)]
+    # by source index p: (shift, [e_a, e_b]_p) for the A[a, b] term and
+    # (shift, other leg, p is a) for the legs, where a row is shift plus
+    # a target index
+    scalars: dict[int, list[tuple[int, Fraction]]] = {}
+    legs: dict[int, list[tuple[int, int, bool]]] = {}
     row = 0
     for a, b in tor.pairs_m:
-        dim = tor.pair_m_dim(a, b)
         d = space.degree_of_index(a) + space.degree_of_index(b) + tor.level
-        out.append((a, b, row, space.offset(d), dim))
-        row += dim
-    return out
-
-
-class _Boundary:
-    """The boundary map of one torsion level, evaluated on sparse images.
-
-    bracket(x, y) is [e_x, e_y] as a sparse row: m + g^0's own table at
-    level 1, the memoised extended bracket of the full result above it.
-    The pairs used here never leave its computed range.
-    """
-
-    def __init__(self, tor: TorsionSpace, bracket: Callable[[int, int], Sparse]):
-        self.tor = tor
-        self.bracket = bracket
-        self.blocks = _pair_blocks(tor)
-        space, n = tor.space, tor.level - 1
-        # rows of each (x, w) Hom pair, grouped by w; values lie in g^(n-1)
-        self.hom_rows: dict[int, list[tuple[int, int]]] = {}
-        pos = tor.part_dims[0]
+        shift = row - space.offset(d)
+        for p, c in act[a][b].items():
+            scalars.setdefault(p, []).append((shift, c))
+        legs.setdefault(a, []).append((shift, b, True))
+        legs.setdefault(b, []).append((shift, a, False))
+        row += space.dim(d)
+    units = hom_units(space, space, tor.level)
+    for col, (p, q) in enumerate(units):
+        for shift, c in scalars.get(p, ()):
+            rows[shift + q][col] = c
+        for shift, x, p_is_a in legs.get(p, ()):
+            for k, e in (act[q][x] if p_is_a else act[x][q]).items():
+                rows[shift + k][col] = -e
+    # (dE)(x ^ w) = [E(w), x] with E(e_w) = e_t, t in g^n, the last block
+    # of m_n; the units of Hom(g^i, g^n), i < n, run through w, then t
+    r_n = space.dim(n)
+    layout = (len(units), *(space.dim(i) * r_n for i in range(n)))
+    if tor.pairs_hom and r_n:
+        top = space.total_dim - r_n
+        shift = row - space.offset(n - 1)
         for x, w in tor.pairs_hom:
-            self.hom_rows.setdefault(w, []).append((x, pos))
-            pos += tor.hom_block_dim
-        self.hom_start = space.offset(n - 1) if tor.pairs_hom else 0
-        self.top = space.offset(n) if space.dim(n) else 0
-
-    def gl(self, images: Mapping[int, Sparse]) -> dict[int, Fraction]:
-        """Rows of dA for A in gl_{n+1}(m_n), given by its sparse images of
-
-        basis vectors (absent: zero): (dA)(a ^ b) = A[a, b] - [A(a), b]
-        - [a, A(b)].
-        """
-        bracket = self.bracket
-        out: dict[int, Fraction] = {}
-        for a, b, row, start, dim in self.blocks:
-            val: dict[int, Fraction] = {}
-            for k, e in bracket(a, b).items():
-                if k in images:
-                    add_scaled(val, e, images[k])
-            for w, c in images.get(a, NO_TERMS).items():
-                add_scaled(val, -c, bracket(w, b))
-            for w, c in images.get(b, NO_TERMS).items():
-                add_scaled(val, -c, bracket(a, w))
-            for k, e in val.items():
-                if start <= k < start + dim:
-                    out[row + k - start] = e
-        return out
-
-    def hom(self, images: Mapping[int, Sparse]) -> dict[int, Fraction]:
-        """Rows of dE for E in sum_i Hom(g^i, g^n); images[w] holds E(e_w)
-
-        over the g^n basis. (dE)(x ^ w) = -[x, E(w)] = [E(w), x], read in
-        the degree n-1 block.
-        """
-        out: dict[int, Fraction] = {}
-        dim = self.tor.hom_block_dim
-        for w, image in images.items():
-            for x, pos in self.hom_rows.get(w, ()):
-                val: dict[int, Fraction] = {}
-                for t, c in image.items():
-                    add_scaled(val, c, self.bracket(self.top + t, x))
-                for k, e in val.items():
-                    if self.hom_start <= k < self.hom_start + dim:
-                        out[pos + k - self.hom_start] = e
-        return out
-
-    def matrix(self) -> tuple[Matrix, tuple[int, ...]]:
-        """The matrix over the units of the domain, and its layout (see
-
-        partial_np1_matrix).
-        """
-        space, n = self.tor.space, self.tor.level - 1
-        cols = [self.gl({p: {q: 1}}) for p, q in hom_units(space, space, n + 1)]
-        layout = [len(cols)]
-        r_n = space.dim(n)
-        for i in range(n):
-            r_i = space.dim(i)
-            layout.append(r_i * r_n)
-            for w_local in range(r_i):
-                w = space.offset(i) + w_local
-                cols.extend(self.hom({w: {t: 1}}) for t in range(r_n))
-        return Matrix.from_columns(cols, self.tor.total_dim), tuple(layout)
-
-    def apply(self, gl_part: Union[GradedMap, HomogeneousMap, None],
-              hom_parts: Mapping[int, Matrix]) -> Vector:
-        """The boundary of one domain element (see partial_np1)."""
-        space, level = self.tor.space, self.tor.level
-        n = level - 1
-        images: dict[int, Sparse] = {}
-        if isinstance(gl_part, GradedMap):
-            if any(d < level for d in gl_part.part_degrees):
-                raise ValueError(f"expected parts of degree >= {level}")
-            gl_part = gl_part.part(level)
-        if gl_part is not None:
-            if gl_part.degree != level:
-                raise ValueError(f"expected degree {level}, got {gl_part.degree}")
-            if (gl_part.source, gl_part.target) != (space, space):
-                raise ValueError(f"expected an endomorphism of m_{n}")
-            images = {j: col for j, col in enumerate(gl_part.columns) if col}
-        hom_images: dict[int, Sparse] = {}
-        r_n = space.dim(n)
-        for i in range(n):
-            r_i = space.dim(i)
-            mat = hom_parts.get(i, Matrix.zeros(r_n, r_i))
-            if mat.shape != (r_n, r_i):
-                raise ValueError(f"hom part {i} must be {r_n}x{r_i}")
-            for w, image in enumerate(mat.transpose().sparse):
-                hom_images[space.offset(i) + w] = image
-        out = self.gl(images)
-        out.update(self.hom(hom_images))
-        return densify(out, self.tor.total_dim)
+            col = len(units) + (w - tor.nm) * r_n
+            for t in range(r_n):
+                for k, e in act[top + t][x].items():
+                    rows[shift + k][col + t] = e
+            shift += tor.hom_block_dim
+    return Matrix(tuple(rows), sum(layout)), layout
 
 
-def _boundary(result: ProlongationResult, n: int) -> _Boundary:
-    tor = torsion_space(result, n)
-    return _Boundary(tor, result.base.bracket_row if n == 0 else extended_bracket(result).row)
+def _apply(tor: TorsionSpace, matrix: Matrix,
+           gl_part: Union[GradedMap, HomogeneousMap, None],
+           hom_parts: Mapping[int, Matrix]) -> Vector:
+    """The boundary of one domain element (see partial_np1): the matrix
+
+    times the element's coordinates over the units of the domain.
+    """
+    space, level = tor.space, tor.level
+    n = level - 1
+    coords: dict[int, Fraction] = {}
+    if isinstance(gl_part, GradedMap):
+        if any(d < level for d in gl_part.part_degrees):
+            raise ValueError(f"expected parts of degree >= {level}")
+        gl_part = gl_part.part(level)
+    if gl_part is not None:
+        if gl_part.degree != level:
+            raise ValueError(f"expected degree {level}, got {gl_part.degree}")
+        if (gl_part.source, gl_part.target) != (space, space):
+            raise ValueError(f"expected an endomorphism of m_{n}")
+        coords = hom_terms_of_columns(space, space, level, gl_part.columns)
+    for i in hom_parts:
+        if i not in range(n):
+            raise ValueError(f"unexpected hom part {i!r}: level {level} takes "
+                             f"Hom(g^i, g^{n}) for 0 <= i < {n}")
+    col, r_n = hom_space_dim(space, space, level), space.dim(n)
+    for i in range(n):
+        r_i = space.dim(i)
+        mat = hom_parts.get(i, Matrix.zeros(r_n, r_i))
+        if mat.shape != (r_n, r_i):
+            raise ValueError(f"hom part {i} must be {r_n}x{r_i}")
+        for t, image in enumerate(mat.sparse):
+            for w, v in image.items():
+                coords[col + w * r_n + t] = v
+        col += r_i * r_n
+    return matrix.apply(densify(coords, matrix.cols))
 
 
 def partial1(m0: GradedLieAlgebra, a: Union[GradedMap, HomogeneousMap]) -> Vector:
@@ -285,13 +243,13 @@ def partial1(m0: GradedLieAlgebra, a: Union[GradedMap, HomogeneousMap]) -> Vecto
 
     degree-1 part enters.
     """
-    return _Boundary(torsion_space1(m0), m0.bracket_row).apply(a, {})
+    return _apply(*partial1_matrix(m0), a, {})
 
 
 def partial1_matrix(m0: GradedLieAlgebra) -> tuple[TorsionSpace, Matrix]:
     """Matrix of the first boundary map over the degree-1 unit maps."""
-    bd = _Boundary(torsion_space1(m0), m0.bracket_row)
-    return bd.tor, bd.matrix()[0]
+    tor = torsion_space1(m0)
+    return tor, _boundary_matrix(tor, m0.act)[0]
 
 
 def partial_np1_matrix(result: ProlongationResult,
@@ -305,8 +263,11 @@ def partial_np1_matrix(result: ProlongationResult,
     index outer, target index inner. The layout tuple gives the column
     count of each summand: (gl, hom_0, ..., hom_{n-1}).
     """
-    bd = _boundary(result, n)
-    return (bd.tor, *bd.matrix())
+    tor = torsion_space(result, n)
+    # every read pairs an index in m with another, so none meets a pair
+    # of two positive levels, the only kind out of the bracket's range
+    act = result.base.act if n == 0 else extended_bracket(result).act
+    return (tor, *_boundary_matrix(tor, act))
 
 
 def partial_np1(result: ProlongationResult, n: int,
@@ -317,10 +278,11 @@ def partial_np1(result: ProlongationResult, n: int,
     gl_part may be a graded map with parts of degree >= n+1 (only the
     degree-(n+1) part enters), a single homogeneous map of that
     degree, or None; hom_parts[i] is the matrix of a map g^i -> g^n
-    (rows indexed by the g^n basis). The boundary formula is evaluated
-    on the element's sparse columns; the matrix is not built.
+    (rows indexed by the g^n basis), for 0 <= i < n. The element is a
+    combination of the columns of partial_np1_matrix, which is built.
     """
-    return _boundary(result, n).apply(gl_part, hom_parts)
+    tor, matrix, _ = partial_np1_matrix(result, n)
+    return _apply(tor, matrix, gl_part, hom_parts)
 
 
 def gl_tail_dim(space: GradedSpace, p: int) -> int:

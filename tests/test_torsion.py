@@ -1,15 +1,16 @@
 """Boundary maps, kernel cross-validation, and tower reports."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from tanaka.catalog import make_algebra
 from tanaka.exact_linear import Matrix, Subspace, kernel, rank
 from tanaka.graded import (GradedMap, GradedSpace, HomogeneousMap, hom_basis,
-                           hom_coords, hom_space_dim)
-from tanaka.lie import G0Spec, GradedLieAlgebra, adjoin_g0, resolve_g0
-from tanaka.prolong import prolong
+                           hom_coords, hom_space_dim, hom_units)
+from tanaka.lie import G0Spec, GradedLieAlgebra, adjoin_g0, bracket_eval, resolve_g0
+from tanaka.prolong import extended_bracket, prolong
 from tanaka.torsion import (
     KernelReport,
     _embedded_level_span,
@@ -168,6 +169,77 @@ def test_partial_np1_matches_matrix_columns():
         assert partial_np1(res, 1, u) == mat.col(c)
 
 
+def _formula_columns(res, n):
+    """The columns of the level-(n+1) boundary matrix, evaluated densely
+
+    from the formula: each unit map is applied with HomogeneousMap.apply
+    and bracketed through bracket_eval, on vectors padded to the
+    bracket's dimension.
+    """
+    tor = torsion_space(res, n)
+    space, level = tor.space, n + 1
+    size = space.total_dim
+    if n == 0:
+        full, br = size, partial(bracket_eval, res.base)
+    else:
+        ext = extended_bracket(res)
+        full, br = ext.space.total_dim, ext.bracket_eval
+
+    def pad(v):
+        return tuple(v) + (Fraction(0),) * (full - len(v))
+
+    unit = [tuple(Fraction(int(i == k)) for i in range(size)) for k in range(size)]
+
+    def block(v, degree):
+        start = space.offset(degree)
+        return v[start:start + space.dim(degree)]
+
+    first, second = tor.part_dims
+    cols = []
+    for a_map in hom_basis(space, space, level):
+        col = []
+        for a, b in tor.pairs_m:
+            ea, eb = unit[a], unit[b]
+            value = [x - y - z for x, y, z in zip(
+                pad(a_map.apply(br(pad(ea), pad(eb))[:size])),
+                br(pad(a_map.apply(ea)), pad(eb)),
+                br(pad(ea), pad(a_map.apply(eb))))]
+            col.extend(block(value, space.degree_of_index(a) + space.degree_of_index(b) + level))
+        cols.append(tuple(col) + (Fraction(0),) * second)
+    for i in range(n):
+        degree = n - i
+        for (w, _), e_map in zip(hom_units(space, space, degree), hom_basis(space, space, degree)):
+            if space.degree_of_index(w) != i:
+                continue
+            col = []
+            for x, w2 in tor.pairs_hom:
+                image = e_map.apply(unit[w2]) if w2 == w else (Fraction(0),) * size
+                col.extend(block(br(pad(image), pad(unit[x])), n - 1))
+            cols.append((Fraction(0),) * first + tuple(col))
+    return cols
+
+
+@pytest.mark.parametrize("name,preset,depth", [
+    ("heisenberg(3)", "der0", 3),
+    ("free_235", "der0", 4),
+    ("abelian(2)", "gl", 2),
+    ("abelian(3)", "co", 3),
+])
+def test_boundary_matrix_columns_follow_the_formula(name, preset, depth):
+    """Every column of every boundary matrix, gl and Hom units alike, is
+
+    the formula (dA)(a ^ b) = A[a, b] - [A(a), b] - [a, A(b)] and
+    (dE)(x ^ w) = [E(w), x] evaluated on dense vectors.
+    """
+    res = _result(name, preset, depth)
+    for n in range(res.depth + 1):
+        tor, mat, layout = partial_np1_matrix(res, n)
+        expected = _formula_columns(res, n)
+        assert len(expected) == mat.cols == sum(layout), n
+        for c, col in enumerate(expected):
+            assert mat.col(c) == col, (n, c)
+
+
 def test_partial_np1_validates_shapes():
     res = _result("abelian(2)", "gl", 2)
     space = res.tower_space(1)
@@ -175,6 +247,13 @@ def test_partial_np1_validates_shapes():
         partial_np1(res, 1, HomogeneousMap.zero(space, space, 3))
     with pytest.raises(ValueError):
         partial_np1(res, 1, None, {0: Matrix.zeros(1, 1)})
+    # level 2 has the single Hom(g^0, g^1) part; other keys are named
+    with pytest.raises(ValueError, match="hom part 1"):
+        partial_np1(res, 1, None, {1: Matrix.zeros(6, 6), 7: Matrix.zeros(1, 1), -3: "junk"})
+    with pytest.raises(ValueError, match="hom part -3"):
+        partial_np1(res, 1, None, {0: Matrix.zeros(space.dim(1), space.dim(0)), -3: "junk"})
+    with pytest.raises(ValueError, match="hom part 0"):
+        partial_np1(res, 0, None, {0: Matrix.zeros(1, 1)})
 
 
 def test_level_restriction_on_wedge_pairs():
