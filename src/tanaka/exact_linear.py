@@ -41,7 +41,9 @@ stored bases are equal entrywise, whichever pivot rows the eliminator
 chose; all complement and quotient constructions below are
 deterministic functions of that canonical form. Membership and
 coordinates (`Subspace.coords_of`) accept dense vectors and sparse
-rows alike.
+rows alike, and coordinates come back as a sparse row {basis row:
+coefficient}, read off v's nonzeros through the {pivot column: basis
+row} map.
 """
 
 from __future__ import annotations
@@ -80,10 +82,6 @@ def rat(value, den: Optional[int] = None) -> Fraction:
 
 def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
-
-
-def add_vectors(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def add_scaled(acc: dict[int, Fraction], c, row: Sparse, shift: int = 0) -> dict[int, Fraction]:
@@ -438,21 +436,22 @@ class Subspace:
         return self.basis.rows
 
     @cached_property
-    def pivots(self) -> tuple[int, ...]:
-        """The pivot column of each basis row: in RREF, its least column."""
-        return tuple(min(row) for row in self.basis.sparse)
+    def pivot_rows(self) -> dict[int, int]:
+        """{pivot column: basis row}; in RREF a row's pivot is its least column."""
+        return {min(row): r for r, row in enumerate(self.basis.sparse)}
 
     def contains(self, v: Union[Sequence[Fraction], Sparse]) -> bool:
         return self.coords_of(v) is not None
 
-    def coords_of(self, v: Union[Sequence[Fraction], Sparse]) -> Optional[Vector]:
-        """Coefficients of v in the RREF basis, or None if v is outside; v
+    def coords_of(self, v: Union[Sequence[Fraction], Sparse]) -> Optional[dict[int, Fraction]]:
+        """The nonzero coefficients of v in the RREF basis as a sparse row
 
-        is a dense vector or a sparse row {index: value}. In RREF the
-        coefficient c_r on basis row b_r is just v[pivot_r], so
-        membership is a read-off plus one pass over the nonzeros of the
-        rows used, in ints: with D clearing v's denominators and L the
-        basis's, D L (v - sum c_r b_r) = L (D v) - sum (D c_r)(L b_r).
+        {basis row: Fraction}, or None if v is outside; v is a dense
+        vector or a sparse row {index: value}. In RREF the coefficient
+        c_r on basis row b_r is just v at b_r's pivot, so it is read off
+        v's own nonzeros, and membership is one pass over the nonzeros
+        of the rows used, in ints: with D clearing v's denominators and
+        L the basis's, D L (v - sum c_r b_r) = L (D v) - sum (D c_r)(L b_r).
         """
         n = self.ambient_dim
         if not isinstance(v, Mapping):
@@ -461,16 +460,16 @@ class Subspace:
             v = {j: e for j, e in enumerate(v) if e}
         if self.is_full():  # the RREF basis is the identity: v is its own coordinates
             outside = any(e for j, e in v.items() if not 0 <= j < n)
-            return None if outside else tuple(_as_fraction(v.get(j, _ZERO)) for j in range(n))
-        coeffs = tuple(_as_fraction(v.get(p, _ZERO)) for p in self.pivots)
+            return None if outside else {j: _as_fraction(e) for j, e in v.items() if e}
+        row_of = self.pivot_rows
+        coeffs = {row_of[j]: _as_fraction(e) for j, e in v.items() if e and j in row_of}
         den, rows = self._integer_basis
         d, (residual,) = clear_denominators([v])
         residual = {j: den * e for j, e in residual.items()}
-        for c, row in zip(coeffs, rows):
-            if c:
-                k = c.numerator * (d // c.denominator)
-                for j, b in row.items():
-                    residual[j] = residual.get(j, 0) - k * b
+        for r, c in coeffs.items():
+            k = c.numerator * (d // c.denominator)
+            for j, b in rows[r].items():
+                residual[j] = residual.get(j, 0) - k * b
         return None if any(residual.values()) else coeffs
 
     @cached_property
@@ -535,7 +534,7 @@ def quotient_basis(s: Subspace, within: Subspace) -> tuple[Subspace, tuple[Spars
     coord_rows = [within.coords_of(row) for row in s.basis.sparse]
     if None in coord_rows:
         raise ValueError("subspace is not contained in the given space")
-    rref, pivots = _rref_with_pivots(Matrix.from_rows(coord_rows, within.dim))
+    rref, pivots = _rref_with_pivots(Matrix(tuple(coord_rows), within.dim))
     reduced = dict(zip(pivots, rref.sparse))
     keep = [j for j in range(within.dim) if j not in reduced]
     position = {j: k for k, j in enumerate(keep)}

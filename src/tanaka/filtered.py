@@ -107,7 +107,7 @@ class FilteredSpace:
             coords = frame.within.coords_of(v)
             if coords is None:
                 raise ValueError("vector is not in the given space")
-            cols.append(combination({r: c for r, c in enumerate(coords) if c}, frame.rows))
+            cols.append(combination(coords, frame.rows))
         return Matrix.from_columns(cols, frame.comp.dim)
 
     def quotient_of(self, v: Union[Sequence[Fraction], Sparse], i: int, m: int) -> Vector:

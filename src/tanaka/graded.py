@@ -28,8 +28,8 @@ from functools import cached_property, lru_cache
 from typing import Mapping, Sequence, Union
 
 from ._record import record
-from .exact_linear import (Matrix, Sparse, Subspace, Vector, add_scaled, add_vectors, combination,
-                           densify, zero_vector)
+from .exact_linear import (Matrix, Sparse, Subspace, Vector, add_scaled, combination, densify,
+                           zero_vector)
 
 
 @record
@@ -415,10 +415,9 @@ class GradedMap:
         return tuple(d for d, _ in self.parts)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
-        out = zero_vector(self.target.total_dim)
-        for _, p in self.parts:
-            out = add_vectors(out, p.apply(v))
-        return out
+        """The sum of the parts' images of v, summed entry by entry."""
+        zero = zero_vector(self.target.total_dim)
+        return tuple(map(sum, zip(*(p.apply(v) for _, p in self.parts), zero)))
 
     def to_matrix(self) -> Matrix:
         m = Matrix.zeros(self.target.total_dim, self.source.total_dim)

@@ -6,10 +6,15 @@ as an antisymmetry violation to report, not as a malformed document,
 so that any single corrupted constant in a well-formed file surfaces
 through validation rather than a parse failure. Genuinely malformed
 input (bad syntax, unknown labels, non-negative degrees, floating
-point numbers, integers of more than 4300 digits) raises
-AlgebraInputError. The digit cap is the package's own, equal to
+point numbers, integers or degree keys of more than 4300 digits)
+raises AlgebraInputError. The digit cap is the package's own, equal to
 CPython's default int_max_str_digits: longer integers are rejected
-even where the interpreter is configured to convert them. The
+even where the interpreter is configured to convert them, before any
+conversion starts. Under an interpreter limit below 4300
+(PYTHONINTMAXSTRDIGITS or -X int_max_str_digits), an integer literal
+or rational string within the cap but past that limit raises
+AlgebraInputError naming the limit, and a degree key past it is a bad
+degree key. The
 emitters hold to the same cap, so every document they write parses
 back: a rational with a longer numerator or denominator raises
 OutputBudgetError.
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from numbers import Rational
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
@@ -67,6 +73,27 @@ def _check_digits(digits: str, where: str) -> None:
         raise AlgebraInputError(f"{where}: more than {_MAX_DIGITS} digits")
 
 
+def _parse_int(digits: str, where: str = "integer literal") -> int:
+    """int(digits) within the cap; digits an interpreter limit below the
+
+    cap refuses fail the same way, naming that limit.
+    """
+    _check_digits(digits, where)
+    try:
+        return int(digits)
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise AlgebraInputError(f"{where}: more than {limit} digits, the interpreter's limit") from exc
+
+
+def _degree_key(key: str, where: str) -> int:
+    _check_digits(key, f"{where}: degree key")
+    try:
+        return int(key)
+    except ValueError as exc:
+        raise AlgebraInputError(f"{where}: bad degree key {key!r}") from exc
+
+
 def _as_int(obj: Any, where: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise AlgebraInputError(f"{where}: expected an integer, got {obj!r}")
@@ -84,12 +111,10 @@ def parse_rational(obj: Any, where: str) -> Fraction:
     if isinstance(obj, str):
         if not re.fullmatch(r"-?\d+(/\d+)?", obj):
             raise AlgebraInputError(f"{where}: bad rational string {obj!r}")
-        for digits in obj.split("/"):
-            _check_digits(digits, where)
-        try:
-            return Fraction(obj)
-        except ZeroDivisionError as exc:
-            raise AlgebraInputError(f"{where}: zero denominator in {obj!r}") from exc
+        num, *den = [_parse_int(digits, where) for digits in obj.split("/")]
+        if den == [0]:
+            raise AlgebraInputError(f"{where}: zero denominator in {obj!r}")
+        return Fraction(num, *den)
     if isinstance(obj, dict):
         extra = set(obj) - {"num", "den"}
         if extra:
@@ -112,11 +137,6 @@ def _within_cap(q: Rational) -> Rational:
 def emit_rational(q: Fraction) -> Any:
     q = _within_cap(q)
     return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _parse_int(digits: str) -> int:
-    _check_digits(digits, "integer literal")
-    return int(digits)
 
 
 def _load_json(text: str) -> Any:
@@ -241,10 +261,7 @@ def _parse_degrees(obj: Any) -> GradedSpace:
     by_degree: dict[int, list[str]] = {}
     seen: set[str] = set()
     for key, labels in obj.items():
-        try:
-            d = int(key)
-        except ValueError as exc:
-            raise AlgebraInputError(f"degrees: bad degree key {key!r}") from exc
+        d = _degree_key(key, "degrees")
         if d >= 0:
             raise AlgebraInputError(f"degrees: degree {d} is not negative")
         if not isinstance(labels, list) or not labels:
@@ -372,10 +389,7 @@ def _parse_maps(obj: Any, source: GradedSpace, target: GradedSpace, degree: int,
             raise AlgebraInputError(f"{here}: expected an object keyed by degree")
         blocks = {}
         for key, rows in gen.items():
-            try:
-                d = int(key)
-            except ValueError as exc:
-                raise AlgebraInputError(f"{here}: bad degree key {key!r}") from exc
+            d = _degree_key(key, here)
             shape = (target.dim(d + degree), source.dim(d))
             if 0 in shape:
                 raise AlgebraInputError(f"{here}: no component of degree {d}")

@@ -443,7 +443,7 @@ def _commutators(g0: tuple[HomogeneousMap, ...]) -> dict[tuple[int, int], Sparse
     if span.dim != len(g0):
         raise ValueError("degree-0 generators are linearly dependent")
     # sparse rows of the inverse of g0's coordinates over that basis
-    to_g0 = inverse(Matrix.from_rows([span.coords_of(hom_terms(g)) for g in g0])).sparse
+    to_g0 = inverse(Matrix(tuple(span.coords_of(hom_terms(g)) for g in g0), span.dim)).sparse
     out = {}
     for i in range(len(g0)):
         for j in range(i + 1, len(g0)):
@@ -451,7 +451,7 @@ def _commutators(g0: tuple[HomogeneousMap, ...]) -> dict[tuple[int, int], Sparse
             coords = span.coords_of(hom_terms(f.compose(g).add(g.compose(f).scale(-1))))
             if coords is None:
                 raise ValueError("degree-0 part is not closed under commutator")
-            out[(i, j)] = combination({k: c for k, c in enumerate(coords) if c}, to_g0)
+            out[(i, j)] = combination(coords, to_g0)
     return out
 
 

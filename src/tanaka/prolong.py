@@ -395,4 +395,4 @@ def _express_in_level(result: ProlongationResult, s: int, cols: Sequence[Sparse]
     if found is None:
         raise LevelInconsistency(f"bracket value is not in the computed g^{s}")
     start = result.negative.space.total_dim + len(result.g0) + sum(result.dims[: s - 1])
-    return {start + t: c for t, c in enumerate(found) if c}
+    return {start + t: c for t, c in found.items()}

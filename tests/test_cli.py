@@ -158,17 +158,74 @@ def test_negative_denominator_in_g0_file_exits_2(capsys, tmp_path):
 # as input errors under the package's own cap, whatever the interpreter
 # allows.
 
+def _cli_child(limit, *args):
+    """The CLI in a child whose interpreter int_max_str_digits is limit (0: none)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tanaka.__file__).parent.parent),
+               PYTHONINTMAXSTRDIGITS=str(limit))
+    return subprocess.run([sys.executable, "-m", "tanaka.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_over_long_integer_in_algebra_document_exits_2(tmp_path):
     text = emit_algebra(make_algebra("heisenberg3"))
     assert '"num": 1,' in text
     path = tmp_path / "big.json"
     path.write_text(text.replace('"num": 1,', '"num": 1' + "0" * 5000 + ",", 1))
-    env = dict(os.environ, PYTHONPATH=str(Path(tanaka.__file__).parent.parent),
-               PYTHONINTMAXSTRDIGITS="0")  # no interpreter limit
-    out = subprocess.run([sys.executable, "-m", "tanaka.cli", "check", str(path)], env=env,
-                         capture_output=True, text=True, timeout=60)
+    out = _cli_child(0, "check", str(path))
     assert out.returncode == 2
     assert "more than 4300 digits" in out.stderr and "Traceback" not in out.stderr
+
+
+def _long_degree_key_files(tmp_path, digits):
+    """An algebra document and a g^0 document of heisenberg3 whose degree -1
+
+    key is written with the given number of digits (leading zeros).
+    """
+    key = "-" + "0" * (digits - 1) + "1"
+    algebra = json.loads(emit_algebra(make_algebra("heisenberg3")))
+    algebra["degrees"] = {key if d == "-1" else d: labels for d, labels in algebra["degrees"].items()}
+    g0 = json.loads(emit_g0_generators(resolve_g0(G0Spec("der0"), make_algebra("heisenberg3"))))
+    g0["generators"][0] = {key if d == "-1" else d: b for d, b in g0["generators"][0].items()}
+    paths = tmp_path / "algebra.json", tmp_path / "g0.json"
+    for path, doc in zip(paths, (algebra, g0)):
+        path.write_text(json.dumps(doc))
+    return [("check", str(paths[0])), ("prolong", "preset:heisenberg3", "--g0", f"file:{paths[1]}")]
+
+
+def test_over_long_degree_key_exits_2_without_echoing_it(capsys, tmp_path):
+    """A degree key passes the digit cap before int(), so with the
+
+    interpreter's limit lifted it is not converted, and the message does
+    not repeat it.
+    """
+    for args in _long_degree_key_files(tmp_path, 5000):
+        out = _cli_child(0, *args)
+        assert out.returncode == 2, args
+        assert "more than 4300 digits" in out.stderr and "Traceback" not in out.stderr, args
+        assert len(out.stderr) < 200, args
+        code, _, err = run(capsys, *args)  # under the default limit
+        assert code == 2 and "more than 4300 digits" in err and len(err) < 200, args
+    for args in _long_degree_key_files(tmp_path, 4300):  # leading zeros within the cap
+        assert run(capsys, *args)[0] == 0, args
+
+
+def test_integer_past_a_lower_interpreter_limit_exits_2_with_one_line(tmp_path):
+    """Under PYTHONINTMAXSTRDIGITS below the cap, an integer literal or a
+
+    rational string the interpreter refuses is an input error naming
+    its limit, not a ValueError traceback.
+    """
+    algebra = tmp_path / "algebra.json"
+    text = emit_algebra(make_algebra("heisenberg3"))
+    algebra.write_text(text.replace('"num": 1,', '"num": 1' + "0" * 2000 + ",", 1))
+    g0 = tmp_path / "g0.json"
+    g0.write_text('{"generators": [{"-1": [["1/' + "3" * 2001 + '", 0], [0, 1]]}]}')
+    for args in (("check", str(algebra)), ("prolong", "preset:abelian2", "--g0", f"file:{g0}")):
+        out = _cli_child(1000, *args)
+        assert out.returncode == 2, args
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+        assert "more than 1000 digits" in out.stderr and "Traceback" not in out.stderr
+    assert _cli_child(1000, "check", "preset:heisenberg3").returncode == 0
 
 
 def test_over_long_result_number_exits_1_with_one_line(capsys, monkeypatch):

@@ -11,13 +11,16 @@ from tanaka.catalog import make_algebra
 from tanaka.exact_linear import (
     Matrix,
     Subspace,
+    combination,
     complement,
+    densify,
     inverse,
     kernel,
     rank,
     rat,
     rref_canonicalize,
     solve,
+    zero_vector,
 )
 from tanaka.filtered import FilteredSpace
 from tanaka.lie import G0Spec
@@ -441,11 +444,13 @@ def test_coords_in_the_full_space_match_the_long_way():
     full = Subspace.full(4)
     v = [rat(1, 2), Fraction(0), rat(-3), rat(7, 5)]
     expected = _dense_solve(full.basis.transpose(), v)
-    assert full.coords_of(v) == expected  # dense
-    assert full.coords_of({0: rat(1, 2), 2: rat(-3), 3: rat(7, 5)}) == expected  # sparse
-    assert full.coords_of((0, 1, 0, 0)) == (0, 1, 0, 0)  # ints come back as Fractions
-    assert all(type(e) is Fraction for e in full.coords_of((0, 1, 0, 0)))
-    assert Subspace.full(0).coords_of(()) == () and Subspace.full(0).coords_of({}) == ()
+    nonzero = {j: e for j, e in enumerate(expected) if e}
+    assert full.coords_of(v) == nonzero  # dense
+    assert full.coords_of({0: rat(1, 2), 2: rat(-3), 3: rat(7, 5)}) == nonzero  # sparse
+    assert full.coords_of({0: rat(1, 2), 1: Fraction(0), 2: rat(-3), 3: rat(7, 5)}) == nonzero
+    assert full.coords_of((0, 1, 0, 0)) == {1: 1}  # ints come back as Fractions
+    assert all(type(e) is Fraction for e in full.coords_of((0, 1, 0, 0)).values())
+    assert Subspace.full(0).coords_of(()) == {} and Subspace.full(0).coords_of({}) == {}
 
 
 def test_coords_in_the_full_space_keep_the_edge_behaviour():
@@ -457,6 +462,70 @@ def test_coords_in_the_full_space_keep_the_edge_behaviour():
         full.coords_of((rat(1), rat(2)))
     with pytest.raises(ValueError):
         full.coords_of((rat(1),) * 4)
+
+
+def _coords_cases():
+    """(name, subspace): the degenerate subspaces, then seeded random ones."""
+    cases = [(f"zero({n})", Subspace.zero(n)) for n in (0, 1, 4)]
+    cases += [(f"full({n})", Subspace.full(n)) for n in (0, 1, 4)]
+    cases += [("dim 1 of 1", Subspace.span(1, [[rat(-2, 3)]])),
+              ("dim 1 of 4", Subspace.span(4, [[0, rat(2, 3), 0, 1]])),
+              ("dim 1 of 5", Subspace.span(5, [[0, 0, 0, 0, rat(5)]]))]
+    rng = random.Random(29)
+    for k in range(40):
+        n = rng.randint(2, 7)
+        rows = [[Fraction(rng.choice([0, 0, 0, 1, -2, 3]), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(rng.randint(1, n - 1))]
+        cases.append((f"random {k}", Subspace.span(n, rows)))
+    return cases
+
+
+def _coords_vectors(rng, s):
+    """Dense vectors: the zero vector, combinations of the basis (inside),
+
+    those plus a unit vector at a non-pivot column (outside), and random
+    vectors.
+    """
+    n = s.ambient_dim
+    inside = [densify(combination({r: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+                                   for r in range(s.dim) if rng.random() < 0.7}, s.basis.sparse), n)
+              for _ in range(3)]
+    free = [j for j in range(n) if j not in s.pivot_rows]
+    outside = [tuple(e + (j == f) for j, e in enumerate(v)) for v in inside for f in free[:2]]
+    drawn = [tuple(Fraction(rng.choice([0, 0, 1, -4]), rng.randint(1, 2)) for _ in range(n))
+             for _ in range(2)]
+    return [zero_vector(n)] + inside + outside + drawn
+
+
+@pytest.mark.parametrize("name, s", _coords_cases(), ids=[name for name, _ in _coords_cases()])
+def test_coords_of_agrees_with_a_dense_solve(name, s):
+    """On every subspace, dense and sparse input alike: the answer holds
+
+    exactly the nonzero coefficients of the dense solve B^T c = v, the
+    basis rows rebuild v from them, and it is None exactly when v is
+    outside, as `contains` says.
+    """
+    rng = random.Random(name)
+    n = s.ambient_dim
+    pivots = dense_rref(list(s.basis.entries), n)[1]
+    assert list(s.pivot_rows.items()) == [(p, r) for r, p in enumerate(pivots)]
+    for v in _coords_vectors(rng, s):
+        expected = _dense_solve(s.basis.transpose(), v)
+        sparse = {j: e for j, e in enumerate(v) if e}
+        with_zeros = {**{j: Fraction(0) for j in range(n)}, **sparse}  # explicit zero entries
+        for form in (v, list(v), sparse, with_zeros, {j: int(e) if e.denominator == 1 else e
+                                                       for j, e in sparse.items()}):
+            got = s.coords_of(form)
+            assert (got is None) == (expected is None) == (not s.contains(form)), (v, form)
+            if got is None:
+                continue
+            assert got == {r: c for r, c in enumerate(expected) if c}, v
+            assert all(type(c) is Fraction and c for c in got.values()), v
+            assert densify(combination(got, s.basis.sparse), n) == v, v
+        assert s.coords_of({**sparse, n: rat(1)}) is None  # a nonzero past the ambient
+        assert s.coords_of({**sparse, n + 3: Fraction(0)}) == s.coords_of(sparse)
+        with pytest.raises(ValueError):
+            s.coords_of(v + (Fraction(0),))
 
 
 def test_solve_with_the_identity_matches_the_long_way():
@@ -514,5 +583,6 @@ def test_pivot_heap_takes_new_leading_columns_before_waiting_ones(seed):
     m = Matrix.from_rows(rows, n)
     dense, pivots = dense_rref(rows, n)
     assert rref_canonicalize(m) == Matrix.from_rows(dense, n)
-    assert Subspace.row_space(m).pivots == tuple(pivots)
+    row_of = Subspace.row_space(m).pivot_rows
+    assert list(row_of.items()) == [(p, r) for r, p in enumerate(pivots)]
     assert rank(m) == len(pivots)

@@ -1,8 +1,9 @@
-"""Seeded mutation fuzzing of prolongation result and g^0 documents.
+"""Seeded mutation fuzzing of prolongation result, g^0 and algebra documents.
 
-Each case takes the `prolong --format json` output of a preset, or the
-`der0 --format json` generators document of heisenberg3, and applies
-one mutation to its parsed tree: a value replaced, a key or a
+Each case takes the `prolong --format json` output of a preset, the
+`der0 --format json` generators document of heisenberg3, or the
+`emit_algebra` document of a catalog entry, and applies one mutation
+to its parsed tree: a value replaced, a key or a
 list entry deleted, or a key or a list entry added. Replacement values
 include extremes: integer literals one digit past the 4300-digit cap,
 rationals with such a denominator, floats, booleans, nulls and empty
@@ -12,7 +13,8 @@ near the top are hit as often as the matrix cells below them.
 
 The properties: parse_result raises nothing but AlgebraInputError, and
 the document it accepts re-emits to its own fixed point. A mutated g^0
-document, given to `prolong --g0 file:`, ends the command with exit 0,
+document, given to `prolong --g0 file:`, and a mutated algebra document,
+given to `check`, `der0` and `prolong`, end each command with exit 0,
 1 or 2, never with an exception or a traceback.
 """
 
@@ -22,8 +24,9 @@ import random
 
 import pytest
 
+from tanaka.catalog import entries
 from tanaka.cli import main
-from tanaka.jsonio import AlgebraInputError, emit_result_document, parse_result
+from tanaka.jsonio import AlgebraInputError, emit_algebra, emit_result_document, parse_result
 
 SEED = 13
 CASES = 300
@@ -123,3 +126,26 @@ def test_mutated_g0_documents_exit_cleanly(capsys, tmp_path):
         codes.add(code)
     # mutants are both accepted and rejected
     assert {0, 2} <= codes, codes
+
+
+def test_mutated_algebra_documents_exit_cleanly(capsys, tmp_path):
+    rng = random.Random(SEED)
+    texts = [emit_algebra(entry.algebra, entry.name) for entry in entries()]
+    path = tmp_path / "algebra.json"
+    commands = (("check",), ("der0",), ("prolong", "--max-degree", "2"))
+    codes = set()
+    for case in range(CASES):
+        doc = json.loads(texts[case % len(texts)])
+        kind = _mutate(rng, doc)
+        path.write_text(_text(doc), encoding="utf-8")
+        for verb, *options in commands:
+            try:
+                code = main([verb, str(path), *options])
+            except Exception as exc:  # noqa: BLE001 - any exception is the finding
+                pytest.fail(f"case {case} (seed {SEED}, {kind}), {verb}: "
+                            f"{type(exc).__name__}: {exc}")
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2) and "Traceback" not in err, f"case {case}, {verb}: {code} {err}"
+            codes.add(code)
+    # mutants are accepted, rejected as malformed and found invalid
+    assert {0, 1, 2} <= codes, codes

@@ -160,6 +160,20 @@ def test_compose_adds_degrees(data):
 
 @settings(max_examples=100, derandomize=True)
 @given(st.data())
+def test_graded_map_apply_sums_its_parts(data):
+    """A graded map applies as its assembled matrix does, also with no parts."""
+    space = data.draw(spaces())
+    degrees = data.draw(st.lists(st.integers(-2, 2), max_size=3, unique=True))
+    g = GradedMap.make(space, space, {d: data.draw(homogeneous_maps(space, space, d))
+                                      for d in degrees})
+    v = tuple(data.draw(Scalars) for _ in range(space.total_dim))
+    got = g.apply(v)
+    assert got == g.to_matrix().apply(v)
+    assert len(got) == space.total_dim and all(type(e) is Fraction for e in got)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.data())
 def test_unipotent_inverse_both_sides(data):
     """Id + nilpotent part inverts exactly, on both sides."""
     space = data.draw(spaces())

@@ -309,7 +309,7 @@ def _first_level_in_bigger_g0(small, big) -> bool:
                 return False
             cols.append(coords)
         block = Matrix.from_rows(
-            [[cols[s][t] for s in range(nm)] for t in range(len(big.g0))])
+            [[cols[s].get(t, 0) for s in range(nm)] for t in range(len(big.g0))])
         lifted = HomogeneousMap.make(m.space, big_below, 1, {-1: block})
         if not big.level(1).carrier.contains(hom_coords(lifted)):
             return False
