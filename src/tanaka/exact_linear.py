@@ -7,7 +7,8 @@ shape: it stores its column count, and its row count is the number of
 rows, zero rows included, so a matrix with no rows, no columns or no
 nonzeros keeps its shape. Producers build matrices from sparse rows or
 columns (`Matrix.from_columns` transposes without padding), every
-operation reads only nonzeros, and `Matrix.entries` is a dense view
+operation reads only nonzeros, `Matrix.flatten` gives the row-major
+End coordinates as a sparse row, and `Matrix.entries` is a dense view
 built on first use.
 
 Every reduction goes through one sparse, fraction-free eliminator.
@@ -202,9 +203,9 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix.from_columns(self.sparse, self.cols)
 
-    def flatten(self) -> Vector:
-        """Row-major flattening; the End-coordinate convention."""
-        return tuple(e for row in self.entries for e in row)
+    def flatten(self) -> dict[int, Fraction]:
+        """Row-major flattening as a sparse row; the End-coordinate convention."""
+        return {i * self.cols + j: e for i, row in enumerate(self.sparse) for j, e in row.items()}
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:

@@ -375,8 +375,8 @@ def gl_degree_subspace(space: GradedSpace, degree: int) -> Subspace:
     global coordinates.
     """
     n = space.total_dim
-    rows = [u.to_matrix().flatten() for u in hom_basis(space, space, degree)]
-    return Subspace.span(n * n, rows)
+    units = hom_basis(space, space, degree)
+    return Subspace.row_space(Matrix(tuple(u.to_matrix().flatten() for u in units), n * n))
 
 
 @record

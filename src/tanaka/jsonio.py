@@ -14,10 +14,10 @@ conversion starts. Under an interpreter limit below 4300
 (PYTHONINTMAXSTRDIGITS or -X int_max_str_digits), an integer literal
 or rational string within the cap but past that limit raises
 AlgebraInputError naming the limit, and a degree key past it is a bad
-degree key. The
-emitters hold to the same cap, so every document they write parses
-back: a rational with a longer numerator or denominator raises
-OutputBudgetError.
+degree key. The emitters hold to the same cap, or to the interpreter's
+limit where that is lower, so every document they write parses back
+and no number meets the interpreter's ValueError: a rational with a
+longer numerator or denominator raises OutputBudgetError.
 
 A homogeneous map is written one way everywhere: an object keyed by
 source degree, each value the matrix of one block. The emitters put the
@@ -42,6 +42,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
@@ -66,6 +67,8 @@ class OutputBudgetError(Exception):
 # interpreter's own setting is
 _MAX_DIGITS = 4300
 _DIGIT_BOUND = 10 ** _MAX_DIGITS  # the least int of more than _MAX_DIGITS digits
+# the interpreter's own limit, 0 for none; missing before 3.10.7
+_int_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _check_digits(digits: str, where: str) -> None:
@@ -82,7 +85,7 @@ def _parse_int(digits: str, where: str = "integer literal") -> int:
     try:
         return int(digits)
     except ValueError as exc:
-        limit = sys.get_int_max_str_digits()
+        limit = _int_limit()
         raise AlgebraInputError(f"{where}: more than {limit} digits, the interpreter's limit") from exc
 
 
@@ -127,10 +130,26 @@ def parse_rational(obj: Any, where: str) -> Fraction:
     raise AlgebraInputError(f"{where}: expected a rational, got {type(obj).__name__}")
 
 
+@lru_cache(maxsize=1)
+def _output_cap(limit: int) -> tuple[int, str]:
+    """The least int an emitter refuses under an interpreter limit of
+
+    limit digits (0 for none), and how a budget message says so: the
+    package's cap, or the interpreter's limit where that is lower.
+    """
+    if 0 < limit < _MAX_DIGITS:
+        return 10 ** limit, f"more than {limit} digits, the interpreter's limit"
+    return _DIGIT_BOUND, f"more than {_MAX_DIGITS} digits"
+
+
 def _within_cap(q: Rational) -> Rational:
-    """q, a Fraction or an int, if a document can carry it."""
-    if abs(q.numerator) >= _DIGIT_BOUND or q.denominator >= _DIGIT_BOUND:
-        raise OutputBudgetError(f"a coefficient of the result has more than {_MAX_DIGITS} digits")
+    """q, a Fraction or an int, if a document can carry it and the
+
+    interpreter can write it.
+    """
+    bound, over = _output_cap(_int_limit())
+    if abs(q.numerator) >= bound or q.denominator >= bound:
+        raise OutputBudgetError(f"a coefficient of the result has {over}")
     return q
 
 
@@ -550,8 +569,9 @@ def parse_result(text: str) -> dict:
     if "bound" in doc:
         bound = base_dim + dim_g0 + sum(dims[:order])
         if _as_int(doc["bound"], "bound") != bound:
-            # base_dim may have _MAX_DIGITS digits, and the bound one more
-            shown = bound if abs(bound) < _DIGIT_BOUND else f"more than {_MAX_DIGITS} digits"
+            # base_dim may have as many digits as the interpreter writes, and the bound one more
+            cap, over = _output_cap(_int_limit())
+            shown = bound if abs(bound) < cap else over
             raise AlgebraInputError(
                 f"bound: expected base_dim + dim_g0 + sum(dims[:order]) = {shown}")
     return {**doc, "g0": _generators_doc(g0, generator_doc), "levels": levels}

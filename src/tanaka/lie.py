@@ -6,6 +6,14 @@ pairs. The negative part plays the role of the symbol algebra; a
 degree-0 part, when present, acts on the negative part by degree-0
 derivations and the mixed brackets are that action.
 
+An algebra stores its bracket once: each nonzero [e_a, e_b], a < b,
+as the sparse row {index: Fraction} that its table act holds. Every
+producer (`from_bracket_dict`, `negative_part`, `adjoin_g0`) and
+reader (`validate`, `is_fundamental`, the presets) works on those
+rows, and g^0 commutators are read straight off the maps' columns. A
+dense vector is built only where one is returned: `bracket_basis` and
+`bilinear_eval`.
+
 Derivations of every degree come from one solver, `derivations`: der0
 is its degree-0 case, acting through the algebra's own bracket table,
 and each prolongation level g^(s+1) its degree-(s+1) case, acting
@@ -39,6 +47,7 @@ from .exact_linear import (
     densify,
     inverse,
     kernel,
+    rank,
 )
 from .graded import (
     GradedSpace,
@@ -48,6 +57,7 @@ from .graded import (
     hom_from_coords,
     hom_space_dim,
     hom_terms,
+    hom_terms_of_columns,
     hom_units,
 )
 
@@ -56,57 +66,63 @@ from .graded import (
 class GradedLieAlgebra:
     """Structure-constant presentation of a graded Lie algebra.
 
-    brackets holds [e_a, e_b] for global basis indices a < b as full
-    coordinate vectors; only nonzero brackets need to be stored.
-    Antisymmetry is by construction; grading and Jacobi are checked by
-    validate(). act[a][b] is [e_a, e_b] as a sparse row {index: value},
-    for both orientations of every pair; it backs all evaluation.
+    brackets holds [e_a, e_b] for global basis indices a < b as sparse
+    rows {index: nonzero Fraction}, pairs ascending, one entry per
+    nonzero bracket. The constructor also accepts a value as a full
+    coordinate vector, and keeps only its nonzeros. act[a][b] is
+    [e_a, e_b] as a sparse row, the stored one for a < b and its
+    negative for a > b; it backs all evaluation. Antisymmetry is by
+    construction; grading and Jacobi are checked by validate().
     """
 
     space: GradedSpace
-    brackets: tuple[tuple[tuple[int, int], Vector], ...]
+    brackets: tuple[tuple[tuple[int, int], Sparse], ...]
     act: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         n = self.space.total_dim
-        seen = set()
+        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
         act = [[NO_TERMS] * n for _ in range(n)]
         for (a, b), value in self.brackets:
             if not (0 <= a < b < n):
                 raise ValueError(f"bad bracket pair ({a}, {b})")
-            if (a, b) in seen:
+            if (a, b) in rows:
                 raise ValueError(f"duplicate bracket pair ({a}, {b})")
-            if len(value) != n:
-                raise ValueError(f"bracket ({a}, {b}) has {len(value)} coordinates, expected {n}")
-            seen.add((a, b))
-            row = {k: Fraction(e) for k, e in enumerate(value) if e}
+            if not isinstance(value, Mapping):
+                if len(value) != n:
+                    raise ValueError(f"bracket ({a}, {b}) has {len(value)} coordinates, expected {n}")
+                value = dict(enumerate(value))
+            elif not all(0 <= k < n for k in value):
+                raise ValueError(f"bracket ({a}, {b}) has an index outside 0..{n - 1}")
+            row = rows[(a, b)] = {k: e if type(e) is Fraction else Fraction(e)
+                                  for k, e in value.items() if e}
             if row:
                 act[a][b] = row
                 act[b][a] = {k: -e for k, e in row.items()}
+        object.__setattr__(self, "brackets", tuple((pair, row) for pair, row in sorted(rows.items()) if row))
         object.__setattr__(self, "act", tuple(map(tuple, act)))
+
+    def __hash__(self):
+        return hash((self.space, tuple((pair, frozenset(row.items())) for pair, row in self.brackets)))
 
     @staticmethod
     def from_bracket_dict(space: GradedSpace,
                           by_label: Mapping[tuple[str, str], Mapping[str, Fraction]]
                           ) -> "GradedLieAlgebra":
-        acc: dict[tuple[int, int], Vector] = {}
+        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (la, lb), value in by_label.items():
             a, b = space.index_of_label(la), space.index_of_label(lb)
-            vec = [Fraction(0)] * space.total_dim
-            for lc, coeff in value.items():
-                vec[space.index_of_label(lc)] += Fraction(coeff)
+            row = {space.index_of_label(lc): Fraction(coeff) for lc, coeff in value.items()}
             if a == b:
-                if any(e != 0 for e in vec):
+                if any(row.values()):
                     raise ValueError(f"nonzero bracket [{la}, {la}]")
                 continue
             if a > b:
-                a, b = b, a
-                vec = [-e for e in vec]
-            if (a, b) in acc:
+                a, b, row = b, a, {k: -e for k, e in row.items()}
+            if (a, b) in rows:
                 raise ValueError(f"bracket [{la}, {lb}] given twice")
-            acc[(a, b)] = tuple(vec)
-        stored = tuple(sorted((k, v) for k, v in acc.items() if any(e != 0 for e in v)))
-        return GradedLieAlgebra(space, stored)
+            rows[(a, b)] = row
+        return GradedLieAlgebra(space, tuple(rows.items()))
 
     def bracket_basis(self, a: int, b: int) -> Vector:
         return densify(self.act[a][b], self.space.total_dim)
@@ -120,15 +136,8 @@ class GradedLieAlgebra:
         sub = GradedSpace.make({d: self.space.labels(d) for d in self.space.degrees if d < 0})
         keep = [self.space.index_of_label(lab) for _, labs in sub.components for lab in labs]
         pos = {old: new for new, old in enumerate(keep)}
-        brackets = []
-        for (a, b), value in self.brackets:
-            if a in pos and b in pos:
-                vec = [Fraction(0)] * sub.total_dim
-                for idx, e in enumerate(value):
-                    if e != 0:
-                        vec[pos[idx]] = e
-                brackets.append(((pos[a], pos[b]), tuple(vec)))
-        return GradedLieAlgebra(sub, tuple(sorted(brackets)))
+        return GradedLieAlgebra(sub, tuple(((pos[a], pos[b]), {pos[k]: e for k, e in row.items()})
+                                           for (a, b), row in self.brackets if a in pos and b in pos))
 
 
 def bilinear_eval(bracket: Callable[[int, int], Sparse], n: int,
@@ -159,14 +168,12 @@ def validate(alg: GradedLieAlgebra) -> list[str]:
     space = alg.space
     if any(d > 0 for d in space.degrees):
         problems.append("positive degrees present")
-    for (a, b), value in alg.brackets:
+    for (a, b), row in alg.brackets:
         target = space.degree_of_index(a) + space.degree_of_index(b)
-        for idx, e in enumerate(value):
-            if e != 0 and space.degree_of_index(idx) != target:
-                problems.append(
-                    f"bracket [{space.label_of_index(a)}, {space.label_of_index(b)}] "
-                    f"not homogeneous of degree {target}")
-                break
+        if any(space.degree_of_index(k) != target for k in row):
+            problems.append(
+                f"bracket [{space.label_of_index(a)}, {space.label_of_index(b)}] "
+                f"not homogeneous of degree {target}")
     for a, b, c in jacobi_triples(alg.act):
         problems.append(
             f"Jacobi fails on ({space.label_of_index(a)}, "
@@ -224,11 +231,12 @@ def is_fundamental(alg: GradedLieAlgebra) -> bool:
             continue
         if space.dim(d + 1) == 0:
             return False
-        images = []
-        for a in range(space.offset(-1), space.offset(-1) + space.dim(-1)):
-            for b in range(space.offset(d + 1), space.offset(d + 1) + space.dim(d + 1)):
-                images.append(space.component_of_vector(alg.bracket_basis(a, b), d))
-        if Subspace.span(space.dim(d), images).dim < space.dim(d):
+        lo, dim = space.offset(d), space.dim(d)
+        # the degree-d coordinates of [m^-1, m^(d+1)]
+        images = tuple({k - lo: e for k, e in alg.act[a][b].items() if lo <= k < lo + dim}
+                       for a in range(space.offset(-1), space.offset(-1) + space.dim(-1))
+                       for b in range(space.offset(d + 1), space.offset(d + 1) + space.dim(d + 1)))
+        if rank(Matrix(images, dim)) < dim:
             return False
     return True
 
@@ -256,8 +264,6 @@ def derivations(alg: GradedLieAlgebra, act: Sequence[Sequence[Sparse]], target: 
     """
     space = alg.space
     units = hom_units(space, target, degree)
-    if not units:
-        return Subspace.zero(0), ()
     n, n_target = space.total_dim, target.total_dim
     pair_row: dict[tuple[int, int], int] = {}
     for a in range(n):
@@ -319,7 +325,7 @@ def der0_basis(alg: GradedLieAlgebra) -> list[HomogeneousMap]:
 def der0(alg: GradedLieAlgebra) -> Subspace:
     """Degree-0 derivations as a subspace of End(space), End coordinates."""
     n = alg.space.total_dim
-    return Subspace.span(n * n, [f.to_matrix().flatten() for f in der0_basis(alg)])
+    return Subspace.row_space(Matrix(tuple(f.to_matrix().flatten() for f in der0_basis(alg)), n * n))
 
 
 PRESET_NAMES = ("zero", "gl", "sl", "so", "sp", "co", "der0")
@@ -353,18 +359,14 @@ def _standard_symplectic(n: int) -> Matrix:
     if n % 2 != 0:
         raise ValueError("symplectic preset needs even dimension")
     h = n // 2
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(h):
-        rows[i][h + i] = Fraction(1)
-        rows[h + i][i] = Fraction(-1)
-    return Matrix.from_rows(rows)
+    return Matrix(tuple({h + i: Fraction(1)} if i < h else {i - h: Fraction(-1)} for i in range(n)), n)
 
 
 def _form_condition_basis(alg: GradedLieAlgebra, form: Matrix) -> list[HomogeneousMap]:
     """Solve A^T S + S A = 0 over the degree-0 unit maps."""
     units = hom_basis(alg.space, alg.space, 0)
     cols = [(u.to_matrix().transpose() @ form + form @ u.to_matrix()).flatten() for u in units]
-    ker = kernel(Matrix.from_rows(cols).transpose())
+    ker = kernel(Matrix.from_columns(cols, alg.space.total_dim ** 2))
     return [hom_from_coords(alg.space, alg.space, 0, row) for row in ker.basis.sparse]
 
 
@@ -395,9 +397,9 @@ def resolve_g0(spec: G0Spec, alg: GradedLieAlgebra) -> list[HomogeneousMap]:
         if spec.preset == "gl":
             return hom_basis(space, space, 0)
         if spec.preset == "sl":
-            units = hom_basis(space, space, 0)
-            trace_row = [sum(u.to_matrix().entries[i][i] for i in range(n1)) for u in units]
-            ker = kernel(Matrix.from_rows([trace_row]))
+            units = hom_units(space, space, 0)
+            trace = {k: Fraction(1) for k, (src, tgt) in enumerate(units) if src == tgt}
+            ker = kernel(Matrix((trace,), len(units)))
             return [hom_from_coords(space, space, 0, r) for r in ker.basis.sparse]
         form = spec.form
         if form is None:
@@ -438,17 +440,20 @@ def _commutators(g0: tuple[HomogeneousMap, ...]) -> dict[tuple[int, int], Sparse
     """
     if not g0:
         return {}
-    amb = hom_space_dim(g0[0].source, g0[0].target, 0)
-    span = Subspace.row_space(Matrix(tuple(hom_terms(g) for g in g0), amb))
+    source, target = g0[0].source, g0[0].target
+    span = Subspace.row_space(Matrix(tuple(hom_terms(g) for g in g0), hom_space_dim(source, target, 0)))
     if span.dim != len(g0):
         raise ValueError("degree-0 generators are linearly dependent")
     # sparse rows of the inverse of g0's coordinates over that basis
     to_g0 = inverse(Matrix(tuple(span.coords_of(hom_terms(g)) for g in g0), span.dim)).sparse
     out = {}
     for i in range(len(g0)):
+        f = g0[i].columns
         for j in range(i + 1, len(g0)):
-            f, g = g0[i], g0[j]
-            coords = span.coords_of(hom_terms(f.compose(g).add(g.compose(f).scale(-1))))
+            g = g0[j].columns
+            # f(g(e_k)) - g(f(e_k)) for each basis vector e_k
+            cols = [add_scaled(combination(gk, f), -1, combination(fk, g)) for fk, gk in zip(f, g)]
+            coords = span.coords_of(hom_terms_of_columns(source, target, 0, cols))
             if coords is None:
                 raise ValueError("degree-0 part is not closed under commutator")
             out[(i, j)] = combination(coords, to_g0)
@@ -470,21 +475,16 @@ def adjoin_g0(alg: GradedLieAlgebra, g0: Sequence[HomogeneousMap],
         labels = fresh_labels(space, "d", len(g0))
     new_space = space.with_component(0, labels)
     n_old = space.total_dim
-    r = len(g0)
     commutators = _commutators(g0)
 
-    by_pair: dict[tuple[int, int], Vector] = {}
-    for (a, b), value in alg.brackets:
-        by_pair[(a, b)] = tuple(value) + (Fraction(0),) * r
+    # m's brackets keep their indices: degree 0 comes after every negative degree
+    rows = list(alg.brackets)
     for i, f in enumerate(g0):
-        for a, img in enumerate(f.columns):
-            if img:
-                by_pair[(a, n_old + i)] = densify({t: -e for t, e in img.items()}, n_old + r)
-    for (i, j), coords in commutators.items():
-        if coords:
-            by_pair[(n_old + i, n_old + j)] = (Fraction(0),) * n_old + densify(coords, r)
-
-    out = GradedLieAlgebra(new_space, tuple(sorted(by_pair.items())))
+        # [e_a, d_i] = -d_i(e_a)
+        rows += [((a, n_old + i), {t: -e for t, e in img.items()}) for a, img in enumerate(f.columns)]
+    rows += [((n_old + i, n_old + j), {n_old + k: e for k, e in coords.items()})
+             for (i, j), coords in commutators.items()]
+    out = GradedLieAlgebra(new_space, rows)
     problems = validate(out)
     if problems:
         raise ValueError("adjoined algebra is invalid: " + "; ".join(problems))

@@ -250,8 +250,8 @@ class ExtendedBracket:
     tower, in the layout of GradedLieAlgebra.act. Pairs of positive
     levels whose degrees sum beyond the computed depth are listed in
     out_of_range (a < b) instead; their entries are empty placeholders
-    that `row` refuses. `table` is the dense view of the in-range
-    nonzero pairs.
+    that `row` refuses. `table` lists the in-range nonzero pairs with
+    their rows, in the layout of GradedLieAlgebra.brackets.
     """
 
     space: GradedSpace
@@ -263,10 +263,9 @@ class ExtendedBracket:
         object.__setattr__(self, "_escaped", frozenset(self.out_of_range))
 
     @cached_property
-    def table(self) -> tuple[tuple[tuple[int, int], Vector], ...]:
-        """The in-range nonzero brackets as dense vectors, pairs ascending."""
-        n = self.space.total_dim
-        return tuple(((a, b), densify(row, n)) for a, rows in enumerate(self.act)
+    def table(self) -> tuple[tuple[tuple[int, int], Sparse], ...]:
+        """The in-range nonzero brackets as sparse rows, pairs ascending."""
+        return tuple(((a, b), row) for a, rows in enumerate(self.act)
                      for b, row in enumerate(rows) if a < b and row)
 
     def row(self, a: int, b: int) -> Sparse:

@@ -1,5 +1,6 @@
 """Driver behavior: output contracts, exit codes, mutation detection."""
 
+import hashlib
 import io
 import json
 import os
@@ -317,6 +318,40 @@ def test_over_long_base_dim_exits_1_with_one_line(capsys, command, fmt):
     code, out, _ = run(capsys, command, "preset:abelian3", "--g0", "co", "--format", fmt,
                        "--base-dim", "9" * 4299)
     assert code == 0 and str(10**4299 + 6) in out  # 4300 digits are written
+
+
+def test_result_past_a_lower_interpreter_limit_exits_1_with_one_line(capsys, tmp_path):
+    """free_235 with [e1, e2] and [e1, e3] scaled by 10^900 and [e2, e3]
+
+    by 10^-900: every input integer has at most 903 digits, but der0 and
+    the level bases have coefficients past 1000. Under a limit of 1000
+    the emitters stop at that limit with the budget line, not a
+    ValueError; at the default limit the output is as before.
+    """
+    doc = json.loads(emit_algebra(make_algebra("free_235")))
+    for entry in doc["brackets"]:
+        pair = {entry["left"], entry["right"]}
+        for term in entry["value"]:
+            if pair in ({"e1", "e2"}, {"e1", "e3"}):
+                term["num"] *= 10**900
+            elif pair == {"e2", "e3"}:
+                term["den"] *= 10**900
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    commands = {
+        ("der0", str(path)): "d2e66a07520346ae5cd322bab468c0b4",
+        ("der0", str(path), "--format", "json"): "8b85c4e76ad82c8180bd7a6db3bcf5a5",
+        ("prolong", str(path), "--max-degree", "4", "--format", "json"):
+            "44ba67a4e3e6618a98ee9f4e0fb2fdf1",
+    }
+    for args, digest in commands.items():
+        out = _cli_child(1000, *args)
+        assert out.returncode == 1 and out.stdout == "", args
+        assert out.stderr == "error: a coefficient of the result has more than 1000 digits, " \
+                             "the interpreter's limit\n", args
+        code, text, err = run(capsys, *args)
+        assert code == 0 and err == "", args
+        assert hashlib.md5(text.encode()).hexdigest() == digest, args
 
 
 def test_over_long_rational_in_g0_file_exits_2(capsys, tmp_path):

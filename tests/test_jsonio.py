@@ -285,6 +285,28 @@ def test_result_bound_holds_the_output_cap():
         parse_result(text.replace('"base_dim": 3', '"base_dim": ' + "9" * 4300))
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no interpreter digit limit")
+def test_result_bound_holds_a_lower_interpreter_limit():
+    """Under an interpreter limit of 1000 digits the emitters and the
+
+    bound message stop at 1000 digits, naming the limit, instead of
+    raising the interpreter's ValueError.
+    """
+    result = _prolonged("abelian3", "co", 4)
+    text = emit_result(result, base_dim=3).replace('"base_dim": 3', '"base_dim": ' + "9" * 1000)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        assert emit_result(result, base_dim=10**1000 - 8)
+        with pytest.raises(OutputBudgetError, match="more than 1000 digits, the interpreter's limit"):
+            emit_result(result, base_dim=10**1000 - 7)
+        with pytest.raises(AlgebraInputError,
+                           match=re.escape("= more than 1000 digits, the interpreter's limit")):
+            parse_result(text)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _catalog_runs():
     for entry in entries():
         for check in entry.expected:

@@ -54,6 +54,38 @@ def test_bracket_values_need_one_coordinate_per_basis_vector():
     for value in ((0, 0, 0, 1), (1,)):
         with pytest.raises(ValueError, match="coordinates"):
             GradedLieAlgebra(space, (((1, 2), tuple(Fraction(e) for e in value)),))
+    with pytest.raises(ValueError, match=r"^bracket \(1, 2\) has 4 coordinates, expected 3$"):
+        GradedLieAlgebra(space, (((1, 2), (0, 0, 0, 1)),))
+
+
+def test_dense_and_sparse_bracket_values_give_one_algebra():
+    """A bracket value is a full coordinate vector or a sparse row; either
+
+    way the algebra stores the sparse row of its nonzeros, pairs
+    ascending, and act is built from it.
+    """
+    alg = make_algebra("free_235")
+    n = alg.space.total_dim
+    dense = GradedLieAlgebra(alg.space, tuple((pair, alg.bracket_basis(*pair))
+                                              for pair, _ in reversed(alg.brackets)))
+    # int values become Fractions; explicit zeros, and a pair with no nonzero, are dropped
+    padded = tuple((pair, {**{k: int(e) for k, e in row.items()},
+                           next(k for k in range(n) if k not in row): 0})
+                   for pair, row in alg.brackets) + (((0, 1), {0: 0}),)
+    for other in (dense, GradedLieAlgebra(alg.space, padded)):
+        assert other == alg and hash(other) == hash(alg)
+        assert other.act == alg.act
+        assert other.brackets == alg.brackets
+        assert all(row and all(type(e) is Fraction and e for e in row.values())
+                   for _, row in other.brackets)
+    assert GradedLieAlgebra(alg.space, ((pair, {}) for pair, _ in alg.brackets)).brackets == ()
+
+
+def test_sparse_bracket_value_indices_must_be_coordinates():
+    space = heisenberg_space()
+    for row in ({3: 1}, {-1: 1}, {0: 1, 5: 0}):
+        with pytest.raises(ValueError, match=r"bracket \(1, 2\) has an index outside 0..2"):
+            GradedLieAlgebra(space, (((1, 2), row),))
 
 
 def test_bracket_eval_is_bilinear():
@@ -246,30 +278,37 @@ def test_adjoin_g0_rejects_generators_not_closed_under_commutator():
 
 
 def test_adjoin_g0_structure():
-    heis = make_algebra("heisenberg3")
-    basis = resolve_g0(G0Spec("der0"), heis)
-    full = adjoin_g0(heis, basis)
-    assert validate(full) == []
-    assert full.space.labels(0) == ("d1", "d2", "d3", "d4")
-    n_old = heis.space.total_dim
-    for i, f in enumerate(basis):
-        for a in range(n_old):
-            expect = tuple(-e for e in f.apply_basis(a)) + (Fraction(0),) * len(basis)
-            assert full.bracket_basis(a, n_old + i) == expect
+    """Mixed brackets are the negated action, and the g^0 brackets the
 
-    # degree-0 brackets match matrix commutators after mapping back
-    mats = [f.to_matrix() for f in basis]
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            value = full.bracket_basis(n_old + i, n_old + j)
-            assert all(e == 0 for e in value[:n_old])
-            rebuilt = Matrix.zeros(n_old, n_old)
-            for t, c in enumerate(value[n_old:]):
-                if c != 0:
-                    rebuilt = rebuilt + mats[t].scale(c)
-            assert rebuilt == mats[i] @ mats[j] - mats[j] @ mats[i]
+    matrix commutators, on four symbols with their g^0 choices.
+    """
+    # dim g^0: csp(2), csp(4), co(3), gl(2)
+    for name, preset, dim in (("heisenberg3", "der0", 4), ("heisenberg5", "der0", 11),
+                              ("abelian3", "co", 4), ("free_235", "der0", 4)):
+        alg = make_algebra(name)
+        basis = resolve_g0(G0Spec(preset), alg)
+        full = adjoin_g0(alg, basis)
+        assert validate(full) == []
+        assert full.space.labels(0) == tuple(f"d{i}" for i in range(1, dim + 1))
+        n_old = alg.space.total_dim
+        for i, f in enumerate(basis):
+            for a in range(n_old):
+                expect = tuple(-e for e in f.apply_basis(a)) + (Fraction(0),) * len(basis)
+                assert full.bracket_basis(a, n_old + i) == expect, (name, i, a)
 
-    assert full.negative_part() == heis
+        # degree-0 brackets match matrix commutators after mapping back
+        mats = [f.to_matrix() for f in basis]
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                value = full.bracket_basis(n_old + i, n_old + j)
+                assert all(e == 0 for e in value[:n_old])
+                rebuilt = Matrix.zeros(n_old, n_old)
+                for t, c in enumerate(value[n_old:]):
+                    if c != 0:
+                        rebuilt = rebuilt + mats[t].scale(c)
+                assert rebuilt == mats[i] @ mats[j] - mats[j] @ mats[i], (name, i, j)
+
+        assert full.negative_part() == alg
 
 
 def test_adjoin_g0_avoids_label_collisions():

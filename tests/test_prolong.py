@@ -7,9 +7,10 @@ import pytest
 
 from slow_oracle import slow_prolong_dims
 from tanaka.catalog import make_algebra
-from tanaka.exact_linear import Matrix, Subspace
+from tanaka.exact_linear import Matrix, Subspace, densify
 from tanaka.graded import HomogeneousMap, hom_basis, hom_coords, hom_space_dim
-from tanaka.lie import G0Spec, GradedLieAlgebra, adjoin_g0, jacobi_triples, resubstitute, validate
+from tanaka.lie import (G0Spec, GradedLieAlgebra, adjoin_g0, derivations, jacobi_triples, resubstitute,
+                        validate)
 from tanaka.prolong import (
     ExtendedBracket,
     LevelInconsistency,
@@ -30,6 +31,14 @@ def test_zero_g0_stops_immediately():
     assert res.dims == (0,)
     assert res.status.kind == "finite"
     assert order_and_bound(res) == (0, 3)
+    # abelian2 has no degree-1 map at all: the level system has no columns,
+    # and its kernel is the zero subspace of Q^0
+    ab = make_algebra("abelian2")
+    assert hom_space_dim(ab.space, ab.space, 1) == 0
+    assert derivations(ab, ab.act, ab.space, 1) == (Subspace.zero(0), ())
+    res = prolong(ab, G0Spec("zero"), max_degree=5)
+    assert res.levels[0].carrier == Subspace.zero(0) and res.levels[0].basis == ()
+    assert order_and_bound(res) == (0, 2)
 
 
 def test_abelian_full_matrix_growth():
@@ -206,10 +215,11 @@ def test_extended_bracket_laws():
     assert eb.out_of_range == ()
 
     degs = [eb.space.degree_of_index(i) for i in range(14)]
-    for (a, b), value in eb.table:
-        assert eb.bracket_basis(b, a) == tuple(-e for e in value)
-        support = {degs[i] for i, e in enumerate(value) if e != 0}
-        assert support <= {degs[a] + degs[b]}
+    for (a, b), row in eb.table:
+        assert row and all(row.values())
+        assert eb.bracket_basis(a, b) == densify(row, 14)
+        assert eb.bracket_basis(b, a) == tuple(-e for e in densify(row, 14))
+        assert {degs[i] for i in row} == {degs[a] + degs[b]}
     assert jacobi_failures(eb) == []
 
 
