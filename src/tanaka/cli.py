@@ -213,8 +213,9 @@ def cmd_torsion(args: argparse.Namespace, out: TextIO) -> int:
     failed = _require_usable(loaded)
     if failed is not None:
         return failed
-    result = _run_prolong(args, loaded)
     n = args.level
+    args.max_degree = min(args.max_degree, n + 1)  # the report reads m_n and g^{n+1}
+    result = _run_prolong(args, loaded)
     try:
         report = torsion.kernel_reports(result, n)
     except ValueError as exc:
@@ -258,7 +259,11 @@ def cmd_tower(args: argparse.Namespace, out: TextIO) -> int:
         return failed
     base_dim = _base_dim(args, loaded.algebra)
     result = _run_prolong(args, loaded)
-    report = torsion.tower_report(result, base_dim)
+    try:
+        report = torsion.tower_report(result, base_dim)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for n in (report.base_dim, report.bound or 0, *(r.dim_total for r in report.rows)):
         _within_cap(n)  # the numbers base_dim enters, before any output
     if args.fmt == "json":

@@ -30,6 +30,15 @@ entry moved and possibly negated, with no arithmetic. The
 single-element maps partial1/partial_np1 take the element's
 coordinates over those units (the hom_units frame for the gl part)
 and return the same combination of the matrix's columns.
+
+The matrix is block-diagonal: the rows of the wedge pairs come first
+and fill only the gl columns, the rows of the (x, w) Hom pairs follow
+and fill only the Hom columns. One integer rank of each block gives
+the whole rank and the injectivity on Hom, and one pass per level
+serves both kernel_reports and tower_report. The kernel identity is
+checked as containment plus dimension, with no kernel basis: the gl
+block kills each embedded basis map of g^{n+1}, and its corank equals
+the rank of those maps.
 """
 
 from __future__ import annotations
@@ -45,9 +54,7 @@ from .exact_linear import (
     Vector,
     complement,
     densify,
-    kernel,
     rank,
-    rref_canonicalize,
 )
 from .graded import (
     GradedMap,
@@ -293,18 +300,6 @@ def gl_tail_dim(space: GradedSpace, p: int) -> int:
     return sum(hom_space_dim(space, space, d) for d in range(p, top + 1))
 
 
-def _embedded_level_span(result: ProlongationResult, s: int) -> Subspace:
-    """g^s as a subspace of Hom^s(m_s-1 tower, same) unit coordinates,
-
-    extended by zero on the non-negative components (forced: those
-    blocks have no target).
-    """
-    space = result.tower_space(min(s - 1, result.depth))
-    basis = result.level(s).basis if s <= result.depth else ()
-    rows = tuple(hom_terms_of_columns(space, space, s, a.columns) for a in basis)
-    return Subspace.row_space(Matrix(rows, hom_space_dim(space, space, s)))
-
-
 @record
 class KernelReport:
     """Outcome of the kernel cross-validation at one level."""
@@ -325,6 +320,54 @@ class KernelReport:
         return self.gl_kernel_matches and self.hom_injective
 
 
+def _level(result: ProlongationResult, n: int) -> KernelReport:
+    """The report of level n + 1, read off one boundary matrix.
+
+    The pair rows fill only gl columns and the Hom rows only Hom
+    columns, so the rank is the sum of the two blocks' ranks, and d is
+    injective on the Hom summand iff its block has full column rank.
+    Where g^{n+1} is known (computed, or zero because the tower closed)
+    Ker(d|gl_{n+1}) = g^{n+1} is checked as containment plus dimension:
+    the gl block kills every embedded level basis map, and its kernel
+    has the dimension of their span. Elsewhere the identity is not
+    checked and dim_g_next is that kernel's dimension.
+    """
+    tor, matrix, layout = partial_np1_matrix(result, n)
+    gl_cols, hom_cols = layout[0], sum(layout[1:])
+    split = tor.part_dims[0]
+    gl_block = Matrix(matrix.sparse[:split], gl_cols)
+    r_gl, r_hom = rank(gl_block), rank(Matrix(matrix.sparse[split:], matrix.cols))
+    gl_nullity, messages = gl_cols - r_gl, []
+    if r_hom < hom_cols:
+        messages.append(f"boundary map has a {hom_cols - r_hom}-dim kernel on the Hom summand")
+    matches, dim_next = True, gl_nullity
+    if n < result.depth or result.status.kind == "finite":
+        # g^{n+1} in the unit coordinates of Hom^{n+1}(m_n, m_n), zero
+        # on the non-negative components (those blocks have no target)
+        basis = result.level(n + 1).basis if n < result.depth else ()
+        embedded = Matrix(tuple(hom_terms_of_columns(tor.space, tor.space, n + 1, a.columns)
+                                for a in basis), gl_cols)
+        dim_next, span = len(basis), rank(embedded)
+        matches = gl_nullity == span and (gl_block @ embedded.transpose()).is_zero()
+        if not matches:
+            messages.append(f"Ker(d|gl_{n + 1}) has dim {gl_nullity}, "
+                            f"embedded g^{n + 1} has dim {span}")
+    # the gl_{n+2} tail is annihilated without entering the matrix
+    tail = gl_tail_dim(tor.space, n + 2)
+    return KernelReport(
+        level=n + 1,
+        gl_kernel_matches=matches,
+        hom_injective=r_hom == hom_cols,
+        dim_tor=tor.total_dim,
+        dim_domain=gl_cols + hom_cols + tail,
+        rank=r_gl + r_hom,
+        dim_w=tor.total_dim - r_gl - r_hom,
+        dim_g_next=dim_next,
+        dim_gl_tail=tail,
+        messages=tuple(messages),
+    )
+
+
 def kernel_reports(result: ProlongationResult, n: int) -> KernelReport:
     """Compare Ker of the level-(n+1) boundary map with the solver's
 
@@ -335,48 +378,7 @@ def kernel_reports(result: ProlongationResult, n: int) -> KernelReport:
         raise ValueError(f"level {n} not computed")
     if n + 1 > result.depth and result.status.kind != "finite":
         raise ValueError(f"g^{n + 1} not available at depth {result.depth}")
-    messages = []
-    tor, matrix, layout = partial_np1_matrix(result, n)
-    gl_cols, hom_cols = layout[0], sum(layout[1:])
-
-    # kernel on the gl summand vs the embedded next level
-    if tor.total_dim == 0:
-        ker = Subspace.full(gl_cols)
-        r = 0
-        injective = hom_cols == 0
-        if not injective:
-            messages.append("Hom summand present but torsion target is zero")
-    else:
-        # one elimination of the column-ordered [gl | hom] matrix gives the
-        # rank, and its gl columns are the RREF of the gl block
-        reduced = rref_canonicalize(matrix)
-        r = reduced.rows
-        ker = kernel(reduced.column_slice(0, gl_cols))
-        injective = True
-        if hom_cols:
-            bad = kernel(matrix.column_slice(gl_cols, matrix.cols)).dim
-            injective = bad == 0
-            if not injective:
-                messages.append(f"boundary map has a {bad}-dim kernel on the Hom summand")
-    embedded = _embedded_level_span(result, n + 1)
-    matches = ker == embedded
-    if not matches:
-        messages.append(
-            f"Ker(d|gl_{n + 1}) has dim {ker.dim}, embedded g^{n + 1} has dim {embedded.dim}")
-    # the gl_{n+2} tail is annihilated without entering the matrix
-    tail = gl_tail_dim(tor.space, n + 2)
-    return KernelReport(
-        level=n + 1,
-        gl_kernel_matches=matches,
-        hom_injective=injective,
-        dim_tor=tor.total_dim,
-        dim_domain=gl_cols + hom_cols + tail,
-        rank=r,
-        dim_w=tor.total_dim - r,
-        dim_g_next=result.dim_g(n + 1),
-        dim_gl_tail=tail,
-        messages=tuple(messages),
-    )
+    return _level(result, n)
 
 
 def complement_w(result: ProlongationResult, n: int) -> Subspace:
@@ -419,7 +421,11 @@ class TowerReport:
 
 
 def tower_report(result: ProlongationResult, base_dim: Optional[int] = None) -> TowerReport:
-    """Rows n = 1..min(depth, order+1) of the reduction tower."""
+    """Rows n = 1..min(depth, order+1) of the reduction tower.
+
+    Each row's level passes the kernel identity where g^{n+1} is known
+    (see kernel_reports); a failure raises ValueError.
+    """
     dim_m = result.negative.space.total_dim
     if base_dim is None:
         base_dim = dim_m
@@ -430,21 +436,21 @@ def tower_report(result: ProlongationResult, base_dim: Optional[int] = None) -> 
     rows = []
     running = base_dim + len(result.g0)
     for n in range(1, top + 1):
-        space_n = result.tower_space(n)
+        report = _level(result, n)
+        if not report.passed:
+            raise ValueError(f"level {report.level}: " + "; ".join(report.messages))
         r_n = result.dim_g(n)
         running += r_n
-        tor, matrix, layout = partial_np1_matrix(result, n)
-        r = rank(matrix)
-        hom_dims = sum(layout[1:])
         rows.append(TowerRow(
             n=n,
             dim_g=r_n,
-            dim_structure_group=gl_tail_dim(space_n, n + 1) + hom_dims,
+            # the boundary map's domain: gl_{n+1}(m_n) and the Hom summands
+            dim_structure_group=report.dim_domain,
             dim_group_product=(len(result.g0) + sum(result.dims[:n])
                                + gl_tail_dim(result.tower_space(n - 1), n + 1)),
-            dim_tor=tor.total_dim,
-            rank=r,
-            dim_w=tor.total_dim - r,
+            dim_tor=report.dim_tor,
+            rank=report.rank,
+            dim_w=report.dim_w,
             dim_total=running,
         ))
     return TowerReport(

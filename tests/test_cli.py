@@ -400,6 +400,18 @@ def test_torsion_unreachable_level_exits_1(capsys):
     assert code == 1 and "not computed" in err
 
 
+def test_torsion_prolongs_only_to_the_level_it_reads(capsys):
+    # the report reads m_2 and g^3; at the default --max-degree 10 the
+    # contact symbol's tower would not fit in memory
+    code, out, _ = run(capsys, "torsion", "preset:heisenberg7", "--level", "2")
+    assert code == 0
+    assert out == ("dim Tor^3 = 32310\n"
+                   "rank ∂^3 = 13068\n"
+                   "dim W^3 = 19242\n"
+                   "Ker ∂^3 = gl_4 + g^3: PASS\n"
+                   "∂^3 injective on Hom(g^i, g^2): PASS\n")
+
+
 def test_torsion_json(capsys):
     code, out, _ = run(capsys, "torsion", "preset:abelian3", "--g0", "co",
                        "--format", "json")

@@ -5,15 +5,16 @@ from functools import partial
 
 import pytest
 
+from tanaka import cli
 from tanaka.catalog import make_algebra
 from tanaka.exact_linear import Matrix, Subspace, kernel, rank
 from tanaka.graded import (GradedMap, GradedSpace, HomogeneousMap, hom_basis,
-                           hom_coords, hom_space_dim, hom_units)
+                           hom_coords, hom_space_dim, hom_terms_of_columns, hom_units)
 from tanaka.lie import G0Spec, GradedLieAlgebra, adjoin_g0, bracket_eval, resolve_g0
-from tanaka.prolong import extended_bracket, prolong
+from tanaka.prolong import (ProlongationLevel, ProlongationResult, extended_bracket,
+                           prolong)
 from tanaka.torsion import (
     KernelReport,
-    _embedded_level_span,
     complement_w,
     gl_tail_dim,
     kernel_reports,
@@ -348,6 +349,17 @@ def test_tower_report_rejects_small_base_dim():
         tower_report(res, base_dim=1)
 
 
+def _embedded_level_span(res, s):
+    """g^s as a subspace of the unit coordinates of Hom^s(m_{s-1}, m_{s-1}),
+
+    zero on the non-negative components; the zero space past a closed tower.
+    """
+    space = res.tower_space(min(s - 1, res.depth))
+    basis = res.level(s).basis if s <= res.depth else ()
+    rows = tuple(hom_terms_of_columns(space, space, s, a.columns) for a in basis)
+    return Subspace.row_space(Matrix(rows, hom_space_dim(space, space, s)))
+
+
 def _report_from_separate_eliminations(res, n):
     """The KernelReport of level n + 1 assembled from three separate
 
@@ -385,13 +397,65 @@ def _report_from_separate_eliminations(res, n):
     ("heisenberg(5)", "der0", 2),
     ("free_235", "der0", 10),
     ("abelian(3)", "co", 10),
+    ("abelian(4)", "gl", 2),
 ])
 def test_kernel_reports_single_elimination_matches_separate_ones(name, preset, depth):
-    """One elimination of [gl | hom] gives the report of a separate gl-block
+    """The block ranks and the containment-plus-dimension check give the
 
-    kernel plus full rank, at every level whose next level is known.
+    report of a separate gl-block kernel, full rank and Hom-block kernel,
+    at every level whose next level is known; each tower row's rank is
+    the rank of the whole boundary matrix.
     """
     res = _result(name, preset, depth)
     top = res.depth if res.status.kind == "finite" else res.depth - 1
     for n in range(top + 1):
         assert kernel_reports(res, n) == _report_from_separate_eliminations(res, n), n
+    for row in tower_report(res).rows:
+        assert row.rank == rank(partial_np1_matrix(res, row.n)[1]), row.n
+
+
+def _with_level_basis(res, s, basis):
+    """res with the basis of g^s replaced. The tower rows and the carrier,
+
+    and so the boundary matrices, stay those of res: only the kernel
+    identity reads the new basis.
+    """
+    old = res.level(s)
+    levels = list(res.levels)
+    levels[s - 1] = ProlongationLevel(old.degree, old.space_below, old.carrier, tuple(basis))
+    broken = ProlongationResult(res.base, res.negative, res.g0, tuple(levels), res.status)
+    broken._memo.update(res._memo)
+    return broken
+
+
+def _unit_outside_the_kernel(res, s):
+    level = res.level(s)
+    unit = next(u for u in hom_basis(res.negative.space, level.space_below, s)
+                if not level.carrier.contains(hom_coords(u)))
+    return (unit,) + level.basis[1:]
+
+
+def _repeated_map(res, s):
+    basis = res.level(s).basis
+    return (basis[1],) + basis[1:]
+
+
+@pytest.mark.parametrize("mutate,span", [(_unit_outside_the_kernel, 9), (_repeated_map, 8)])
+def test_a_mutated_level_basis_fails_the_kernel_identity(mutate, span, monkeypatch, capsys):
+    """A g^2 basis map outside Ker d fails the containment, a repeated
+
+    one the dimension; the count of maps is kept either way, and `tower`
+    then exits 1 with the report's message.
+    """
+    res = _result("heisenberg(3)", "der0", 3)
+    broken = _with_level_basis(res, 2, mutate(res, 2))
+    assert broken.dims == res.dims
+    report = kernel_reports(broken, 1)
+    message = f"Ker(d|gl_2) has dim 9, embedded g^2 has dim {span}"
+    assert not report.gl_kernel_matches and report.hom_injective
+    assert report.messages == (message,)
+    assert kernel_reports(res, 1).passed
+    monkeypatch.setattr(cli, "_run_prolong", lambda args, loaded: broken)
+    assert cli.main(["tower", "preset:heisenberg3", "--max-degree", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: level 2: {message}\n"
