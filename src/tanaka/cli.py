@@ -22,10 +22,11 @@ from .jsonio import (
     AlgebraInputError,
     LoadedAlgebra,
     OutputBudgetError,
+    _emit_matrix,
+    _map_doc,
     _within_cap,
     emit_g0_generators,
     emit_result,
-    generator_doc,
     parse_algebra,
     parse_g0,
 )
@@ -168,10 +169,9 @@ def cmd_der0(args: argparse.Namespace, out: TextIO) -> int:
     if args.fmt == "json":
         _write_document(emit_g0_generators(basis), out)
         return 0
-    docs = [generator_doc(gen) for gen in basis]  # an over-long number fails before any output
-    print(f"dim der0 = {len(basis)}", file=out)
-    for i, doc in enumerate(docs, start=1):
-        print(f"D{i}: " + "; ".join(f"{d}: {rows}" for d, rows in doc.items()), file=out)
+    lines = [f"D{i}: " + "; ".join(f"{d}: {_emit_matrix(b)}" for d, b in _map_doc(gen).items())
+             for i, gen in enumerate(basis, start=1)]  # an over-long number fails before any output
+    print(f"dim der0 = {len(basis)}", *lines, sep="\n", file=out)
     return 0
 
 

@@ -10,24 +10,25 @@ point numbers, integers or degree keys of more than 4300 digits)
 raises AlgebraInputError. The digit cap is the package's own, equal to
 CPython's default int_max_str_digits: longer integers are rejected
 even where the interpreter is configured to convert them, before any
-conversion starts. Under an interpreter limit below 4300
-(PYTHONINTMAXSTRDIGITS or -X int_max_str_digits), an integer literal
-or rational string within the cap but past that limit raises
-AlgebraInputError naming the limit, and a degree key past it is a bad
-degree key. The emitters hold to the same cap, or to the interpreter's
-limit where that is lower, so every document they write parses back
-and no number meets the interpreter's ValueError: a rational with a
-longer numerator or denominator raises OutputBudgetError.
+conversion starts. Under the default limit that check is the
+interpreter's own, so an integer literal costs no Python call. Under
+an interpreter limit below 4300 (PYTHONINTMAXSTRDIGITS or -X
+int_max_str_digits), an integer literal or rational string within the
+cap but past that limit raises AlgebraInputError naming the limit, and
+a degree key past it is a bad degree key. The emitters hold to the
+same cap, or to the interpreter's limit where that is lower, so every
+document they write parses back and no number meets the interpreter's
+ValueError: a rational with a longer numerator or denominator raises
+OutputBudgetError.
 
 A homogeneous map is written one way everywhere: an object keyed by
-source degree, each value the matrix of one block. The emitters put the
-`Matrix` blocks themselves in the document (`_map_doc`), and the writer
-renders each one straight from its sparse rows, so no per-cell list is
-built; `generator_doc` is the plain-data form of the same object, lists
-of rows, as `parse_result` returns it. One parser reads a map back
-(`_parse_maps`), checking every block's shape against (source, target,
-degree); it reads the g^0 generators against m and each level basis of
-a result against the tower space below it.
+source degree, each value the matrix of one block. A document holds
+the `Matrix` blocks themselves (`_map_doc`), as the emitters build it
+and as `parse_result` returns it, and the writer renders each one
+straight from its sparse rows, so no per-cell list is built. One
+parser reads a map back (`_parse_maps`), checking every block's shape
+against (source, target, degree); it reads the g^0 generators against
+m and each level basis of a result against the tower space below it.
 
 All emitters produce one canonical byte form: keys in a fixed order,
 degrees ascending, bracket entries sorted by basis-index pair with
@@ -159,11 +160,16 @@ def emit_rational(q: Fraction) -> Any:
 
 
 def _load_json(text: str) -> Any:
+    # under the default limit the interpreter refuses exactly the literals
+    # past the cap, before converting them; any other limit needs the hook
+    hook = None if _int_limit() == _MAX_DIGITS else _parse_int
     try:
-        return json.loads(text, parse_int=_parse_int)
+        return json.loads(text, parse_int=hook)
     except json.JSONDecodeError as exc:
         raise AlgebraInputError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # the interpreter's limit on an integer literal
+        raise AlgebraInputError(f"integer literal: more than {_MAX_DIGITS} digits") from exc
 
 
 # the scalars of a document, and how json.dumps writes each of them
@@ -179,8 +185,7 @@ def _dumps(obj: Any) -> str:
     """json.dumps(obj, indent=2, ensure_ascii=False) + "\\n", byte for byte,
 
     for documents of dicts with string keys, lists and the _LEAVES
-    scalars. A list of scalars is written in one join, and a Matrix as
-    the list of its rows of emitted rationals.
+    scalars, and a Matrix as the list of its rows of emitted rationals.
     """
     out: list[str] = []
     _write(obj, "\n", out)
@@ -208,8 +213,6 @@ def _write(obj: Any, nl: str, out: list[str]) -> None:
             out.append((sep if i else inner) + _LEAVES[str](key) + ": ")
             _write(value, inner, out)
         out.append(nl + "}")
-    elif set(map(type, obj)) <= _LEAVES.keys():
-        out.append("[" + inner + sep.join([_LEAVES[type(x)](x) for x in obj]) + nl + "]")
     else:
         out.append("[")
         for i, value in enumerate(obj):
@@ -219,9 +222,10 @@ def _write(obj: Any, nl: str, out: list[str]) -> None:
 
 
 def _matrix_text(m: Matrix, nl: str) -> str:
-    """What _write makes of _emit_matrix(m), one string per row. The zero
+    """The text json.dumps gives _emit_matrix(m) at the nesting of nl,
 
-    rows, nearly all rows of a level basis, share one string.
+    built one string per row; the zero rows, nearly all rows of a level
+    basis, share one string.
     """
     inner = nl + "  "
     zeros = ["0"] * m.cols
@@ -395,9 +399,8 @@ def _parse_maps(obj: Any, source: GradedSpace, target: GradedSpace, degree: int,
                 where: str) -> list[HomogeneousMap]:
     """The one reader of map documents: a list of maps in Hom^degree(source,
 
-    target), each an object keyed by source degree as generator_doc
-    writes it, each block checked against its shape. Absent blocks are
-    zero.
+    target), each an object keyed by source degree as _map_doc builds
+    it, each block checked against its shape. Absent blocks are zero.
     """
     if not isinstance(obj, list):
         raise AlgebraInputError(f"{where}: expected a list")
@@ -462,17 +465,12 @@ def _map_doc(g: HomogeneousMap) -> dict[str, Matrix]:
     return {d: block for d, block in blocks if block.rows and block.cols}
 
 
-def generator_doc(g: HomogeneousMap) -> dict[str, list]:
-    """_map_doc(g) in plain data: each block a list of rows of emitted rationals."""
-    return {d: _emit_matrix(block) for d, block in _map_doc(g).items()}
+def _generators_doc(maps: Sequence[HomogeneousMap]) -> dict:
+    return {"generators": [_map_doc(g) for g in maps]}
 
 
-def _generators_doc(maps: Sequence[HomogeneousMap], map_doc=_map_doc) -> dict:
-    return {"generators": [map_doc(g) for g in maps]}
-
-
-def _level_doc(s: int, basis: Sequence[HomogeneousMap], map_doc=_map_doc) -> dict:
-    return {"degree": s, "dim": len(basis), "basis": [map_doc(a) for a in basis]}
+def _level_doc(s: int, basis: Sequence[HomogeneousMap]) -> dict:
+    return {"degree": s, "dim": len(basis), "basis": [_map_doc(a) for a in basis]}
 
 
 def result_document(result: ProlongationResult,
@@ -505,13 +503,15 @@ def emit_result(result: ProlongationResult, base_dim: Optional[int] = None) -> s
 
 
 def parse_result(text: str) -> dict:
-    """Validate an emitted prolongation document; returns the canonical
+    """Validate an emitted prolongation document; returns it in the form
 
-    plain-data form, so emit_result_document(parse_result(s)) == s for
-    any s this module emitted. The g^0 generators and every level basis
-    are read by _parse_maps, level s against the tower space m + g^0 +
-    ... + g^(s-1) of the document's own counts, and re-emitted; dim_g0,
-    dims, the level degrees and dims, and the bound must agree.
+    result_document builds, its maps as Matrix blocks, so
+    parse_result(emit_result(r)) == result_document(r) and
+    emit_result_document(parse_result(s)) == s for any s this module
+    emitted. The g^0 generators and every level basis are read by
+    _parse_maps, level s against the tower space m + g^0 + ... +
+    g^(s-1) of the document's own counts; dim_g0, dims, the level
+    degrees and dims, and the bound must agree.
     """
     doc = _load_json(text)
     if not isinstance(doc, dict):
@@ -560,7 +560,7 @@ def parse_result(text: str) -> dict:
                             f"{where}.basis")
         if len(basis) != dim:
             raise AlgebraInputError(f"{where}.basis: expected {dim} entries")
-        levels.append(_level_doc(s, basis, generator_doc))
+        levels.append(_level_doc(s, basis))
         tower[s] = dim
     if dims != [level["dim"] for level in levels]:
         raise AlgebraInputError(f"dims: {dims} differ from the level dims")
@@ -574,7 +574,7 @@ def parse_result(text: str) -> dict:
             shown = bound if abs(bound) < cap else over
             raise AlgebraInputError(
                 f"bound: expected base_dim + dim_g0 + sum(dims[:order]) = {shown}")
-    return {**doc, "g0": _generators_doc(g0, generator_doc), "levels": levels}
+    return {**doc, "g0": _generators_doc(g0), "levels": levels}
 
 
 def emit_result_document(doc: Mapping[str, Any]) -> str:

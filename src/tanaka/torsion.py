@@ -326,6 +326,9 @@ def _level(result: ProlongationResult, n: int) -> KernelReport:
     The pair rows fill only gl columns and the Hom rows only Hom
     columns, so the rank is the sum of the two blocks' ranks, and d is
     injective on the Hom summand iff its block has full column rank.
+    The Hom block is I_{#w} (x) B: each w in g^0..g^{n-1} has the rows
+    of its pairs (x, w), which fill only w's own columns, and every w's
+    block is the same B, E |-> ([E, x])_x, so its rank is #w rank(B).
     Where g^{n+1} is known (computed, or zero because the tower closed)
     Ker(d|gl_{n+1}) = g^{n+1} is checked as containment plus dimension:
     the gl block kills every embedded level basis map, and its kernel
@@ -336,7 +339,10 @@ def _level(result: ProlongationResult, n: int) -> KernelReport:
     gl_cols, hom_cols = layout[0], sum(layout[1:])
     split = tor.part_dims[0]
     gl_block = Matrix(matrix.sparse[:split], gl_cols)
-    r_gl, r_hom = rank(gl_block), rank(Matrix(matrix.sparse[split:], matrix.cols))
+    m1 = tor.space.dim(-1)  # the pairs (x, w) of one w
+    b_block = Matrix(matrix.sparse[split:split + m1 * tor.hom_block_dim], matrix.cols)
+    r_gl = rank(gl_block)
+    r_hom = len(tor.pairs_hom) // m1 * rank(b_block) if tor.pairs_hom else 0
     gl_nullity, messages = gl_cols - r_gl, []
     if r_hom < hom_cols:
         messages.append(f"boundary map has a {hom_cols - r_hom}-dim kernel on the Hom summand")

@@ -16,16 +16,18 @@ from tanaka.jsonio import (
     AlgebraInputError,
     OutputBudgetError,
     _dumps,
+    _emit_matrix,
+    _map_doc,
     emit_algebra,
     emit_g0_generators,
     emit_rational,
     emit_result,
     emit_result_document,
-    generator_doc,
     parse_algebra,
     parse_g0,
     parse_rational,
     parse_result,
+    result_document,
 )
 from tanaka.lie import G0Spec, GradedLieAlgebra, der0_basis, resolve_g0
 from tanaka.prolong import prolong
@@ -197,11 +199,51 @@ def test_matrix_cells_other_than_the_int_0_are_read_as_rationals(cell):
     assert g.block(-1) == Matrix.from_rows([[1, 0], [0, 0]])
 
 
+def _literal_readers():
+    """(reader, document with one integer literal put in) for each reader:
+
+    a structure constant, a g^0 cell, a result's base_dim and a cell of
+    its level basis.
+    """
+    algebra = emit_algebra(make_algebra("heisenberg3"))
+    result = emit_result(_prolonged("heisenberg3", "der0", 2))
+    cell = "[\n              1\n            ]"  # the first cell of the g^1 basis
+    assert '"num": 1,' in algebra and '"base_dim": 3' in result and cell in result
+    flat = make_algebra("abelian2")
+    return [
+        (parse_algebra, lambda lit: algebra.replace('"num": 1,', f'"num": {lit},', 1)),
+        (lambda text: parse_g0(text, flat),
+         lambda lit: '{"generators": [{"-1": [[%s, 0], [0, 1]]}]}' % lit),
+        (parse_result, lambda lit: result.replace('"base_dim": 3', f'"base_dim": {lit}')),
+        (parse_result, lambda lit: result.replace(cell, cell.replace("1", lit), 1)),
+    ]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no interpreter digit limit")
 def test_over_long_integer_in_result_document_raises():
-    text = emit_result(_prolonged("heisenberg3", "der0", 2))
-    assert '"base_dim": 3' in text
-    with pytest.raises(AlgebraInputError, match="more than 4300 digits"):
-        parse_result(text.replace('"base_dim": 3', '"base_dim": 3' + "0" * 4300))
+    """Every reader refuses an integer literal past the cap with the cap's
+
+    message: under the default interpreter limit, where literals are read
+    without a hook, under a lower limit and under none. Under the lower
+    limit a literal within the cap but past it names that limit.
+    """
+    cap, lower = "more than 4300 digits", "more than 1000 digits, the interpreter's limit"
+    literals = {"1" + "0" * 4300: cap, "-" + "9" * 4301: cap, "1" + "0" * 4999: cap,
+                "9" * 4300: lower, "-" + "9" * 1001: lower}
+    old = sys.get_int_max_str_digits()
+    for limit in (4300, 1000, 0):
+        sys.set_int_max_str_digits(limit)
+        try:
+            for read, put in _literal_readers():
+                for lit, message in literals.items():
+                    if message == lower and limit != 1000:
+                        read(put(lit))
+                        continue
+                    with pytest.raises(AlgebraInputError) as raised:
+                        read(put(lit))
+                    assert str(raised.value) == f"integer literal: {message}", (limit, len(lit))
+        finally:
+            sys.set_int_max_str_digits(old)
     for bad in ("1" * 4301, "-1/" + "2" * 4301):
         with pytest.raises(AlgebraInputError, match="more than 4300 digits"):
             parse_rational(bad, "x")
@@ -315,27 +357,38 @@ def _catalog_runs():
                 yield prolong(entry.algebra, g0, max_degree=check.depth)
 
 
-def test_matrix_blocks_are_written_as_the_list_path_writes_them():
-    """emit_result and emit_g0_generators render Matrix blocks; parse_result
+def _as_lists(obj):
+    """obj with every Matrix block as _emit_matrix gives it, lists of rows."""
+    if type(obj) is Matrix:
+        return _emit_matrix(obj)
+    if isinstance(obj, dict):
+        return {key: _as_lists(value) for key, value in obj.items()}
+    return [_as_lists(value) for value in obj] if isinstance(obj, list) else obj
 
-    and generator_doc give the plain-data lists, which _dumps writes on
+
+def test_matrix_blocks_are_written_as_the_list_path_writes_them():
+    """emit_result and emit_g0_generators render Matrix blocks; _dumps
+
+    writes the same documents with each block as a list of row lists on
     its list path. Both paths write the same bytes.
     """
     for result in _catalog_runs():
-        text = emit_result(result)
-        assert emit_result_document(parse_result(text)) == text
+        assert emit_result(result) == _dumps(_as_lists(result_document(result)))
     for name in ("abelian1", "abelian2", "abelian3", "heisenberg3", "heisenberg5", "free_235"):
         basis = der0_basis(make_algebra(name))
-        assert emit_g0_generators(basis) == _dumps({"generators": [generator_doc(g) for g in basis]})
+        assert emit_g0_generators(basis) == _dumps(_as_lists({"generators": [_map_doc(g) for g in basis]}))
 
 
-def test_parse_result_returns_plain_data():
-    """The parsed form is json.dumps-able, every block a list of row lists."""
-    doc = parse_result(emit_result(_prolonged("free_235", "der0", 4)))
-    json.dumps(doc)
-    maps = doc["g0"]["generators"] + [g for level in doc["levels"] for g in level["basis"]]
-    blocks = [block for g in maps for block in g.values()]
-    assert blocks and all(type(b) is list and all(type(r) is list for r in b) for b in blocks)
+def test_parse_result_returns_the_emitted_document():
+    """A parsed document is the one the emitters build, its maps as Matrix
+
+    blocks, and it is written back byte for byte.
+    """
+    for result in _catalog_runs():
+        text = emit_result(result)
+        doc = parse_result(text)
+        assert doc == result_document(result)
+        assert emit_result_document(doc) == text
 
 
 _LONG = 10**4300 - 1  # 4300 digits, the longest a document carries
