@@ -161,16 +161,20 @@ class Matrix:
         return Matrix(tuple(out), cols or 0)
 
     @staticmethod
-    def from_columns(columns: Sequence[Sparse], rows: int) -> "Matrix":
+    def from_columns(columns: Sequence[Sparse], rows: int, first: int = 0) -> "Matrix":
         """The rows x len(columns) matrix whose j-th column is the sparse
 
-        column columns[j] {row: value}; zero values are dropped.
+        column columns[j] {first + row: value}; zero values are dropped
+        and zero rows are the shared NO_TERMS.
         """
-        out: list[dict[int, Fraction]] = [{} for _ in range(rows)]
+        out: list[Sparse] = [NO_TERMS] * rows
         for j, col in enumerate(columns):
             for i, v in col.items():
                 if v:
-                    out[i][j] = _as_fraction(v)
+                    row = out[i - first]
+                    if row is NO_TERMS:
+                        row = out[i - first] = {}
+                    row[j] = _as_fraction(v)
         return Matrix(tuple(out), len(columns))
 
     @staticmethod

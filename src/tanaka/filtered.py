@@ -388,7 +388,7 @@ def _check_action_argument(a: GradedMap, model: GradedSpace) -> None:
         raise ValueError("action argument must be an endomorphism of the model")
     if any(d < 0 for d in a.part_degrees):
         raise ValueError("action argument has a negative-degree part")
-    if any(b != Matrix.identity(b.rows) for _, b in a.part(0).blocks):
+    if any(col != {j: 1} for j, col in enumerate(a.part(0).columns)):
         raise ValueError("action argument must have identity degree-0 part")
 
 
@@ -432,9 +432,7 @@ def transition(f1: MLift, f2: MLift) -> GradedMap:
         raise ValueError("lifts are not over the same frame and degree")
     frame, m = f1.frame, f1.degree
     space, model = frame.space, frame.model
-    ident = HomogeneousMap.make(
-        model, model, 0, {i: Matrix.identity(model.dim(i)) for i in model.degrees})
-    parts: dict[int, HomogeneousMap] = {0: ident}
+    parts: dict[int, HomogeneousMap] = {0: GradedMap.identity(model).part(0)}
     for d in range(1, m):
         blocks = {}
         for i in model.degrees:

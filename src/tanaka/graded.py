@@ -5,13 +5,14 @@ degrees; absent degrees mean dimension zero. Global coordinates run
 through the listed degrees in ascending order, then through each
 component's basis in label order.
 
-A homogeneous map of degree d sends V^i into W^{i+d} and is stored as
-one sparse block per source degree; blocks whose source or target
-component is absent are identically zero and are not stored. The
-sparse image of each source basis vector (`HomogeneousMap.columns`) is
-kept alongside: maps built from columns (`HomogeneousMap.from_columns`,
-`hom_from_coords`, and so sums, multiples and composites) store the
-columns they were built from, and evaluation reads only those nonzeros.
+A homogeneous map of degree d sends V^i into W^{i+d} and is stored one
+way: as the sparse image of each source basis vector
+(`HomogeneousMap.columns`), with no zero values, so equal maps have
+equal columns. The solver, evaluation, sums, multiples and composites
+read and write only those nonzeros. The block of a source degree, the
+matrix of V^i -> W^{i+d}, is derived from the columns on first read and
+memoised in the map; blocks given to `HomogeneousMap.make` are turned
+into columns at once.
 
 Coordinates on the space Hom^d(U, W) itself (used whenever a subspace
 of maps is computed) enumerate elementary units as: source degree
@@ -24,7 +25,7 @@ one writer back.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
 from ._record import record
@@ -132,17 +133,24 @@ class GradedSpace:
 
 @record
 class HomogeneousMap:
-    """Linear map of pure degree between graded spaces, stored blockwise.
+    """Linear map of pure degree between graded spaces, stored as its columns.
 
-    blocks[i] is the matrix of V^i -> W^{i+degree} in the components'
-    bases (target dimension rows by source dimension columns). Only
-    blocks with both components present are stored.
+    columns[j] is the sparse image {target index: nonzero value} of the
+    j-th source basis vector, in global coordinates, inside the target
+    component of degree deg(j) + degree; columns are shared, so callers
+    must not mutate them. They are the one stored form, so equal maps
+    have equal columns. block(i) reads the matrix of V^i -> W^{i+degree}
+    off them on first use.
     """
 
     source: GradedSpace
     target: GradedSpace
     degree: int
-    blocks: tuple[tuple[int, Matrix], ...]
+    columns: tuple[Sparse, ...]
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.degree,
+                     tuple(frozenset(col.items()) for col in self.columns)))
 
     @staticmethod
     def present_source_degrees(source: GradedSpace, target: GradedSpace, degree: int) -> tuple[int, ...]:
@@ -151,75 +159,71 @@ class HomogeneousMap:
     @staticmethod
     def make(source: GradedSpace, target: GradedSpace, degree: int,
              blocks: Mapping[int, Matrix] = {}) -> "HomogeneousMap":
-        stored = []
-        for i in HomogeneousMap.present_source_degrees(source, target, degree):
+        """The map whose block of source degree i is blocks[i] (target
+
+        dimension rows by source dimension columns); absent blocks are zero.
+        """
+        cols: list[dict[int, Fraction]] = [{} for _ in range(source.total_dim)]
+        for i, block in blocks.items():
             shape = (target.dim(i + degree), source.dim(i))
-            block = blocks.get(i)
-            if block is None:
-                block = Matrix.zeros(*shape)
-            if block.shape != shape:
-                raise ValueError(f"block {i} has shape {block.shape}, expected {shape}")
-            stored.append((i, block))
-        for i in blocks:
-            if source.dim(i) == 0:
+            if shape[1] == 0:
                 raise ValueError(f"block for absent source degree {i}")
-            if target.dim(i + degree) == 0 and not blocks[i].is_zero():
-                raise ValueError(f"nonzero block {i} maps into absent target degree {i + degree}")
-        return HomogeneousMap(source, target, degree, tuple(stored))
+            if shape[0] == 0:
+                if not block.is_zero():
+                    raise ValueError(f"nonzero block {i} maps into absent target degree {i + degree}")
+            elif block.shape != shape:
+                raise ValueError(f"block {i} has shape {block.shape}, expected {shape}")
+            else:
+                src, tgt = source.offset(i), target.offset(i + degree)
+                for r, row in enumerate(block.sparse):
+                    for c, e in row.items():
+                        cols[src + c][tgt + r] = e
+        return HomogeneousMap(source, target, degree, tuple(cols))
 
     @staticmethod
     def from_columns(source: GradedSpace, target: GradedSpace, degree: int,
                      columns: Sequence[Sparse]) -> "HomogeneousMap":
         """The map sending the j-th source basis vector to columns[j], a
 
-        sparse column {target index: nonzero Fraction} in global
-        coordinates, kept as the map's `columns`. Each value must lie in
-        the target component of degree deg(j) + degree.
+        sparse column {target index: value} in global coordinates. Each
+        index must lie in the target component of degree deg(j) + degree;
+        zero values are dropped.
         """
         if len(columns) != source.total_dim:
             raise ValueError(f"expected {source.total_dim} columns, got {len(columns)}")
-        blocks = []
+        stored: list[Sparse] = []
         for i in source.degrees:
-            src, rows = source.offset(i), target.dim(i + degree)
+            rows = target.dim(i + degree)
             tgt = target.offset(i + degree) if rows else 0
-            block: list[dict[int, Fraction]] = [{} for _ in range(rows)]
-            for s in range(source.dim(i)):
-                for t, v in columns[src + s].items():
-                    if not tgt <= t < tgt + rows:
-                        raise ValueError(f"column {src + s} leaves the degree-{i + degree} component")
-                    block[t - tgt][s] = v
-            if rows:
-                blocks.append((i, Matrix(tuple(block), source.dim(i))))
-        f = HomogeneousMap(source, target, degree, tuple(blocks))
-        f.__dict__["columns"] = tuple(columns)
-        return f
+            for col in columns[len(stored): len(stored) + source.dim(i)]:
+                if col and (min(col) < tgt or max(col) >= tgt + rows):
+                    raise ValueError(f"column {len(stored)} leaves the degree-{i + degree} component")
+                if not all(col.values()):
+                    col = {t: v for t, v in col.items() if v}
+                stored.append(col)
+        return HomogeneousMap(source, target, degree, tuple(stored))
 
     @staticmethod
     def zero(source: GradedSpace, target: GradedSpace, degree: int) -> "HomogeneousMap":
         return HomogeneousMap.make(source, target, degree)
 
     def block(self, i: int) -> Matrix:
-        for deg, m in self.blocks:
-            if deg == i:
-                return m
-        return Matrix.zeros(self.target.dim(i + self.degree), self.source.dim(i))
+        """The matrix of V^i -> W^{i+degree} in the components' bases
+
+        (target dimension rows by source dimension columns), zero when
+        either component is absent. Read off the columns on first use and
+        kept in the instance, as a cached_property keeps its value.
+        """
+        memo = self.__dict__.setdefault("_blocks", {})
+        if i not in memo:
+            rows, cols = self.target.dim(i + self.degree), self.source.dim(i)
+            src = self.source.offset(i) if cols else 0
+            tgt = self.target.offset(i + self.degree) if rows else 0
+            memo[i] = Matrix.from_columns(self.columns[src: src + cols], rows, tgt)
+        return memo[i]
 
     def is_zero(self) -> bool:
-        return all(m.is_zero() for _, m in self.blocks)
-
-    @cached_property
-    def columns(self) -> tuple[Sparse, ...]:
-        """Sparse image {target index: value} of each source basis vector,
-
-        in global coordinates; shared, so callers must not mutate it.
-        """
-        cols: list[dict[int, Fraction]] = [{} for _ in range(self.source.total_dim)]
-        for i, block in self.blocks:
-            src, tgt = self.source.offset(i), self.target.offset(i + self.degree)
-            for r, row in enumerate(block.sparse):
-                for c, e in row.items():
-                    cols[src + c][tgt + r] = e
-        return tuple(cols)
+        return not any(self.columns)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.source.total_dim:

@@ -396,11 +396,13 @@ def _algebra_doc(alg: GradedLieAlgebra, name: str) -> dict:
 
 
 def _parse_maps(obj: Any, source: GradedSpace, target: GradedSpace, degree: int,
-                where: str) -> list[HomogeneousMap]:
+                where: str) -> list[dict[str, Matrix]]:
     """The one reader of map documents: a list of maps in Hom^degree(source,
 
-    target), each an object keyed by source degree as _map_doc builds
-    it, each block checked against its shape. Absent blocks are zero.
+    target), each an object keyed by source degree, each block checked
+    against its shape. Each map comes back as _map_doc builds it: the
+    Matrix blocks read, keyed by source degree ascending, with absent
+    blocks zero.
     """
     if not isinstance(obj, list):
         raise AlgebraInputError(f"{where}: expected a list")
@@ -409,14 +411,15 @@ def _parse_maps(obj: Any, source: GradedSpace, target: GradedSpace, degree: int,
         here = f"{where}[{i}]"
         if not isinstance(gen, dict):
             raise AlgebraInputError(f"{here}: expected an object keyed by degree")
-        blocks = {}
+        blocks = {d: Matrix.zeros(target.dim(d + degree), source.dim(d))
+                  for d in HomogeneousMap.present_source_degrees(source, target, degree)}
         for key, rows in gen.items():
             d = _degree_key(key, here)
             shape = (target.dim(d + degree), source.dim(d))
             if 0 in shape:
                 raise AlgebraInputError(f"{here}: no component of degree {d}")
             blocks[d] = _parse_matrix(rows, *shape, f"{here}[{key}]")
-        maps.append(HomogeneousMap.make(source, target, degree, blocks))
+        maps.append({str(d): block for d, block in blocks.items()})
     return maps
 
 
@@ -448,7 +451,8 @@ def parse_g0(obj: Any, algebra: GradedLieAlgebra) -> G0Spec:
             raise AlgebraInputError(str(exc)) from exc
     if set(obj) != {"generators"}:
         raise AlgebraInputError("g0 document: expected either a preset or generators")
-    maps = _parse_maps(obj["generators"], space, space, 0, "g0 generators")
+    maps = [HomogeneousMap.make(space, space, 0, {int(d): block for d, block in doc.items()})
+            for doc in _parse_maps(obj["generators"], space, space, 0, "g0 generators")]
     try:
         return G0Spec(generators=tuple(maps)) if maps else G0Spec("zero")
     except ValueError as exc:
@@ -456,7 +460,7 @@ def parse_g0(obj: Any, algebra: GradedLieAlgebra) -> G0Spec:
 
 
 def emit_g0_generators(maps: Sequence[HomogeneousMap]) -> str:
-    return _dumps(_generators_doc(maps))
+    return _dumps(_generators_doc([_map_doc(g) for g in maps]))
 
 
 def _map_doc(g: HomogeneousMap) -> dict[str, Matrix]:
@@ -465,12 +469,14 @@ def _map_doc(g: HomogeneousMap) -> dict[str, Matrix]:
     return {d: block for d, block in blocks if block.rows and block.cols}
 
 
-def _generators_doc(maps: Sequence[HomogeneousMap]) -> dict:
-    return {"generators": [_map_doc(g) for g in maps]}
+def _generators_doc(maps: list[dict[str, Matrix]]) -> dict:
+    """The g^0 part of a document, its generators given as _map_doc dicts."""
+    return {"generators": maps}
 
 
-def _level_doc(s: int, basis: Sequence[HomogeneousMap]) -> dict:
-    return {"degree": s, "dim": len(basis), "basis": [_map_doc(a) for a in basis]}
+def _level_doc(s: int, basis: list[dict[str, Matrix]]) -> dict:
+    """Level s of a result document, its basis given as _map_doc dicts."""
+    return {"degree": s, "dim": len(basis), "basis": basis}
 
 
 def result_document(result: ProlongationResult,
@@ -482,7 +488,7 @@ def result_document(result: ProlongationResult,
         base_dim = result.negative.space.total_dim
     doc = {
         "algebra": _algebra_doc(result.negative, ""),
-        "g0": _generators_doc(result.g0),
+        "g0": _generators_doc([_map_doc(g) for g in result.g0]),
         "status": {
             "kind": result.status.kind,
             "order": result.status.order,
@@ -490,7 +496,8 @@ def result_document(result: ProlongationResult,
         },
         "dim_g0": len(result.g0),
         "dims": list(result.dims),
-        "levels": [_level_doc(s, level.basis) for s, level in enumerate(result.levels, start=1)],
+        "levels": [_level_doc(s, [_map_doc(a) for a in level.basis])
+                   for s, level in enumerate(result.levels, start=1)],
         "base_dim": base_dim,
     }
     if result.status.kind == "finite":

@@ -15,7 +15,6 @@ import pytest
 import tanaka
 from tanaka.catalog import entries, make_algebra
 from tanaka.cli import _SLICE, _write_document, main
-from tanaka.exact_linear import Matrix
 from tanaka.jsonio import (
     emit_algebra,
     emit_g0_generators,
@@ -260,13 +259,10 @@ def test_over_long_level_coefficient_exits_1_with_empty_stdout(capsys, monkeypat
         result = real(args, loaded)
         level = result.levels[-1]
         g = level.basis[0]
-        blocks = dict(g.blocks)
-        d, block = next((d, b) for d, b in blocks.items() if not b.is_zero())
-        i = next(i for i, row in enumerate(block.sparse) if row)
-        rows = list(block.sparse)
-        rows[i] = {**rows[i], min(rows[i]): Fraction(10**4300)}
-        blocks[d] = Matrix(tuple(rows), block.cols)
-        huge = HomogeneousMap.make(g.source, g.target, g.degree, blocks)
+        cols = list(g.columns)
+        j = next(j for j, col in enumerate(cols) if col)
+        cols[j] = {**cols[j], min(cols[j]): Fraction(10**4300)}
+        huge = HomogeneousMap.from_columns(g.source, g.target, g.degree, cols)
         levels = result.levels[:-1] + (ProlongationLevel(
             level.degree, level.space_below, level.carrier, (huge,) + level.basis[1:]),)
         return ProlongationResult(result.base, result.negative, result.g0, levels, result.status)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from slow_oracle import dense_kernel, dense_rref
 from tanaka.catalog import make_algebra
 from tanaka.exact_linear import (
+    NO_TERMS,
     Matrix,
     Subspace,
     combination,
@@ -320,10 +321,12 @@ def _seeded_rows(seed: int) -> tuple[list[list[Fraction]], int]:
 
 @pytest.mark.parametrize("seed", range(72))
 def test_sparse_constructions_match_dense_oracle(seed):
-    """from_rows, from_columns (empty columns included), transpose, stack and
+    """from_rows, from_columns (empty columns included; with a first row
 
-    products all build one matrix: same shape, dense view and stored
-    nonzeros, and the same RREF, rank and kernel as dense Gauss-Jordan.
+    index and explicit zeros), transpose, stack and products all build
+    one matrix: same shape, dense view and stored nonzeros, and the same
+    RREF, rank and kernel as dense Gauss-Jordan. from_columns keeps its
+    zero rows as the shared NO_TERMS.
     """
     rows, c = _seeded_rows(seed)
     r = len(rows)
@@ -332,6 +335,8 @@ def test_sparse_constructions_match_dense_oracle(seed):
     built = {
         "from_rows": Matrix.from_rows(rows, c),
         "from_columns": Matrix.from_columns(columns, r),
+        "from_columns, shifted": Matrix.from_columns(
+            [{3 + i: rows[i][j] for i in range(r)} for j in range(c)], r, 3),
         "transpose": Matrix.from_rows([list(col) for col in zip(*rows)] or [[]] * c, r).transpose(),
         "stack": Matrix.from_rows(rows[:split], c).stack(Matrix.from_rows(rows[split:], c)),
         "matmul": Matrix.identity(r) @ Matrix.from_rows(rows, c) @ Matrix.identity(c),
@@ -339,6 +344,8 @@ def test_sparse_constructions_match_dense_oracle(seed):
     dense_rows, pivots = dense_rref(rows, c)
     expected_rref = Matrix.from_rows(dense_rows, c)
     expected_kernel = Matrix.from_rows(dense_kernel(rows, c), c)
+    for name in ("from_columns", "from_columns, shifted", "transpose"):
+        assert all(row or row is NO_TERMS for row in built[name].sparse), name
     for name, m in built.items():
         assert m.shape == (r, c), name
         assert m == built["from_rows"], name

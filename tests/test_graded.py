@@ -27,8 +27,8 @@ Scalars = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
 
 
 @st.composite
-def spaces(draw):
-    degrees = draw(st.lists(st.integers(-3, 2), min_size=1, max_size=3, unique=True))
+def spaces(draw, min_size=1):
+    degrees = draw(st.lists(st.integers(-3, 2), min_size=min_size, max_size=3, unique=True))
     dims = {d: draw(st.integers(1, 3)) for d in degrees}
     return GradedSpace.from_dims(dims)
 
@@ -40,6 +40,23 @@ def homogeneous_maps(draw, source, target, degree):
         rows, cols = target.dim(i + degree), source.dim(i)
         blocks[i] = Matrix.from_rows([[draw(Scalars) for _ in range(cols)] for _ in range(rows)])
     return HomogeneousMap.make(source, target, degree, blocks)
+
+
+@st.composite
+def given_blocks(draw, source, target, degree):
+    """Blocks for HomogeneousMap.make: each one random, zero or left out,
+
+    and zero at a source degree whose target component is absent.
+    """
+    blocks = {}
+    for i in source.degrees:
+        rows, cols = target.dim(i + degree), source.dim(i)
+        kind = draw(st.sampled_from(["random", "zero", "absent"]))
+        if kind == "zero":
+            blocks[i] = Matrix.zeros(rows, cols)
+        elif kind == "random" and rows:
+            blocks[i] = Matrix.from_rows([[draw(Scalars) for _ in range(cols)] for _ in range(rows)])
+    return blocks
 
 
 def test_global_coordinates_ascend_by_degree():
@@ -101,6 +118,43 @@ def test_hom_terms_of_columns_is_the_hom_frame(data):
     terms = hom_terms_of_columns(source, target, degree, f.columns)
     assert terms == _frame_walk(f)
     assert hom_from_coords(source, target, degree, terms) == f
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.data())
+def test_make_and_from_columns_build_one_map(data):
+    """A map made from blocks equals, with an equal hash, the map built from
+
+    its columns, and gives its blocks back, zero where none was given;
+    empty sources and absent target degrees included.
+    """
+    source, target = data.draw(spaces(min_size=0)), data.draw(spaces(min_size=0))
+    degree = data.draw(st.integers(-2, 2))
+    blocks = data.draw(given_blocks(source, target, degree))
+    f = HomogeneousMap.make(source, target, degree, blocks)
+    g = HomogeneousMap.from_columns(source, target, degree, [dict(col) for col in f.columns])
+    assert f == g and hash(f) == hash(g)
+    assert f.is_zero() == all(b.is_zero() for b in blocks.values())
+    for i in source.degrees:
+        zero = Matrix.zeros(target.dim(i + degree), source.dim(i))
+        assert f.block(i) == g.block(i) == blocks.get(i, zero)
+
+
+def test_block_of_an_absent_degree_is_zero_of_its_shape():
+    f = HomogeneousMap.make(TwoOne, TwoOne, 1, {-2: Matrix.from_rows([[1], [2]])})
+    assert f.block(-2) == Matrix.from_rows([[1], [2]]) and f.block(-2) is f.block(-2)
+    # no target degree 0, no source degree -3, neither at degree 0
+    for i, shape in ((-1, (0, 2)), (-3, (1, 0)), (0, (0, 0))):
+        assert f.block(i) == Matrix.zeros(*shape) and f.block(i).shape == shape
+
+
+def test_from_columns_drops_zero_values():
+    plane = GradedSpace.from_dims({-1: 2})
+    zero = HomogeneousMap.zero(plane, plane, 0)
+    f = HomogeneousMap.from_columns(plane, plane, 0, [{0: Fraction(0)}, {}])
+    assert f.is_zero() and f == zero and hash(f) == hash(zero)
+    g = HomogeneousMap.from_columns(plane, plane, 0, [{0: Fraction(2), 1: Fraction(0)}, {}])
+    assert g.columns == ({0: 2}, {}) and g.block(-1) == Matrix.from_rows([[2, 0], [0, 0]])
 
 
 def test_hom_terms_of_columns_rejects_values_off_the_block():
