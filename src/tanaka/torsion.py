@@ -26,19 +26,22 @@ memoised extended bracket above it, whose rows against m are the
 level maps themselves. For each unit of the domain every term of the
 formula, the Hom summand's [E(w), x] included, is one row of that
 table, so the matrix is read off the table entry by entry, each
-entry moved and possibly negated, with no arithmetic. The
-single-element maps partial1/partial_np1 take the element's
-coordinates over those units (the hom_units frame for the gl part)
-and return the same combination of the matrix's columns.
+entry moved and possibly negated, with no arithmetic.
 
-The matrix is block-diagonal: the rows of the wedge pairs come first
-and fill only the gl columns, the rows of the (x, w) Hom pairs follow
-and fill only the Hom columns. One integer rank of each block gives
-the whole rank and the injectivity on Hom, and one pass per level
-serves both kernel_reports and tower_report. The kernel identity is
-checked as containment plus dimension, with no kernel basis: the gl
-block kills each embedded basis map of g^{n+1}, and its corank equals
-the rank of those maps.
+The matrix is block_diag(gl, I_{#w} (x) B), and nothing builds it
+whole. The rows of the wedge pairs fill only the gl columns. Each w
+in g^0..g^{n-1} has the rows of its pairs (x, w), which fill only
+w's own columns, and every w's block is the same B, the map
+g^n -> Hom(m^-1, g^{n-1}), E |-> ([E, x])_x. So the assembly returns
+the gl block and one B, and every reader works on that form: the
+rank is rank(gl) + #w rank(B), d is injective on Hom iff B has full
+column rank, partial1/partial_np1 apply gl to the element's gl
+coordinates (the hom_units frame) and B to each w's image, and
+complement_w reads the pivots of gl's image and of B's once. One
+pass per level serves both kernel_reports and tower_report. The
+kernel identity is checked as containment plus dimension, with no
+kernel basis: the gl block kills each embedded basis map of
+g^{n+1}, and its corank equals the rank of those maps.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .exact_linear import (
     Sparse,
     Subspace,
     Vector,
-    complement,
     densify,
     rank,
 )
@@ -96,6 +98,11 @@ class TorsionSpace:
         return self.space.dim(self.level - 2)
 
     @property
+    def w_count(self) -> int:
+        """#w, the dimension of g^0 + ... + g^{level-2}: one copy of B each."""
+        return sum(self.space.dim(i) for i in range(self.level - 1))
+
+    @property
     def part_dims(self) -> tuple[int, int]:
         first = sum(self.pair_m_dim(a, b) for a, b in self.pairs_m)
         return first, len(self.pairs_hom) * self.hom_block_dim
@@ -105,72 +112,49 @@ class TorsionSpace:
         return sum(self.part_dims)
 
 
-def torsion_space1(m0: GradedLieAlgebra) -> TorsionSpace:
-    """Degree-1 component of Hom(wedge^2 m, m0), all wedge pairs kept."""
-    space = m0.space
-    nm = space.total_dim - space.dim(0)
-    pairs = []
-    for a in range(nm):
-        for b in range(a + 1, nm):
-            d = space.degree_of_index(a) + space.degree_of_index(b) + 1
-            if space.dim(d):
-                pairs.append((a, b))
-    return TorsionSpace(1, space, nm, tuple(pairs), ())
+def _torsion_space(space: GradedSpace, nm: int, n: int) -> TorsionSpace:
+    """Level n + 1 over m_n, the first nm indices of space being m.
 
-
-def torsion_space_np1(result: ProlongationResult, n: int) -> TorsionSpace:
-    """Level n+1 (n >= 1): pairs restricted to m^-1 ^ m, plus the
-
-    m^-1 ^ g^i pairs for i = 0..n-1.
+    A wedge pair of m is kept when its target degree is present and,
+    above the first level, one of its legs lies in m^-1; the Hom pairs
+    (x, w) run through x in m^-1 for each w in g^0..g^{n-1}.
     """
-    if n < 0:
-        raise ValueError(f"negative level {n}: levels are n >= 0")
-    if n == 0:
-        raise ValueError("use torsion_space1 for the first level")
-    if n > result.depth:
-        raise ValueError(f"level {n} not computed")
-    space = result.tower_space(n)
-    nm = result.negative.space.total_dim
-    level = n + 1
-    pairs = []
-    for a in range(nm):
-        for b in range(a + 1, nm):
-            da, db = space.degree_of_index(a), space.degree_of_index(b)
-            if da != -1 and db != -1:
-                continue
-            if space.dim(da + db + level):
-                pairs.append((a, b))
-    hom_pairs = []
-    if space.dim(level - 2):
-        m1 = [x for x in range(nm) if space.degree_of_index(x) == -1]
-        for i in range(n):
-            if space.dim(i) == 0:
-                continue
-            for w in range(space.offset(i), space.offset(i) + space.dim(i)):
-                for x in m1:
-                    hom_pairs.append((x, w))
-    return TorsionSpace(level, space, nm, tuple(pairs), tuple(hom_pairs))
+    level, degree = n + 1, space.degree_of_index
+    pairs = tuple((a, b) for a in range(nm) for b in range(a + 1, nm)
+                  if (n == 0 or -1 in (degree(a), degree(b)))
+                  and space.dim(degree(a) + degree(b) + level))
+    legs = [x for x in range(nm) if degree(x) == -1] if space.dim(level - 2) else []
+    ws = range(nm, nm + sum(space.dim(i) for i in range(n)))
+    return TorsionSpace(level, space, nm, pairs, tuple((x, w) for w in ws for x in legs))
 
 
 def torsion_space(result: ProlongationResult, n: int) -> TorsionSpace:
-    return torsion_space1(result.base) if n == 0 else torsion_space_np1(result, n)
+    """Torsion coordinates at level n + 1: at n = 0 every wedge pair of
+
+    m with a target, above it the pairs m^-1 ^ m and m^-1 ^ g^i for
+    i = 0..n-1.
+    """
+    if n < 0:
+        raise ValueError(f"negative level {n}: levels are n >= 0")
+    if n > result.depth:
+        raise ValueError(f"level {n} not computed")
+    return _torsion_space(result.tower_space(n), result.negative.space.total_dim, n)
 
 
-def _boundary_matrix(tor: TorsionSpace,
-                     act: Sequence[Sequence[Sparse]]) -> tuple[Matrix, tuple[int, ...]]:
-    """The boundary matrix over the units of the domain, and its layout
+def _boundary_matrix(tor: TorsionSpace, act: Sequence[Sequence[Sparse]]
+                     ) -> tuple[Matrix, Matrix, tuple[int, ...]]:
+    """The gl block, the Hom block B of one w and the domain layout
 
     (see partial_np1_matrix), read off the bracket table act[x][y] =
     [e_x, e_y]. Every entry is one entry of a table row, moved and
     possibly negated: in (dA)(a ^ b) = A[a, b] - [A(a), b] - [a, A(b)]
     the three terms fill the columns of units with source of degree
-    deg(a) + deg(b), source a and source b, and each (x, w) Hom pair
-    has rows of its own, so nothing is summed. The table is graded, so
-    every value lands in its pair's block. Columns are filled in
-    order, so each sparse row lists them ascending.
+    deg(a) + deg(b), source a and source b, so nothing is summed. The
+    table is graded, so every value lands in its pair's block. Columns
+    are filled in order, so each sparse row lists them ascending.
     """
     space, n = tor.space, tor.level - 1
-    rows: list[dict[int, Fraction]] = [{} for _ in range(tor.total_dim)]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(tor.part_dims[0])]
     # by source index p: (shift, [e_a, e_b]_p) for the A[a, b] term and
     # (shift, other leg, p is a) for the legs, where a row is shift plus
     # a target index
@@ -193,27 +177,27 @@ def _boundary_matrix(tor: TorsionSpace,
             for k, e in (act[q][x] if p_is_a else act[x][q]).items():
                 rows[shift + k][col] = -e
     # (dE)(x ^ w) = [E(w), x] with E(e_w) = e_t, t in g^n, the last block
-    # of m_n; the units of Hom(g^i, g^n), i < n, run through w, then t
-    r_n = space.dim(n)
+    # of m_n: B's rows are (x, k), x in m^-1 outer and k in g^{n-1}
+    # inner, its columns t; the units of Hom(g^i, g^n), i < n, run
+    # through w, then t
+    r_n, xs = space.dim(n), sorted({x for x, _ in tor.pairs_hom})
+    top = space.total_dim - r_n
+    b_rows: list[dict[int, Fraction]] = [{} for _ in range(len(xs) * tor.hom_block_dim)]
+    for i, x in enumerate(xs):
+        shift = i * tor.hom_block_dim - space.offset(n - 1)
+        for t in range(r_n):
+            for k, e in act[top + t][x].items():
+                b_rows[shift + k][t] = e
     layout = (len(units), *(space.dim(i) * r_n for i in range(n)))
-    if tor.pairs_hom and r_n:
-        top = space.total_dim - r_n
-        shift = row - space.offset(n - 1)
-        for x, w in tor.pairs_hom:
-            col = len(units) + (w - tor.nm) * r_n
-            for t in range(r_n):
-                for k, e in act[top + t][x].items():
-                    rows[shift + k][col + t] = e
-            shift += tor.hom_block_dim
-    return Matrix(tuple(rows), sum(layout)), layout
+    return Matrix(tuple(rows), len(units)), Matrix(tuple(b_rows), r_n), layout
 
 
-def _apply(tor: TorsionSpace, matrix: Matrix,
+def _apply(tor: TorsionSpace, gl: Matrix, b: Matrix,
            gl_part: Union[GradedMap, HomogeneousMap, None],
            hom_parts: Mapping[int, Matrix]) -> Vector:
-    """The boundary of one domain element (see partial_np1): the matrix
+    """The boundary of one domain element (see partial_np1): the gl
 
-    times the element's coordinates over the units of the domain.
+    block times its gl coordinates, then B times the image of each w.
     """
     space, level = tor.space, tor.level
     n = level - 1
@@ -232,17 +216,15 @@ def _apply(tor: TorsionSpace, matrix: Matrix,
         if i not in range(n):
             raise ValueError(f"unexpected hom part {i!r}: level {level} takes "
                              f"Hom(g^i, g^{n}) for 0 <= i < {n}")
-    col, r_n = hom_space_dim(space, space, level), space.dim(n)
+    value, r_n = list(gl.apply(densify(coords, gl.cols))), space.dim(n)
     for i in range(n):
         r_i = space.dim(i)
         mat = hom_parts.get(i, Matrix.zeros(r_n, r_i))
         if mat.shape != (r_n, r_i):
             raise ValueError(f"hom part {i} must be {r_n}x{r_i}")
-        for t, image in enumerate(mat.sparse):
-            for w, v in image.items():
-                coords[col + w * r_n + t] = v
-        col += r_i * r_n
-    return matrix.apply(densify(coords, matrix.cols))
+        for w in range(r_i):
+            value.extend(b.apply(mat.col(w)))
+    return tuple(value)
 
 
 def partial1(m0: GradedLieAlgebra, a: Union[GradedMap, HomogeneousMap]) -> Vector:
@@ -250,25 +232,31 @@ def partial1(m0: GradedLieAlgebra, a: Union[GradedMap, HomogeneousMap]) -> Vecto
 
     degree-1 part enters.
     """
-    return _apply(*partial1_matrix(m0), a, {})
+    return _apply(*partial1_matrix(m0), Matrix.zeros(0, 0), a, {})
 
 
 def partial1_matrix(m0: GradedLieAlgebra) -> tuple[TorsionSpace, Matrix]:
     """Matrix of the first boundary map over the degree-1 unit maps."""
-    tor = torsion_space1(m0)
+    tor = _torsion_space(m0.space, m0.space.total_dim - m0.space.dim(0), 0)
     return tor, _boundary_matrix(tor, m0.act)[0]
 
 
 def partial_np1_matrix(result: ProlongationResult,
-                       n: int) -> tuple[TorsionSpace, Matrix, tuple[int, ...]]:
-    """Boundary matrix at level n+1 and the domain layout; n = 0 is the
+                       n: int) -> tuple[TorsionSpace, Matrix, Matrix, tuple[int, ...]]:
+    """The boundary map at level n+1 as its gl block, the Hom block B of
 
-    first boundary map of m + g^0.
+    one w, and the domain layout; n = 0 is the first boundary map of
+    m + g^0, with no Hom summand.
 
-    Columns: first the units of Hom^{n+1}(m_n, m_n) in the fixed hom
-    frame, then for i = 0..n-1 the units of Hom(g^i, g^n), source
-    index outer, target index inner. The layout tuple gives the column
-    count of each summand: (gl, hom_0, ..., hom_{n-1}).
+    The whole matrix is block_diag(gl, I_{#w} (x) B), with #w the
+    dimension of g^0 + ... + g^{n-1}. Its columns: first the units of
+    Hom^{n+1}(m_n, m_n) in the fixed hom frame (the gl block's
+    columns), then for i = 0..n-1 the units of Hom(g^i, g^n), source
+    index w outer, target index t inner. Its rows: the wedge pairs (the
+    gl block's rows), then for each w the rows of its pairs (x, w),
+    which are B's rows (x, k). B maps the images E(w) in g^n to
+    ([E(w), x])_x. The layout tuple gives the column count of each
+    summand: (gl, hom_0, ..., hom_{n-1}).
     """
     tor = torsion_space(result, n)
     # every read pairs an index in m with another, so none meets a pair
@@ -288,8 +276,8 @@ def partial_np1(result: ProlongationResult, n: int,
     (rows indexed by the g^n basis), for 0 <= i < n. The element is a
     combination of the columns of partial_np1_matrix, which is built.
     """
-    tor, matrix, _ = partial_np1_matrix(result, n)
-    return _apply(tor, matrix, gl_part, hom_parts)
+    tor, gl, b, _ = partial_np1_matrix(result, n)
+    return _apply(tor, gl, b, gl_part, hom_parts)
 
 
 def gl_tail_dim(space: GradedSpace, p: int) -> int:
@@ -321,28 +309,20 @@ class KernelReport:
 
 
 def _level(result: ProlongationResult, n: int) -> KernelReport:
-    """The report of level n + 1, read off one boundary matrix.
+    """The report of level n + 1, read off the two blocks of its
 
-    The pair rows fill only gl columns and the Hom rows only Hom
-    columns, so the rank is the sum of the two blocks' ranks, and d is
-    injective on the Hom summand iff its block has full column rank.
-    The Hom block is I_{#w} (x) B: each w in g^0..g^{n-1} has the rows
-    of its pairs (x, w), which fill only w's own columns, and every w's
-    block is the same B, E |-> ([E, x])_x, so its rank is #w rank(B).
-    Where g^{n+1} is known (computed, or zero because the tower closed)
+    boundary matrix block_diag(gl, I_{#w} (x) B) (see
+    partial_np1_matrix): the rank is rank(gl) + #w rank(B), and d is
+    injective on the Hom summand iff B has full column rank. Where
+    g^{n+1} is known (computed, or zero because the tower closed)
     Ker(d|gl_{n+1}) = g^{n+1} is checked as containment plus dimension:
     the gl block kills every embedded level basis map, and its kernel
     has the dimension of their span. Elsewhere the identity is not
     checked and dim_g_next is that kernel's dimension.
     """
-    tor, matrix, layout = partial_np1_matrix(result, n)
+    tor, gl, b, layout = partial_np1_matrix(result, n)
     gl_cols, hom_cols = layout[0], sum(layout[1:])
-    split = tor.part_dims[0]
-    gl_block = Matrix(matrix.sparse[:split], gl_cols)
-    m1 = tor.space.dim(-1)  # the pairs (x, w) of one w
-    b_block = Matrix(matrix.sparse[split:split + m1 * tor.hom_block_dim], matrix.cols)
-    r_gl = rank(gl_block)
-    r_hom = len(tor.pairs_hom) // m1 * rank(b_block) if tor.pairs_hom else 0
+    r_gl, r_hom = rank(gl), tor.w_count * rank(b)
     gl_nullity, messages = gl_cols - r_gl, []
     if r_hom < hom_cols:
         messages.append(f"boundary map has a {hom_cols - r_hom}-dim kernel on the Hom summand")
@@ -354,7 +334,7 @@ def _level(result: ProlongationResult, n: int) -> KernelReport:
         embedded = Matrix(tuple(hom_terms_of_columns(tor.space, tor.space, n + 1, a.columns)
                                 for a in basis), gl_cols)
         dim_next, span = len(basis), rank(embedded)
-        matches = gl_nullity == span and (gl_block @ embedded.transpose()).is_zero()
+        matches = gl_nullity == span and (gl @ embedded.transpose()).is_zero()
         if not matches:
             messages.append(f"Ker(d|gl_{n + 1}) has dim {gl_nullity}, "
                             f"embedded g^{n + 1} has dim {span}")
@@ -390,10 +370,18 @@ def kernel_reports(result: ProlongationResult, n: int) -> KernelReport:
 def complement_w(result: ProlongationResult, n: int) -> Subspace:
     """Deterministic complement of the boundary map's image in torsion
 
-    coordinates (pivot rule).
+    coordinates (pivot rule): the unit vectors off the pivots of the
+    image's RREF. The image of block_diag(gl, I_{#w} (x) B) is the sum
+    of its blocks' images, on disjoint rows, so its pivots are those of
+    gl's image and those of B's image in each w's rows.
     """
-    tor, matrix, _ = partial_np1_matrix(result, n)
-    return complement(Subspace.row_space(matrix.transpose()), Subspace.full(tor.total_dim))
+    tor, gl, b, _ = partial_np1_matrix(result, n)
+    pivots = set(Subspace.row_space(gl.transpose()).pivot_rows)
+    b_pivots = Subspace.row_space(b.transpose()).pivot_rows
+    for copy in range(tor.w_count):
+        pivots.update(gl.rows + copy * b.rows + p for p in b_pivots)
+    units = tuple({j: Fraction(1)} for j in range(tor.total_dim) if j not in pivots)
+    return Subspace(tor.total_dim, Matrix(units, tor.total_dim))
 
 
 @record

@@ -7,7 +7,7 @@ import pytest
 
 from tanaka import cli
 from tanaka.catalog import make_algebra
-from tanaka.exact_linear import Matrix, Subspace, kernel, rank
+from tanaka.exact_linear import Matrix, Subspace, complement, kernel, rank
 from tanaka.graded import (GradedMap, GradedSpace, HomogeneousMap, hom_basis,
                            hom_coords, hom_space_dim, hom_terms_of_columns, hom_units)
 from tanaka.lie import G0Spec, GradedLieAlgebra, adjoin_g0, bracket_eval, resolve_g0
@@ -23,8 +23,6 @@ from tanaka.torsion import (
     partial_np1,
     partial_np1_matrix,
     torsion_space,
-    torsion_space1,
-    torsion_space_np1,
     tower_report,
 )
 
@@ -50,7 +48,7 @@ def test_partial1_hand_computed_column():
     assert (src, tgt) == (0, 1)
     u = HomogeneousMap.make(m0.space, m0.space, 1,
                             {-2: Matrix.from_rows([[1], [0]])})
-    tor = torsion_space1(m0)
+    tor = partial1_matrix(m0)[0]
     assert tor.pairs_m == ((0, 1), (0, 2), (1, 2))
     assert partial1(m0, u) == (Fraction(0), Fraction(-1), Fraction(1), Fraction(0))
 
@@ -146,7 +144,7 @@ def test_boundary_map_factors_through_the_top_degree_part():
 
 def test_image_respects_the_two_part_target_decomposition():
     res = _result("heisenberg(3)", "der0", 2)
-    tor, mat, layout = partial_np1_matrix(res, 1)
+    tor = torsion_space(res, 1)
     first, second = tor.part_dims
     assert first + second == tor.total_dim
     space = res.tower_space(1)
@@ -160,14 +158,42 @@ def test_image_respects_the_two_part_target_decomposition():
     assert any(x != 0 for x in hom_only[first:])
 
 
+def _assembled(res, n):
+    """The torsion space, the whole level-(n+1) boundary matrix
+
+    block_diag(gl, I_{#w} (x) B) assembled from the two blocks that
+    partial_np1_matrix returns, and the layout.
+    """
+    tor, gl, b, layout = partial_np1_matrix(res, n)
+    copies = sum(tor.space.dim(i) for i in range(n))
+    rows = list(gl.sparse)
+    for c in range(copies):
+        rows.extend({gl.cols + c * b.cols + t: e for t, e in row.items()} for row in b.sparse)
+    return tor, Matrix(tuple(rows), gl.cols + copies * b.cols), layout
+
+
 def test_partial_np1_matches_matrix_columns():
-    res = _result("abelian(2)", "gl", 2)
-    tor, mat, layout = partial_np1_matrix(res, 1)
-    space = res.tower_space(1)
-    units = hom_basis(space, space, 2)
-    assert layout[0] == len(units)
-    for c, u in enumerate(units):
-        assert partial_np1(res, 1, u) == mat.col(c)
+    """partial_np1 of each gl unit and of each Hom unit e_t e_w^* of
+
+    Hom(g^i, g^n) is the matching column of the assembled matrix.
+    """
+    for name, preset, n in (("abelian(2)", "gl", 1), ("heisenberg(3)", "der0", 2)):
+        res = _result(name, preset, n + 1)
+        tor, mat, layout = _assembled(res, n)
+        space = res.tower_space(n)
+        units = hom_basis(space, space, n + 1)
+        assert layout[0] == len(units)
+        for c, u in enumerate(units):
+            assert partial_np1(res, n, u) == mat.col(c)
+        c, r_n = len(units), space.dim(n)
+        for i in range(n):
+            for w in range(space.dim(i)):
+                for t in range(r_n):
+                    e = Matrix.from_rows([[int((s, v) == (t, w)) for v in range(space.dim(i))]
+                                          for s in range(r_n)], space.dim(i))
+                    assert partial_np1(res, n, None, {i: e}) == mat.col(c), (name, i, w, t)
+                    c += 1
+        assert c == mat.cols == sum(layout)
 
 
 def _formula_columns(res, n):
@@ -234,7 +260,7 @@ def test_boundary_matrix_columns_follow_the_formula(name, preset, depth):
     """
     res = _result(name, preset, depth)
     for n in range(res.depth + 1):
-        tor, mat, layout = partial_np1_matrix(res, n)
+        tor, mat, layout = _assembled(res, n)
         expected = _formula_columns(res, n)
         assert len(expected) == mat.cols == sum(layout), n
         for c, col in enumerate(expected):
@@ -269,9 +295,9 @@ def test_level_restriction_on_wedge_pairs():
     sp = m.space
     i3, i4 = sp.index_of_label("e3"), sp.index_of_label("e4")
     pair = (min(i3, i4), max(i3, i4))
-    assert pair in torsion_space1(res.base).pairs_m
-    assert pair not in torsion_space_np1(res, 1).pairs_m
-    assert torsion_space(res, 0) == torsion_space1(res.base)
+    assert pair in torsion_space(res, 0).pairs_m
+    assert pair not in torsion_space(res, 1).pairs_m
+    assert torsion_space(res, 0) == partial1_matrix(res.base)[0]
 
 
 def test_complement_w_is_a_true_complement():
@@ -279,7 +305,7 @@ def test_complement_w_is_a_true_complement():
     rep = kernel_reports(res, 1)
     w = complement_w(res, 1)
     assert w.dim == rep.dim_w
-    tor, mat, _ = partial_np1_matrix(res, 1)
+    tor, mat, _ = _assembled(res, 1)
     image = Subspace.span(tor.total_dim, [mat.col(c) for c in range(mat.cols)])
     assert image.intersect(w).dim == 0
     assert image.add(w) == Subspace.full(tor.total_dim)
@@ -290,8 +316,8 @@ def test_kernel_report_errors_beyond_computed_levels():
     assert res.status.kind == "truncated"
     with pytest.raises(ValueError):
         kernel_reports(res, 1)
-    with pytest.raises(ValueError):
-        torsion_space_np1(res, 2)
+    with pytest.raises(ValueError, match="level 2 not computed"):
+        torsion_space(res, 2)
 
 
 def test_negative_levels_are_named_in_the_error():
@@ -302,8 +328,8 @@ def test_negative_levels_are_named_in_the_error():
         complement_w(res, -2)
     with pytest.raises(ValueError, match="negative level -1"):
         partial_np1_matrix(res, -1)
-    with pytest.raises(ValueError, match="torsion_space1"):
-        torsion_space_np1(res, 0)
+    with pytest.raises(ValueError, match="negative level -3"):
+        torsion_space(res, -3)
 
 
 def test_kernel_report_past_the_order_of_a_finite_tower():
@@ -365,13 +391,13 @@ def _report_from_separate_eliminations(res, n):
 
     eliminations: the kernel of the gl block, the rank of the whole
     boundary matrix and the kernel of the Hom block, each sliced from the
-    dense rows.
+    dense rows of the assembled matrix.
     """
     if n == 0:
         tor, matrix = partial1_matrix(res.base)
         gl, hom = matrix.cols, 0
     else:
-        tor, matrix, layout = partial_np1_matrix(res, n)
+        tor, matrix, layout = _assembled(res, n)
         gl, hom = layout[0], sum(layout[1:])
     dense = matrix.entries
     ker = kernel(Matrix.from_rows([row[:gl] for row in dense], gl))
@@ -411,7 +437,26 @@ def test_kernel_reports_single_elimination_matches_separate_ones(name, preset, d
     for n in range(top + 1):
         assert kernel_reports(res, n) == _report_from_separate_eliminations(res, n), n
     for row in tower_report(res).rows:
-        assert row.rank == rank(partial_np1_matrix(res, row.n)[1]), row.n
+        assert row.rank == rank(_assembled(res, row.n)[1]), row.n
+
+
+@pytest.mark.parametrize("name,preset,depth", [
+    ("heisenberg(3)", "der0", 3),
+    ("free_235", "der0", 4),
+    ("abelian(2)", "gl", 2),
+    ("abelian(3)", "co", 3),
+    ("heisenberg(5)", "der0", 2),
+])
+def test_complement_w_is_the_complement_of_the_assembled_image(name, preset, depth):
+    """complement_w, read off the pivots of gl and of one B, is the
+
+    canonical complement of the whole matrix's column space.
+    """
+    res = _result(name, preset, depth)
+    for n in range(res.depth + 1):
+        tor, mat, _ = _assembled(res, n)
+        expected = complement(Subspace.row_space(mat.transpose()), Subspace.full(tor.total_dim))
+        assert complement_w(res, n) == expected, n
 
 
 def _with_level_basis(res, s, basis):
