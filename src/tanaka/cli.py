@@ -18,6 +18,7 @@ import sys
 from typing import TYPE_CHECKING, Callable, Optional, TextIO
 
 from . import catalog, selftest, torsion
+from ._record import fields
 from .jsonio import (
     AlgebraInputError,
     LoadedAlgebra,
@@ -222,19 +223,7 @@ def cmd_torsion(args: argparse.Namespace, out: TextIO) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.fmt == "json":
-        doc = {
-            "level": report.level,
-            "dim_tor": report.dim_tor,
-            "rank": report.rank,
-            "dim_w": report.dim_w,
-            "dim_domain": report.dim_domain,
-            "dim_g_next": report.dim_g_next,
-            "dim_gl_tail": report.dim_gl_tail,
-            "gl_kernel_matches": report.gl_kernel_matches,
-            "hom_injective": report.hom_injective,
-            "messages": list(report.messages),
-        }
-        print(json.dumps(doc, indent=2), file=out)
+        print(json.dumps(fields(report), indent=2), file=out)
         return 0 if report.passed else 1
     s = n + 1
     print(f"dim Tor^{s} = {report.dim_tor}", file=out)
@@ -266,36 +255,17 @@ def cmd_tower(args: argparse.Namespace, out: TextIO) -> int:
         return 1
     for n in (report.base_dim, report.bound or 0, *(r.dim_total for r in report.rows)):
         _within_cap(n)  # the numbers base_dim enters, before any output
+    rows = [fields(r) for r in report.rows]
     if args.fmt == "json":
-        doc = {
-            "base_dim": report.base_dim,
-            "kind": report.kind,
-            "order": report.order,
-            "dim_g0": report.dim_g0,
-            "rows": [{
-                "n": r.n,
-                "dim_g": r.dim_g,
-                "dim_structure_group": r.dim_structure_group,
-                "dim_group_product": r.dim_group_product,
-                "dim_tor": r.dim_tor,
-                "rank": r.rank,
-                "dim_w": r.dim_w,
-                "dim_total": r.dim_total,
-            } for r in report.rows],
-            "bound": report.bound,
-        }
+        doc = {**fields(report), "rows": rows, "bound": report.bound}
         print(json.dumps(doc, indent=2), file=out)
         return 0
     header = ("n", "g^n", "struct", "product", "Tor", "rank", "W", "total")
-    table = [header]
-    for r in report.rows:
-        row = (r.n, r.dim_g, r.dim_structure_group, r.dim_group_product,
-               r.dim_tor, r.rank, r.dim_w, r.dim_total)
-        table.append(tuple(str(x) for x in row))
-    widths = [max(len(str(row[c])) for row in table) for c in range(len(header))]
+    table = [header, *(tuple(map(str, row.values())) for row in rows)]
+    widths = [max(map(len, column)) for column in zip(*table)]
     truncated = report.kind == "truncated"
     for i, row in enumerate(table):
-        line = "  ".join(str(cell).rjust(w) for cell, w in zip(row, widths))
+        line = "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
         if truncated and i == len(table) - 1:
             line += "  truncated"
         print(line, file=out)

@@ -32,9 +32,10 @@ action and the projection check of MLift.make are products of blocks.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
-from ._record import field, record
+from ._record import record
 from .exact_linear import (Matrix, Sparse, Subspace, Vector, combination, complement,
                            quotient_basis, rank, solve)
 from .graded import GradedMap, GradedSpace, HomogeneousMap
@@ -48,12 +49,19 @@ class FilteredSpace:
     low: int
     high: int
     chain: tuple[Subspace, ...]
-    _frames: dict = field(init=False, compare=False, repr=False, default_factory=dict)
-    _transfers: dict = field(init=False, compare=False, repr=False, default_factory=dict)
-    _zero: Subspace = field(init=False, compare=False, repr=False, default=None)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_zero", Subspace.zero(self.ambient_dim))  # V_j above high
+    @cached_property
+    def _frames(self) -> dict:
+        return {}
+
+    @cached_property
+    def _transfers(self) -> dict:
+        return {}
+
+    @cached_property
+    def _zero(self) -> Subspace:
+        """V_j above high, one subspace for every such j."""
+        return Subspace.zero(self.ambient_dim)
 
     @staticmethod
     def make(low: int, parts: Sequence[Subspace]) -> "FilteredSpace":
@@ -161,7 +169,7 @@ class _Parts:
     def part(self, i: int) -> Subspace:
         if self.space.low <= i <= self.space.high:
             return _at(self.parts, i, "part")
-        return Subspace.zero(self.space.ambient_dim)
+        return self.space._zero
 
 
 def _parts_tuple(low: int, high: int,

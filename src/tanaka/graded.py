@@ -25,7 +25,7 @@ one writer back.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence, Union
 
 from ._record import record
@@ -207,14 +207,18 @@ class HomogeneousMap:
     def zero(source: GradedSpace, target: GradedSpace, degree: int) -> "HomogeneousMap":
         return HomogeneousMap.make(source, target, degree)
 
+    @cached_property
+    def _blocks(self) -> dict:
+        return {}
+
     def block(self, i: int) -> Matrix:
         """The matrix of V^i -> W^{i+degree} in the components' bases
 
         (target dimension rows by source dimension columns), zero when
         either component is absent. Read off the columns on first use and
-        kept in the instance, as a cached_property keeps its value.
+        kept in `_blocks`.
         """
-        memo = self.__dict__.setdefault("_blocks", {})
+        memo = self._blocks
         if i not in memo:
             rows, cols = self.target.dim(i + self.degree), self.source.dim(i)
             src = self.source.offset(i) if cols else 0

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from ._record import field, record
+from ._record import record
 from .exact_linear import (
     NO_TERMS,
     Matrix,
@@ -69,15 +69,15 @@ class GradedLieAlgebra:
     brackets holds [e_a, e_b] for global basis indices a < b as sparse
     rows {index: nonzero Fraction}, pairs ascending, one entry per
     nonzero bracket. The constructor also accepts a value as a full
-    coordinate vector, and keeps only its nonzeros. act[a][b] is
-    [e_a, e_b] as a sparse row, the stored one for a < b and its
-    negative for a > b; it backs all evaluation. Antisymmetry is by
-    construction; grading and Jacobi are checked by validate().
+    coordinate vector, and keeps only its nonzeros. act[a][b], set by
+    the constructor and not a field, is [e_a, e_b] as a sparse row, the
+    stored one for a < b and its negative for a > b; it backs all
+    evaluation. Antisymmetry is by construction; grading and Jacobi are
+    checked by validate().
     """
 
     space: GradedSpace
     brackets: tuple[tuple[tuple[int, int], Sparse], ...]
-    act: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         n = self.space.total_dim

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from ._record import field, record
+from ._record import record
 from .exact_linear import NO_TERMS, Sparse, Subspace, Vector, add_scaled, densify
 from .graded import GradedSpace, HomogeneousMap, fresh_labels, hom_terms_of_columns
 from .lie import (
@@ -179,8 +179,11 @@ class ProlongationResult:
     g0: tuple[HomogeneousMap, ...]
     levels: tuple[ProlongationLevel, ...]
     status: ProlongationStatus
-    # the full-depth tower and the extended bracket, each built once
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @cached_property
+    def _memo(self) -> dict:
+        """The full-depth tower and the extended bracket, each built once."""
+        return {}
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -259,8 +262,9 @@ class ExtendedBracket:
     act: tuple
     out_of_range: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_escaped", frozenset(self.out_of_range))
+    @cached_property
+    def _escaped(self) -> frozenset:
+        return frozenset(self.out_of_range)
 
     @cached_property
     def table(self) -> tuple[tuple[tuple[int, int], Sparse], ...]:

@@ -290,17 +290,20 @@ def gl_tail_dim(space: GradedSpace, p: int) -> int:
 
 @record
 class KernelReport:
-    """Outcome of the kernel cross-validation at one level."""
+    """Outcome of the kernel cross-validation at one level; its fields,
+
+    in order, are the `torsion` command's JSON document.
+    """
 
     level: int
-    gl_kernel_matches: bool
-    hom_injective: bool
     dim_tor: int
-    dim_domain: int
     rank: int
     dim_w: int
+    dim_domain: int
     dim_g_next: int
     dim_gl_tail: int
+    gl_kernel_matches: bool
+    hom_injective: bool
     messages: tuple[str, ...]
 
     @property
@@ -386,7 +389,10 @@ def complement_w(result: ProlongationResult, n: int) -> Subspace:
 
 @record
 class TowerRow:
-    """Reduction data for the step from level n to n+1."""
+    """Reduction data for the step from level n to n+1; its fields, in
+
+    order, are a row of the `tower` command's table and JSON document.
+    """
 
     n: int
     dim_g: int
@@ -400,6 +406,11 @@ class TowerRow:
 
 @record
 class TowerReport:
+    """The reduction tower; its fields, in order, then bound, are the
+
+    `tower` command's JSON document.
+    """
+
     base_dim: int
     kind: str  # "finite" | "truncated"
     order: Optional[int]

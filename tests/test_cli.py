@@ -412,16 +412,31 @@ def test_torsion_json(capsys):
     code, out, _ = run(capsys, "torsion", "preset:abelian3", "--g0", "co",
                        "--format", "json")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["level"] == 1 and doc["gl_kernel_matches"] and doc["hom_injective"]
+    assert out == """\
+{
+  "level": 1,
+  "dim_tor": 9,
+  "rank": 9,
+  "dim_w": 0,
+  "dim_domain": 12,
+  "dim_g_next": 3,
+  "dim_gl_tail": 0,
+  "gl_kernel_matches": true,
+  "hom_injective": true,
+  "messages": []
+}
+"""
 
 
 def test_tower_finite_table(capsys):
     code, out, _ = run(capsys, "tower", "preset:abelian3", "--g0", "co")
     assert code == 0
-    lines = out.splitlines()
-    assert lines[-1] == "dim bound = 10"
-    assert "truncated" not in out
+    assert out == """\
+n  g^n  struct  product  Tor  rank   W  total
+1    3      21        7   60    21  39     10
+2    0       0        7   72     0  72     10
+dim bound = 10
+"""
 
 
 def test_tower_order0_is_single_row(capsys):
@@ -445,9 +460,74 @@ def test_tower_json(capsys):
     code, out, _ = run(capsys, "tower", "preset:abelian3", "--g0", "co",
                        "--format", "json")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["bound"] == 10
-    assert [row["dim_total"] for row in doc["rows"]] == [10, 10]
+    assert out == """\
+{
+  "base_dim": 3,
+  "kind": "finite",
+  "order": 1,
+  "dim_g0": 4,
+  "rows": [
+    {
+      "n": 1,
+      "dim_g": 3,
+      "dim_structure_group": 21,
+      "dim_group_product": 7,
+      "dim_tor": 60,
+      "rank": 21,
+      "dim_w": 39,
+      "dim_total": 10
+    },
+    {
+      "n": 2,
+      "dim_g": 0,
+      "dim_structure_group": 0,
+      "dim_group_product": 7,
+      "dim_tor": 72,
+      "rank": 0,
+      "dim_w": 72,
+      "dim_total": 10
+    }
+  ],
+  "bound": 10
+}
+"""
+
+
+def test_truncated_tower_json(capsys):
+    code, out, _ = run(capsys, "tower", "preset:heisenberg3", "--max-degree", "2",
+                       "--format", "json")
+    assert code == 0
+    assert out == """\
+{
+  "base_dim": 3,
+  "kind": "truncated",
+  "order": null,
+  "dim_g0": 4,
+  "rows": [
+    {
+      "n": 1,
+      "dim_g": 6,
+      "dim_structure_group": 46,
+      "dim_group_product": 14,
+      "dim_tor": 40,
+      "rank": 31,
+      "dim_w": 9,
+      "dim_total": 13
+    },
+    {
+      "n": 2,
+      "dim_g": 9,
+      "dim_structure_group": 123,
+      "dim_group_product": 25,
+      "dim_tor": 134,
+      "rank": 102,
+      "dim_w": 32,
+      "dim_total": 22
+    }
+  ],
+  "bound": null
+}
+"""
 
 
 def test_selftest_passes(capsys):

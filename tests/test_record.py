@@ -1,15 +1,17 @@
 """The frozen value classes: construction, immutability, equality, hashing,
-repr, `__post_init__` checks, and an import that leaves `dataclasses` out."""
+repr, `fields`, cached properties, `__post_init__` checks, and an import that
+leaves `dataclasses` out."""
 
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
 import tanaka
-from tanaka._record import field, record
+from tanaka._record import fields, record
 from tanaka.catalog import ExpectedCheck, make_algebra
 from tanaka.exact_linear import Matrix, Subspace
 from tanaka.filtered import FilteredSpace
@@ -73,8 +75,9 @@ def test_cache_fields_stay_out_of_equality_and_hash():
     chain = (Subspace.full(2), Subspace.span(2, [[1, 0]]))
     used, fresh = FilteredSpace(2, 0, 1, chain), FilteredSpace(2, 0, 1, chain)
     used.quotient_of((Fraction(1), Fraction(2)), 0, 1)
-    assert used._frames and not fresh._frames
+    assert used._frames and "_frames" not in fresh.__dict__
     assert used == fresh and hash(used) == hash(fresh)
+    assert fresh._frames == {} and used == fresh
 
     m = make_algebra("heisenberg3")
     other = GradedLieAlgebra(m.space, m.brackets)
@@ -83,19 +86,39 @@ def test_cache_fields_stay_out_of_equality_and_hash():
 
     res = prolong(m, G0Spec("der0"), max_degree=1)
     copy = ProlongationResult(res.base, res.negative, res.g0, res.levels, res.status)
-    assert res._memo and copy._memo == {}
+    assert res._memo and "_memo" not in copy.__dict__
     assert res == copy and hash(res) == hash(copy)
+    assert copy._memo == {} and res == copy
 
     @record
     class Cached:
         key: int
-        memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-        hits: int = field(init=False, default=0, compare=False, repr=False)
+
+        @cached_property
+        def memo(self) -> dict:
+            return {}
 
     a, b = Cached(1), Cached(1)
     a.memo[0] = 0
-    assert a == b and hash(a) == hash(b) and b.memo == {} and b.hits == 0
+    assert a == b and hash(a) == hash(b) and b.memo == {}
     assert repr(a) == "test_cache_fields_stay_out_of_equality_and_hash.<locals>.Cached(key=1)"
+
+
+def test_fields_follow_declaration_order_and_class_defaults():
+    @record
+    class Point:
+        y: int
+        x: int = 0
+        label: str = "p"
+
+    assert list(fields(Point(2)).items()) == [("y", 2), ("x", 0), ("label", "p")]
+    assert list(fields(Point(2, 1, label="q")).items()) == [("y", 2), ("x", 1), ("label", "q")]
+    assert Point(2) == Point(2, 0, "p") and Point.x == 0
+    with pytest.raises(TypeError):
+        Point()
+    assert list(fields(TowerRow(**ROW)).items()) == list(ROW.items())
+    assert list(fields(G0Spec("der0"))) == ["preset", "form", "generators"]
+    assert "act" not in fields(make_algebra("heisenberg3"))
 
 
 def test_repr_is_the_dataclass_repr():
