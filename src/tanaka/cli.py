@@ -8,11 +8,20 @@ file, malformed document, unknown preset, out-of-range option).
 All numbers are printed exactly: dimensions as integers, rationals as
 num/den. The json format of `prolong` round-trips through parse_result
 byte-identically.
+
+`main(argv)` is the in-process API and leaves the garbage collector as
+it found it. `run()` is the process, behind the `tanaka` script and
+`python -m tanaka.cli`: the engine builds no reference cycles, so a
+collection would free nothing yet walk every exact map of the tower, and
+run() runs main() with the cyclic collector off and freezes the heap
+before the collections of interpreter finalization. The premise is
+guarded by tests/test_cli.py::test_cli_builds_no_reference_cycles.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import TYPE_CHECKING, Callable, Optional, TextIO
@@ -334,5 +343,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+
+def run() -> None:
+    """The process entry: main() with the cyclic collector off, then exit."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,5 +1,6 @@
 """Driver behavior: output contracts, exit codes, mutation detection."""
 
+import gc
 import hashlib
 import io
 import json
@@ -27,7 +28,11 @@ from tanaka.prolong import prolong
 
 
 def run(capsys, *args):
-    code = main(list(args))
+    """main() in this process: (exit code, stdout, stderr), argparse's exit included."""
+    try:
+        code = main(list(args))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -159,9 +164,14 @@ def test_negative_denominator_in_g0_file_exits_2(capsys, tmp_path):
 # allows.
 
 def _cli_child(limit, *args):
-    """The CLI in a child whose interpreter int_max_str_digits is limit (0: none)."""
+    """The CLI in a child whose interpreter int_max_str_digits is limit (0: none).
+
+    Its stdout is block-buffered, as a pipe's is by default, so an exit
+    that skips the interpreter's flush loses output.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(tanaka.__file__).parent.parent),
                PYTHONINTMAXSTRDIGITS=str(limit))
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, "-m", "tanaka.cli", *args], env=env,
                           capture_output=True, text=True, timeout=60)
 
@@ -226,6 +236,49 @@ def test_integer_past_a_lower_interpreter_limit_exits_2_with_one_line(tmp_path):
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
         assert "more than 1000 digits" in out.stderr and "Traceback" not in out.stderr
     assert _cli_child(1000, "check", "preset:heisenberg3").returncode == 0
+
+
+@pytest.mark.parametrize("expected, args", [
+    (0, ("tower", "preset:heisenberg3", "--max-degree", "2")),
+    (1, ("torsion", "preset:heisenberg3", "--level", "7", "--max-degree", "3")),
+    (2, ("check", "preset:nosuch")),
+    (2, ("tower", "preset:heisenberg3", "--max-degree", "x")),  # argparse's own exit
+])
+def test_process_entry_keeps_the_exit_code_contract(capsys, expected, args):
+    """`python -m tanaka.cli`, which runs with the collector off, prints
+
+    and exits as main() does in-process.
+    """
+    child = _cli_child(sys.get_int_max_str_digits(), *args)
+    code, out, err = run(capsys, *args)
+    assert code == expected
+    assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
+
+
+def test_cli_builds_no_reference_cycles(capsys):
+    """The premise of run(): a collection after main() finds garbage that
+
+    does not grow with the tower (argparse's own), so running without the
+    cyclic collector keeps nothing alive that it would have freed. main()
+    leaves the collector's state as it found it, on or off.
+    """
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    assert run(capsys, "check", "preset:heisenberg3")[0] == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    towers = [("heisenberg3", "1"), ("heisenberg3", "3"), ("heisenberg5", "2")]
+    gc.disable()
+    try:
+        run(capsys, "tower", "preset:heisenberg3", "--max-degree", "1")  # load the layers
+        found = []
+        for name, depth in towers:
+            gc.collect()
+            assert run(capsys, "tower", f"preset:{name}", "--max-degree", depth)[0] == 0
+            found.append(gc.collect())
+            assert (gc.isenabled(), gc.get_freeze_count()) == (False, frozen)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(set(found)) == 1, dict(zip(towers, found))
 
 
 def test_over_long_result_number_exits_1_with_one_line(capsys, monkeypatch):
