@@ -89,7 +89,18 @@ def add_scaled(acc: dict[int, Fraction], c, row: Sparse, shift: int = 0) -> dict
     """acc += c * row in place, row's indices moved by shift; entries
 
     that cancel are removed, so acc keeps only nonzeros. Returns acc.
+    With c = 1 the row is added without products, as Fractions.
     """
+    if c == 1:
+        for j, v in row.items():
+            j += shift
+            w = acc.get(j)
+            w = (v if type(v) is Fraction else Fraction(v)) if w is None else w + v
+            if w:
+                acc[j] = w
+            else:
+                acc.pop(j, None)
+        return acc
     c = _as_fraction(c)  # Fraction-by-Fraction products take the fast path
     for j, v in row.items():
         j += shift
@@ -142,6 +153,10 @@ class Matrix:
     cols: int
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.cols, tuple(frozenset(row.items()) for row in self.sparse)))
 
     @staticmethod

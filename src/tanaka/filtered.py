@@ -24,9 +24,13 @@ a block lies in V_i and returns their coordinates as the columns of
 one matrix, and `quotient_of` is its one-vector case. Quotient
 coordinates lift back to V_i as one product with the complement basis.
 Per pair of quotients, `transfer` caches the matrix of the map induced
-by inclusion. The lifts and the transition solve each block once, for
-all of its columns (`solve` takes a block of right-hand sides); the
-action and the projection check of MLift.make are products of blocks.
+by inclusion, and per pair (subspace h, degree j), `sum_with` caches
+the sum h + V_j, which every projection builds and every
+quasi-gradation check compares with V_{j-1}; a memo key hashes once,
+since a Matrix caches its hash. The lifts and the transition solve
+each block once, for all of its columns (`solve` takes a block of
+right-hand sides); the action and the projection check of MLift.make
+are products of blocks.
 """
 
 from __future__ import annotations
@@ -59,6 +63,10 @@ class FilteredSpace:
         return {}
 
     @cached_property
+    def _sums(self) -> dict:
+        return {}
+
+    @cached_property
     def _zero(self) -> Subspace:
         """V_j above high, one subspace for every such j."""
         return Subspace.zero(self.ambient_dim)
@@ -81,6 +89,14 @@ class FilteredSpace:
         if i > self.high:
             return self._zero
         return self.chain[max(i - self.low, 0)]  # chain[0] is the full space
+
+    def sum_with(self, h: Subspace, j: int) -> Subspace:
+        """h + V_j, computed once per (h, j) and then read from a memo."""
+        key = (h, min(max(j, self.low), self.high + 1))
+        total = self._sums.get(key)
+        if total is None:
+            total = self._sums[key] = h.add(self.part(j))
+        return total
 
     def gr_dim(self, i: int) -> int:
         return self.part(i).dim - self.part(i + 1).dim
@@ -211,7 +227,7 @@ class QuasiGradation(_Parts):
             raise ValueError("quasi-gradation degree must be >= 1")
         stored = _parts_tuple(space.low, space.high, parts)
         for i, h in stored:
-            if h.add(space.part(i + 1)) != space.part(i):
+            if space.sum_with(h, i + 1) != space.part(i):
                 raise ValueError(f"H'^{i} + V_{i + 1} is not V_{i}")
             # given the first axiom, dim(H'^i ^ V_{i+1}) is this difference,
             # and the intersection contains V_{i+m} iff H'^i does
@@ -318,7 +334,7 @@ def make_filtered_from_graded(model: GradedSpace,
 
 def _project(g: Union[AdaptedGradation, QuasiGradation], m: int) -> QuasiGradation:
     space = g.space
-    return QuasiGradation.make(space, m, {i: part.add(space.part(i + m)) for i, part in g.parts})
+    return QuasiGradation.make(space, m, {i: space.sum_with(part, i + m) for i, part in g.parts})
 
 
 def project_gradation(h: AdaptedGradation, m: int) -> QuasiGradation:

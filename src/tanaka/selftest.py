@@ -10,13 +10,18 @@ re-runs every frozen regression value through the engine.
 
 The filtered cases run on the CPUs this process may use (`taskset -c
 0` gives it one). `_draw_case` takes one case's data from the seeded
-stream, and every draw depends only on the model, so each of W forked
-processes replays the whole stream and checks, with the pure
-`_check_case`, the cases k = w (mod W). The workers send their
-outcomes back through a pipe, marshalled, and the caller merges them
-in case order: the report is the sequential one, byte for byte. With
-one CPU, one case, or a second thread running (a fork copies only the
-calling thread), nothing is forked.
+stream, and every draw depends only on the model, so a process can
+replay the stream forward to any case and check it with the pure
+`_check_case`. The caller forks W - 1 workers, and all W processes
+take case indices from one queue, a pipe they all read, so a process
+that is done with a case takes the next one and none waits for a
+slower share. One more forked process, the feeder, writes the indices
+into the pipe, four bytes each, so the pipe's capacity never holds up
+the caller. Each worker sends its (case, outcomes) pairs back through
+its own pipe, marshalled, and the caller merges them in case order:
+the report is the sequential one, byte for byte. With one CPU, one
+case, or a second thread running (a fork copies only the calling
+thread), nothing is forked and the cases are checked in order.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import signal
 import threading
 from fractions import Fraction
 from itertools import islice
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from ._record import record
 from .catalog import entries
@@ -163,8 +168,9 @@ def _check_case(drawn: tuple) -> list[tuple[str, bool]]:
     f = mlift_of_quasi(q, u)
 
     # bijection between quasi-gradations and lifts
-    check("quasi->lift->quasi round-trip", quasi_of_mlift(f, u) == q)
-    check("lift->quasi->lift round-trip", mlift_of_quasi(quasi_of_mlift(f, u), u) == f)
+    q_back = quasi_of_mlift(f, u)
+    check("quasi->lift->quasi round-trip", q_back == q)
+    check("lift->quasi->lift round-trip", mlift_of_quasi(q_back, u) == f)
 
     # projections compose
     q_full = project_gradation(h, full)
@@ -196,12 +202,12 @@ def _check_case(drawn: tuple) -> list[tuple[str, bool]]:
 
     # right action law, classes composed as maps
     check("action composes through the class product",
-          act_quasi(act_quasi(f, a), a2) == act_quasi(f, a.compose(a2)))
+          act_quasi(f2, a2) == act_quasi(f, a.compose(a2)))
 
     # action oracle through the full lift
     acted_full = act_quasi(fl, a)
     oracle = mlift_of_quasi(project_quasi(quasi_of_mlift(acted_full, u), m), u)
-    check("action agrees with project-after-full-lift", act_quasi(f, a) == oracle)
+    check("action agrees with project-after-full-lift", f2 == oracle)
     return outcomes
 
 
@@ -211,18 +217,54 @@ def _draws(seed: int, cases: int) -> Iterator[tuple]:
         yield _draw_case(rng)
 
 
-def _share(seed: int, cases: int, first: int, step: int) -> list[list[tuple[str, bool]]]:
-    """The outcomes of cases first, first + step, ... in order, drawing
+Outcomes = list[tuple[int, list[tuple[str, bool]]]]
 
-    every case; the list stops before the first of them that raises.
+_INDEX = 4  # bytes per case index in the queue
+
+_ATOMIC = 512  # POSIX's least PIPE_BUF: a pipe write of at most 512 bytes is atomic
+
+
+def _check_cases(seed: int, indices: Iterable[int]) -> Outcomes:
+    """(case, outcomes) for each case index in indices, which increase:
+
+    the seeded stream is replayed forward to each. The list stops
+    before the first case that raises.
     """
-    outcomes = []
-    for drawn in islice(_draws(seed, cases), first, None, step):
+    rng = random.Random(seed)
+    drawn, done = None, 0  # the last case drawn, and how many were drawn
+    checked = []
+    for case in indices:
+        while done <= case:
+            drawn, done = _draw_case(rng), done + 1
         try:
-            outcomes.append(_check_case(drawn))
+            checked.append((case, _check_case(drawn)))
         except Exception:
             break
-    return outcomes
+    return checked
+
+
+def _taken(queue: BinaryIO) -> Iterator[int]:
+    """The case indices this process takes from the queue, in the order
+
+    written, until it is empty and closed. Every write holds whole
+    indices and is atomic, so a read of one index gets a whole one.
+    """
+    while index := queue.read(_INDEX):
+        yield int.from_bytes(index, "little")
+
+
+def _feed(feed: BinaryIO, indices: bytes) -> Outcomes:
+    """Write the indices to the queue and close it, stopping early once
+
+    no process reads it; a feeder checks no case.
+    """
+    with feed, memoryview(indices) as view:
+        try:
+            for first in range(0, len(view), _ATOMIC):
+                feed.write(view[first:first + _ATOMIC])
+        except BrokenPipeError:
+            pass
+    return []
 
 
 def _processes(cases: int) -> int:
@@ -236,10 +278,11 @@ def _processes(cases: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), cases))
 
 
-def _start_worker(seed: int, cases: int, first: int, step: int) -> tuple[int, BinaryIO]:
-    """Fork a process that checks its share of the cases and writes the
+def _start_worker(job: Callable[[], Outcomes], unused: BinaryIO) -> tuple[int, BinaryIO]:
+    """Fork a process that closes its copy of the unused end of the
 
-    outcomes, marshalled, to a pipe; its pid and the read end.
+    queue, runs job and writes the outcomes, marshalled, to a pipe; its
+    pid and the read end.
     """
     read_end, write_end = os.pipe()
     try:
@@ -252,7 +295,8 @@ def _start_worker(seed: int, cases: int, first: int, step: int) -> tuple[int, Bi
         code = 1
         try:
             os.close(read_end)
-            payload = marshal.dumps(_share(seed, cases, first, step))
+            unused.close()
+            payload = marshal.dumps(job())
             with open(write_end, "wb") as pipe:
                 pipe.write(payload)
             code = 0
@@ -272,21 +316,25 @@ def _stop(pid: int, pipe: BinaryIO) -> None:
         pass
 
 
-def run_filtered_suite(seed: int, cases: int = 200) -> SuiteReport:
-    """Random-instance checks of the filtered calculus laws.
+def _check_shared(seed: int, cases: int, width: int) -> Outcomes:
+    """The outcomes of this process and width - 1 forked workers, all
 
-    The cases run on the CPUs this process may use: each of W processes
-    replays the one seeded stream and checks the cases k = w (mod W),
-    and the outcomes are merged in case order, so the report is the one
-    a single process would give. A case that raises makes the call raise
-    what checking the cases in order would raise first.
+    taking cases from one queue. A last worker, the feeder, writes the
+    queue, so its writes may wait for room in the pipe and this process
+    never does.
     """
-    step = _processes(cases)
+    read_end, write_end = os.pipe()
+    queue, feed = open(read_end, "rb", buffering=0), open(write_end, "wb", buffering=0)
+    indices = b"".join(k.to_bytes(_INDEX, "little") for k in range(cases))
     workers: list[tuple[int, BinaryIO]] = []
     try:
-        for first in range(1, step):
-            workers.append(_start_worker(seed, cases, first, step))
-        shares = [_share(seed, cases, 0, step)]
+        with queue, feed:
+            for _ in range(1, width):
+                workers.append(_start_worker(lambda: _check_cases(seed, _taken(queue)), feed))
+            workers.append(_start_worker(lambda: _feed(feed, indices), queue))
+            feed.close()  # the queue ends when the feeder, its last writer, is done
+            outcomes = _check_cases(seed, _taken(queue))
+        # with this end closed, a feeder waiting on a queue no process reads ends
         while workers:
             pid, pipe = workers[0]
             with pipe:
@@ -295,20 +343,34 @@ def run_filtered_suite(seed: int, cases: int = 200) -> SuiteReport:
             del workers[0]
             if status or not payload:
                 raise RuntimeError(f"a selftest worker ended without a reply (status {status})")
-            shares.append(marshal.loads(payload))
+            outcomes += marshal.loads(payload)
     finally:
         for pid, pipe in workers:
             _stop(pid, pipe)
+    return outcomes
 
+
+def run_filtered_suite(seed: int, cases: int = 200) -> SuiteReport:
+    """Random-instance checks of the filtered calculus laws.
+
+    The cases run on the CPUs this process may use: W processes take
+    case indices from one queue, each replaying the seeded stream
+    forward to the cases it takes, and the outcomes are merged in case
+    order, so the report is the one a single process would give. A case
+    that raises makes the call raise what checking the cases in order
+    would raise first.
+    """
+    width = _processes(cases)
+    outcomes = dict(_check_cases(seed, range(cases)) if width == 1
+                    else _check_shared(seed, cases, width))
     failures: list[str] = []
     counter: dict[str, int] = {}
     checks = 0
     for case in range(cases):
-        share, i = shares[case % step], case // step
-        if i == len(share):  # this case raised: raise it here, in this process
+        if case not in outcomes:  # this case raised: raise it here, in this process
             _check_case(next(islice(_draws(seed, cases), case, None)))
             raise RuntimeError(f"seed {seed} case {case} raised once but not when checked again")
-        for label, ok in share[i]:
+        for label, ok in outcomes[case]:
             checks += 1
             counter[label] = counter.get(label, 0) + 1
             if not ok and len(failures) < 25:

@@ -12,6 +12,7 @@ from tanaka.exact_linear import (
     NO_TERMS,
     Matrix,
     Subspace,
+    add_scaled,
     combination,
     complement,
     densify,
@@ -445,6 +446,29 @@ def test_sum_with_a_zero_or_full_operand_returns_the_canonical_operand():
     assert s.add(zero) is s and zero.add(s) is s
     assert full.add(s) is full and s.add(full) is full
     assert s.intersect(full) is s and full.intersect(s) is s
+
+
+@pytest.mark.parametrize("one", [1, Fraction(1)], ids=["int", "Fraction"])
+def test_adding_a_row_once_matches_the_product_path(one):
+    """c = 1 adds without products; c = -1 on the negated row multiplies
+
+    every term. Both leave the same accumulator, Fractions throughout,
+    with cancelled entries removed and the row moved by shift.
+    """
+    rng = random.Random(29)
+    for _ in range(300):
+        acc = {j: Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)) for j in range(rng.randint(0, 6))}
+        shift = rng.choice((0, 0, 2, -1))
+        row = {j: rng.choice((rng.randint(-3, 3) or 2, Fraction(rng.randint(1, 5), rng.randint(2, 4))))
+               for j in range(rng.randint(0, 7))}
+        for j in rng.sample(sorted(row), len(row) // 2):  # cancel acc where the row lands
+            if j + shift in acc:
+                row[j] = -acc[j + shift]
+        unit = add_scaled(dict(acc), one, row, shift)
+        product = add_scaled(dict(acc), Fraction(-1), {j: -v for j, v in row.items()}, shift)
+        assert [(j, v, type(v)) for j, v in unit.items()] == \
+            [(j, v, type(v)) for j, v in product.items()]
+        assert all(type(v) is Fraction and v for v in unit.values())
 
 
 def test_coords_in_the_full_space_match_the_long_way():

@@ -238,6 +238,40 @@ def test_quasi_gradation_parts_must_contain_the_deeper_step():
         QuasiGradation.make(space, 2, {**good, -3: Subspace.full(3)})
 
 
+def test_a_memoised_sum_does_not_answer_for_another_part():
+    """span(e3) passes the dimension test at degree -2 but misses e2: the
+
+    good part's sum, memoised at that degree, must not let it through.
+    """
+    space = _identity_chain3()
+    e2, e3 = Subspace.span(3, [(0, 1, 0)]), Subspace.span(3, [(0, 0, 1)])
+    good = {-3: Subspace.span(3, [(1, 0, 0), (0, 0, 1)]), -2: e2, -1: e3}
+    QuasiGradation.make(space, 2, good)
+    assert space.sum_with(e2, -1) == space.part(-2)
+    with pytest.raises(ValueError, match=r"H'\^-2 \+ V_-1 is not V_-2"):
+        QuasiGradation.make(space, 2, {**good, -2: e3})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_memoised_sum_equals_a_fresh_one(seed):
+    """On the selftest's fixtures, every h + V_j read from a space's memo
+
+    is the sum Subspace.add computes afresh.
+    """
+    rng = random.Random(seed)
+    for _ in range(10):
+        model, t, m, p, *_ = tanaka.selftest._draw_case(rng)
+        space, _ = make_filtered_from_graded(model, t)
+        h = tanaka.selftest._gradation_from_columns(space, model, t)
+        q_full = project_gradation(h, space.full_degree)
+        for g in (h, project_gradation(h, m), q_full, project_quasi(q_full, p)):
+            for _, part in g.parts:
+                for j in range(space.low - 1, space.high + 3):
+                    total = space.sum_with(part, j)
+                    assert space.sum_with(part, j) is total  # a memo hit
+                    assert total == part.add(space.part(j))
+
+
 def _accepts(make, *args):
     try:
         make(*args)
@@ -521,21 +555,21 @@ def test_a_broken_transition_fails_the_suite_without_hanging(monkeypatch):
 
 def test_a_worker_ending_without_a_reply_makes_the_call_raise(monkeypatch):
     parent = os.getpid()
-    share = tanaka.selftest._share
+    check_cases = tanaka.selftest._check_cases
 
-    def vanish(seed, cases, first, step):
+    def vanish(seed, indices):
         if os.getpid() != parent:
             os._exit(0)
-        return share(seed, cases, first, step)
+        return check_cases(seed, indices)
 
-    def killed(seed, cases, first, step):
+    def killed(seed, indices):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return share(seed, cases, first, step)
+        return check_cases(seed, indices)
 
     monkeypatch.setattr(tanaka.selftest, "_processes", lambda cases: min(3, cases))
     for end in (vanish, killed):
-        monkeypatch.setattr(tanaka.selftest, "_share", end)
+        monkeypatch.setattr(tanaka.selftest, "_check_cases", end)
         with deadline(60), pytest.raises(RuntimeError, match="without a reply"):
             run_filtered_suite(seed=5, cases=9)
 
@@ -546,15 +580,32 @@ def test_workers_are_killed_when_this_process_raises(monkeypatch):
     class Interrupted(BaseException):
         pass
 
-    def stuck(seed, cases, first, step):
+    def stuck(seed, indices):
         if os.getpid() != parent:
             time.sleep(120)
             os._exit(0)
         raise Interrupted
 
     monkeypatch.setattr(tanaka.selftest, "_processes", lambda cases: min(3, cases))
-    monkeypatch.setattr(tanaka.selftest, "_share", stuck)
+    monkeypatch.setattr(tanaka.selftest, "_check_cases", stuck)
     start = time.monotonic()
     with deadline(60), pytest.raises(Interrupted):
         run_filtered_suite(seed=5, cases=9)
     assert time.monotonic() - start < 30
+
+
+def test_the_queue_holds_more_indices_than_a_pipe(monkeypatch):
+    """40,000 four-byte indices outgrow a pipe's 64 KiB: the call still
+
+    returns the sequential report, each case checked once, with its
+    own draw.
+    """
+    monkeypatch.setattr(tanaka.selftest, "_draw_case", lambda rng: rng.random())
+    monkeypatch.setattr(tanaka.selftest, "_check_case",
+                        lambda drawn: [(f"law {int(drawn * 3)}", drawn > 0.001)])
+    monkeypatch.setattr(tanaka.selftest, "_processes", lambda cases: 1)
+    alone = run_filtered_suite(seed=23, cases=40_000)
+    assert alone.checks == 40_000 and len(alone.failures) == 25
+    monkeypatch.setattr(tanaka.selftest, "_processes", lambda cases: min(3, cases))
+    with deadline(60):
+        assert run_filtered_suite(seed=23, cases=40_000) == alone
