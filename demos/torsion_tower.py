@@ -30,7 +30,8 @@ banner("Torsion spaces grow quickly with the level")
 for n in (1, 2):
     tor = torsion_space(result, n)
     print(f"level {n + 1}: dim Tor = {tor.total_dim} "
-          f"(wedge part {len(tor.pairs_m)} pairs, hom part {len(tor.pairs_hom)} pairs)")
+          f"(wedge part {len(tor.pairs_m)} pairs, "
+          f"hom part {tor.w_count * len(tor.legs)} pairs)")
 
 banner("The kernel identity, checked at levels 1..3")
 for n in (0, 1, 2):

@@ -105,12 +105,3 @@ class CatalogEntry:
 def entries() -> list[CatalogEntry]:
     return [CatalogEntry(name, make_algebra(name), checks)
             for name, checks in EXPECTED.items()]
-
-
-def expected_oracle(name: str) -> tuple[ExpectedCheck, ...]:
-    """Frozen expected values for a catalog algebra, for the acceptance
-
-    suite and selftest; empty if the name has no recorded values.
-    """
-    compact = name.strip().lower().replace("(", "").replace(")", "")
-    return EXPECTED.get(compact, ())

@@ -7,8 +7,7 @@ shape: it stores its column count, and its row count is the number of
 rows, zero rows included, so a matrix with no rows, no columns or no
 nonzeros keeps its shape. Producers build matrices from sparse rows or
 columns (`Matrix.from_columns` transposes without padding), every
-operation reads only nonzeros, `Matrix.flatten` gives the row-major
-End coordinates as a sparse row, and `Matrix.entries` is a dense view
+operation reads only nonzeros, and `Matrix.entries` is a dense view
 built on first use.
 
 Every reduction goes through one sparse, fraction-free eliminator.
@@ -72,13 +71,6 @@ _ONE = Fraction(1)
 
 def _as_fraction(e) -> Fraction:
     return e if type(e) is Fraction else Fraction(e)
-
-
-def rat(value, den: Optional[int] = None) -> Fraction:
-    """Coerce to an exact rational; rat(a, b) means a/b."""
-    if den is not None:
-        return Fraction(value, den)
-    return Fraction(value)
 
 
 def zero_vector(n: int) -> Vector:
@@ -221,10 +213,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix.from_columns(self.sparse, self.cols)
-
-    def flatten(self) -> dict[int, Fraction]:
-        """Row-major flattening as a sparse row; the End-coordinate convention."""
-        return {i * self.cols + j: e for i, row in enumerate(self.sparse) for j, e in row.items()}
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:

@@ -412,7 +412,7 @@ def _check_action_argument(a: GradedMap, model: GradedSpace) -> None:
         raise ValueError("action argument must be an endomorphism of the model")
     if any(d < 0 for d in a.part_degrees):
         raise ValueError("action argument has a negative-degree part")
-    if any(col != {j: 1} for j, col in enumerate(a.part(0).columns)):
+    if not a.part(0).is_identity():
         raise ValueError("action argument must have identity degree-0 part")
 
 

@@ -29,8 +29,7 @@ from functools import cached_property, lru_cache
 from typing import Mapping, Sequence, Union
 
 from ._record import record
-from .exact_linear import (Matrix, Sparse, Subspace, Vector, add_scaled, combination, densify,
-                           zero_vector)
+from .exact_linear import Matrix, Sparse, Vector, add_scaled, combination, densify, zero_vector
 
 
 @record
@@ -229,16 +228,17 @@ class HomogeneousMap:
     def is_zero(self) -> bool:
         return not any(self.columns)
 
+    def is_identity(self) -> bool:
+        """Degree 0 on one space, each column the unit vector of its own index."""
+        return self.degree == 0 and self.source == self.target and all(
+            len(col) == 1 and col.get(j) == 1 for j, col in enumerate(self.columns))
+
     def apply(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.source.total_dim:
             raise ValueError(f"length mismatch: map on dim {self.source.total_dim} "
                              f"applied to {len(v)}")
         coeffs = {j: c for j, c in enumerate(v) if c}
         return densify(combination(coeffs, self.columns), self.target.total_dim)
-
-    def apply_basis(self, index: int) -> Vector:
-        """Image of the index-th global basis vector of the source."""
-        return densify(self.columns[index], self.target.total_dim)
 
     def to_matrix(self) -> Matrix:
         """Full target_dim x source_dim matrix in global coordinates."""
@@ -337,18 +337,13 @@ def hom_terms_of_columns(source: GradedSpace, target: GradedSpace, degree: int,
 
 
 def hom_terms(f: HomogeneousMap) -> dict[int, Fraction]:
-    """Coordinates of a homogeneous map in the hom_basis frame, as a sparse row."""
+    """Coordinates of a homogeneous map in the hom_units frame, as a sparse row."""
     return hom_terms_of_columns(f.source, f.target, f.degree, f.columns)
-
-
-def hom_coords(f: HomogeneousMap) -> Vector:
-    """Coordinates of a homogeneous map in the hom_basis frame."""
-    return densify(hom_terms(f), hom_space_dim(f.source, f.target, f.degree))
 
 
 def hom_from_coords(source: GradedSpace, target: GradedSpace, degree: int,
                     coords: Union[Sequence[Fraction], Sparse]) -> HomogeneousMap:
-    """The map with the given coordinates in the hom_basis frame, given as a
+    """The map with the given coordinates in the hom_units frame, given as a
 
     dense vector or as a sparse row {unit index: value}.
     """
@@ -363,28 +358,6 @@ def hom_from_coords(source: GradedSpace, target: GradedSpace, degree: int,
             src, tgt = units[k]
             cols[src][tgt] = v if type(v) is Fraction else Fraction(v)
     return HomogeneousMap.from_columns(source, target, degree, cols)
-
-
-def wedge_basis(space: GradedSpace, degree: int) -> list[tuple[int, int]]:
-    """Index pairs (a, b), a < b, of the degree component of Lambda^2.
-
-    Pairs are enumerated in lexicographic order of global indices; the
-    pair's degree is the sum of the two basis degrees.
-    """
-    n = space.total_dim
-    degs = [space.degree_of_index(i) for i in range(n)]
-    return [(a, b) for a in range(n) for b in range(a + 1, n) if degs[a] + degs[b] == degree]
-
-
-def gl_degree_subspace(space: GradedSpace, degree: int) -> Subspace:
-    """All degree-homogeneous endomorphisms, as a subspace of End(space).
-
-    End coordinates are the row-major flattening of the full matrix in
-    global coordinates.
-    """
-    n = space.total_dim
-    units = hom_basis(space, space, degree)
-    return Subspace.row_space(Matrix(tuple(u.to_matrix().flatten() for u in units), n * n))
 
 
 @record
@@ -453,8 +426,8 @@ class GradedMap:
         return GradedMap.make(other.source, self.target, acc)
 
     def is_identity(self) -> bool:
-        return self.to_matrix() == Matrix.identity(self.source.total_dim) \
-            and self.source == self.target
+        """The degree-0 part is the identity and there is no other part."""
+        return self.part_degrees in ((), (0,)) and self.part(0).is_identity()
 
 
 def unipotent_inverse(g: GradedMap) -> GradedMap:
@@ -467,7 +440,7 @@ def unipotent_inverse(g: GradedMap) -> GradedMap:
     if g.source != g.target:
         raise ValueError("not an endomorphism")
     space = g.source
-    if g.part(0).to_matrix() != Matrix.identity(space.total_dim):
+    if not g.part(0).is_identity():
         raise ValueError("degree-0 part is not the identity")
     if any(d < 0 for d in g.part_degrees):
         raise ValueError("negative-degree part present")

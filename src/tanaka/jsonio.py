@@ -5,9 +5,10 @@ basis pair; the parser treats a pair whose two orientations disagree
 as an antisymmetry violation to report, not as a malformed document,
 so that any single corrupted constant in a well-formed file surfaces
 through validation rather than a parse failure. Genuinely malformed
-input (bad syntax, unknown labels, non-negative degrees, floating
-point numbers, integers or degree keys of more than 4300 digits)
-raises AlgebraInputError. The digit cap is the package's own, equal to
+input (bad syntax, unknown labels, non-negative degrees, a degree
+given twice by keys that read as one integer, such as "-1" and " -1",
+floating point numbers, integers or degree keys of more than 4300
+digits) raises AlgebraInputError. The digit cap is the package's own, equal to
 CPython's default int_max_str_digits: longer integers are rejected
 even where the interpreter is configured to convert them, before any
 conversion starts. Under the default limit that check is the
@@ -287,6 +288,8 @@ def _parse_degrees(obj: Any) -> GradedSpace:
         d = _degree_key(key, "degrees")
         if d >= 0:
             raise AlgebraInputError(f"degrees: degree {d} is not negative")
+        if d in by_degree:
+            raise AlgebraInputError(f"degrees: degree {d} given twice")
         if not isinstance(labels, list) or not labels:
             raise AlgebraInputError(f"degrees[{key}]: expected a non-empty list of labels")
         for lbl in labels:
@@ -383,7 +386,7 @@ def _algebra_doc(alg: GradedLieAlgebra, name: str) -> dict:
         for b in range(a + 1, space.total_dim):
             terms = [{"basis": space.label_of_index(i),
                       "num": _within_cap(e).numerator, "den": e.denominator}
-                     for i, e in sorted(alg.bracket_row(a, b).items())]
+                     for i, e in sorted(alg.act[a][b].items())]
             if not terms:
                 continue
             mirrored = [{"basis": t["basis"], "num": -t["num"], "den": t["den"]}
@@ -413,8 +416,12 @@ def _parse_maps(obj: Any, source: GradedSpace, target: GradedSpace, degree: int,
             raise AlgebraInputError(f"{here}: expected an object keyed by degree")
         blocks = {d: Matrix.zeros(target.dim(d + degree), source.dim(d))
                   for d in HomogeneousMap.present_source_degrees(source, target, degree)}
+        given = set()
         for key, rows in gen.items():
             d = _degree_key(key, here)
+            if d in given:
+                raise AlgebraInputError(f"{here}: degree {d} given twice")
+            given.add(d)
             shape = (target.dim(d + degree), source.dim(d))
             if 0 in shape:
                 raise AlgebraInputError(f"{here}: no component of degree {d}")

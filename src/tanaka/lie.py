@@ -9,10 +9,17 @@ derivations and the mixed brackets are that action.
 An algebra stores its bracket once: each nonzero [e_a, e_b], a < b,
 as the sparse row {index: Fraction} that its table act holds. Every
 producer (`from_bracket_dict`, `negative_part`, `adjoin_g0`) and
-reader (`validate`, `is_fundamental`, the presets) works on those
-rows, and g^0 commutators are read straight off the maps' columns. A
-dense vector is built only where one is returned: `bracket_basis` and
-`bilinear_eval`.
+reader (`validate`, `is_fundamental`, the solver, the presets) works
+on those rows, and g^0 commutators are read straight off the maps'
+columns. A dense vector is built only where one is returned:
+`bracket_basis` and `bracket_eval`, both reading the table row
+act[a][b].
+
+Maps have one coordinate frame, hom_units: der0, the presets and the
+explicit generators are bases of maps with canonical spans in it, and
+the so/sp/co presets solve A^T S + S A = 0 over its degree-0 unit
+maps, each unit's constraint column filled from one row and one
+column of S.
 
 Derivations of every degree come from one solver, `derivations`: der0
 is its degree-0 case, acting through the algebra's own bracket table,
@@ -32,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from ._record import record
 from .exact_linear import (
@@ -127,10 +134,6 @@ class GradedLieAlgebra:
     def bracket_basis(self, a: int, b: int) -> Vector:
         return densify(self.act[a][b], self.space.total_dim)
 
-    def bracket_row(self, a: int, b: int) -> Sparse:
-        """[e_a, e_b] as a sparse row; shared, so callers must not mutate it."""
-        return self.act[a][b]
-
     def negative_part(self) -> "GradedLieAlgebra":
         """The subalgebra spanned by the negative-degree components."""
         sub = GradedSpace.make({d: self.space.labels(d) for d in self.space.degrees if d < 0})
@@ -140,12 +143,14 @@ class GradedLieAlgebra:
                                            for (a, b), row in self.brackets if a in pos and b in pos))
 
 
-def bilinear_eval(bracket: Callable[[int, int], Sparse], n: int,
-                  u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    """Sum of u_a v_b bracket(a, b) over the nonzeros of u and v, where
+def bracket_eval(alg: GradedLieAlgebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
+    """Bilinear extension of the bracket table to arbitrary vectors: the
 
-    bracket(a, b) is [e_a, e_b] as a sparse row; u and v have length n.
+    sum of u_a v_b act[a][b] over the nonzeros of u and v. An
+    ExtendedBracket has the same space and act, and is read the same
+    way; its out-of-range pairs read as their empty placeholders.
     """
+    n = alg.space.total_dim
     if len(u) != n or len(v) != n:
         raise ValueError(f"length mismatch: bracket on dim {n} applied to {len(u)} and {len(v)}")
     out: dict[int, Fraction] = {}
@@ -153,13 +158,8 @@ def bilinear_eval(bracket: Callable[[int, int], Sparse], n: int,
     for a, c in enumerate(u):
         if c:
             for b, e in vs:
-                add_scaled(out, c * e, bracket(a, b))
+                add_scaled(out, c * e, alg.act[a][b])
     return densify(out, n)
-
-
-def bracket_eval(alg: GradedLieAlgebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    """Bilinear extension of the bracket table to arbitrary vectors."""
-    return bilinear_eval(alg.bracket_row, alg.space.total_dim, u, v)
 
 
 def validate(alg: GradedLieAlgebra) -> list[str]:
@@ -272,7 +272,7 @@ def derivations(alg: GradedLieAlgebra, act: Sequence[Sequence[Sparse]], target: 
     # the pairs whose bracket has a nonzero coefficient on each index
     hits: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
     for (a, b), row in pair_row.items():
-        for k, e in alg.bracket_row(a, b).items():
+        for k, e in alg.act[a][b].items():
             hits[k].append((row, e))
     cols = []
     for src, w in units:
@@ -305,7 +305,7 @@ def resubstitute(alg: GradedLieAlgebra, act: Sequence[Sequence[Sparse]],
         images = A.columns
         for a in range(n):
             for b in range(a + 1, n):
-                lhs = combination(alg.bracket_row(a, b), images)
+                lhs = combination(alg.act[a][b], images)
                 # [A e_a, e_b] + [e_a, A e_b] = [A e_a, e_b] - [A e_b, e_a]
                 rhs: dict[int, Fraction] = {}
                 for w, c in images[a].items():
@@ -320,12 +320,6 @@ def resubstitute(alg: GradedLieAlgebra, act: Sequence[Sequence[Sparse]],
 def der0_basis(alg: GradedLieAlgebra) -> list[HomogeneousMap]:
     """Canonical basis of the degree-0 derivations, as homogeneous maps."""
     return list(derivations(alg, alg.act, alg.space, 0)[1])
-
-
-def der0(alg: GradedLieAlgebra) -> Subspace:
-    """Degree-0 derivations as a subspace of End(space), End coordinates."""
-    n = alg.space.total_dim
-    return Subspace.row_space(Matrix(tuple(f.to_matrix().flatten() for f in der0_basis(alg)), n * n))
 
 
 PRESET_NAMES = ("zero", "gl", "sl", "so", "sp", "co", "der0")
@@ -363,10 +357,22 @@ def _standard_symplectic(n: int) -> Matrix:
 
 
 def _form_condition_basis(alg: GradedLieAlgebra, form: Matrix) -> list[HomogeneousMap]:
-    """Solve A^T S + S A = 0 over the degree-0 unit maps."""
-    units = hom_basis(alg.space, alg.space, 0)
-    cols = [(u.to_matrix().transpose() @ form + form @ u.to_matrix()).flatten() for u in units]
-    ker = kernel(Matrix.from_columns(cols, alg.space.total_dim ** 2))
+    """Solve A^T S + S A = 0 over the degree-0 unit maps of m = m^-1.
+
+    The unit A sending e_s to e_t is the matrix unit at (t, s), so row s
+    of A^T S is row t of S, column s of S A is column t of S, and every
+    other entry is zero. Each unit's constraint column, the row-major
+    entries of A^T S + S A, is filled from those two alone.
+    """
+    n = alg.space.total_dim
+    rows, columns = form.sparse, form.transpose().sparse
+    cols = []
+    for s, t in hom_units(alg.space, alg.space, 0):
+        col = {s * n + j: e for j, e in rows[t].items()}
+        for i, e in columns[t].items():
+            col[i * n + s] = col.get(i * n + s, 0) + e
+        cols.append(col)
+    ker = kernel(Matrix.from_columns(cols, n * n))
     return [hom_from_coords(alg.space, alg.space, 0, row) for row in ker.basis.sparse]
 
 

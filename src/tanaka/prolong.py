@@ -28,10 +28,11 @@ The extended bracket is the same table grown to every basis pair of
 the tower: its rows against m are the tower's own rows (m + g^0's
 table and each level map's columns), the [m, g^s] entries their
 negatives, and only the pairs of positive levels are computed, by
-[f1, f2](x) = [f1(x), f2] + [f1, f2(x)] read through that table. It
-is built once per ProlongationResult and memoised with the result's
-full-depth tower, so every caller (tower report, kernel reports,
-boundary maps) shares one copy.
+[f1, f2](x) = [f1(x), f2] + [f1, f2(x)] read through that table. A
+ProlongationResult builds its full-depth tower from its levels and its
+extended bracket each on first read and keeps them as cached
+properties, so every caller (tower report, kernel reports, boundary
+maps) shares one copy; `prolong` hands over only the levels.
 """
 
 from __future__ import annotations
@@ -41,14 +42,13 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from ._record import record
-from .exact_linear import NO_TERMS, Sparse, Subspace, Vector, add_scaled, densify
+from .exact_linear import NO_TERMS, Sparse, Subspace, add_scaled
 from .graded import GradedSpace, HomogeneousMap, fresh_labels, hom_terms_of_columns
 from .lie import (
     G0Spec,
     GradedLieAlgebra,
     LevelInconsistency,
     adjoin_g0,
-    bilinear_eval,
     derivations,
     is_fundamental,
     jacobi_triples,
@@ -167,9 +167,7 @@ def prolong(m: GradedLieAlgebra, g0: Union[G0Spec, Sequence[HomogeneousMap]],
             break
     if status is None:
         status = ProlongationStatus("truncated", None, max_degree)
-    result = ProlongationResult(base, m, g0_basis, tuple(tower.levels), status)
-    result._memo["tower"] = tower
-    return result
+    return ProlongationResult(base, m, g0_basis, tuple(tower.levels), status)
 
 
 @record
@@ -179,11 +177,6 @@ class ProlongationResult:
     g0: tuple[HomogeneousMap, ...]
     levels: tuple[ProlongationLevel, ...]
     status: ProlongationStatus
-
-    @cached_property
-    def _memo(self) -> dict:
-        """The full-depth tower and the extended bracket, each built once."""
-        return {}
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -211,20 +204,33 @@ class ProlongationResult:
             raise ValueError(f"level {s} not computed")
         return self.levels[s - 1]
 
+    @cached_property
     def _tower(self) -> _Tower:
-        tower = self._memo.get("tower")
-        if tower is None:
-            tower = _Tower(self.negative, self.base)
-            for level in self.levels:
-                tower.push(level)
-            self._memo["tower"] = tower
+        """The full-depth tower, pushed level by level from m + g^0."""
+        tower = _Tower(self.negative, self.base)
+        for level in self.levels:
+            tower.push(level)
         return tower
+
+    @cached_property
+    def _bracket(self) -> ExtendedBracket:
+        return _build_extended_bracket(self)
 
     def tower_space(self, s: int) -> GradedSpace:
         """Graded space of m_s = m + g^0 + ... + g^s."""
         if not 0 <= s <= self.depth:
             raise ValueError(f"level {s} not computed")
-        return self._tower().space(s)
+        return self._tower.space(s)
+
+
+def checked_base_dim(result: ProlongationResult, base_dim: Optional[int]) -> int:
+    """base_dim, dim m when None; smaller than dim m raises ValueError."""
+    dim_m = result.negative.space.total_dim
+    if base_dim is None:
+        return dim_m
+    if base_dim < dim_m:
+        raise ValueError(f"base_dim {base_dim} is smaller than dim m = {dim_m}")
+    return base_dim
 
 
 def order_and_bound(result: ProlongationResult, base_dim: Optional[int] = None) -> tuple[int, int]:
@@ -235,13 +241,8 @@ def order_and_bound(result: ProlongationResult, base_dim: Optional[int] = None) 
     """
     if result.status.kind != "finite":
         raise ValueError("order and bound are defined for finite prolongations only")
-    dim_m = result.negative.space.total_dim
-    if base_dim is None:
-        base_dim = dim_m
-    if base_dim < dim_m:
-        raise ValueError(f"base_dim {base_dim} is smaller than dim m = {dim_m}")
     order = result.status.order
-    bound = base_dim + len(result.g0) + sum(result.dims[:order])
+    bound = checked_base_dim(result, base_dim) + len(result.g0) + sum(result.dims[:order])
     return order, bound
 
 
@@ -252,41 +253,15 @@ class ExtendedBracket:
     act[a][b] is [e_a, e_b] as a sparse row, for every basis pair of the
     tower, in the layout of GradedLieAlgebra.act. Pairs of positive
     levels whose degrees sum beyond the computed depth are listed in
-    out_of_range (a < b) instead; their entries are empty placeholders
-    that `row` refuses. `table` lists the in-range nonzero pairs with
-    their rows, in the layout of GradedLieAlgebra.brackets.
+    out_of_range (a < b) instead; their entries are empty placeholders,
+    which jacobi_failures skips and every other reader meets only with
+    one leg in m.
     """
 
     space: GradedSpace
     depth: int
     act: tuple
     out_of_range: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def _escaped(self) -> frozenset:
-        return frozenset(self.out_of_range)
-
-    @cached_property
-    def table(self) -> tuple[tuple[tuple[int, int], Sparse], ...]:
-        """The in-range nonzero brackets as sparse rows, pairs ascending."""
-        return tuple(((a, b), row) for a, rows in enumerate(self.act)
-                     for b, row in enumerate(rows) if a < b and row)
-
-    def row(self, a: int, b: int) -> Sparse:
-        """[e_a, e_b] as a sparse row; shared, so callers must not mutate it."""
-        if (a, b) in self._escaped or (b, a) in self._escaped:
-            raise ValueError(f"bracket ({min(a, b)}, {max(a, b)}) lands above degree {self.depth}")
-        return self.act[a][b]
-
-    def bracket_basis(self, a: int, b: int) -> Vector:
-        return densify(self.row(a, b), self.space.total_dim)
-
-    def in_range(self, a: int, b: int) -> bool:
-        key = (a, b) if a < b else (b, a)
-        return key not in self._escaped
-
-    def bracket_eval(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        return bilinear_eval(self.row, self.space.total_dim, u, v)
 
 
 def jacobi_failures(eb: ExtendedBracket) -> list[tuple[int, int, int]]:
@@ -311,13 +286,9 @@ def extended_bracket(result: ProlongationResult) -> ExtendedBracket:
     pairs beyond the order land in a vanished level and are verified
     to evaluate to zero. On a truncated tower, pairs of positive
     levels whose degrees sum past the computed depth are reported in
-    out_of_range instead. Computed once per result and memoised.
+    out_of_range instead. Computed once per result and kept there.
     """
-    eb = result._memo.get("bracket")
-    if eb is None:
-        eb = _build_extended_bracket(result)
-        result._memo["bracket"] = eb
-    return eb
+    return result._bracket
 
 
 def _negated(row: Sparse) -> Sparse:
@@ -325,7 +296,7 @@ def _negated(row: Sparse) -> Sparse:
 
 
 def _build_extended_bracket(result: ProlongationResult) -> ExtendedBracket:
-    tower = result._tower()
+    tower = result._tower
     depth = result.depth
     order = result.status.order
     space = tower.space(depth)

@@ -67,7 +67,7 @@ from .graded import (
     hom_units,
 )
 from .lie import GradedLieAlgebra
-from .prolong import ProlongationResult, extended_bracket
+from .prolong import ProlongationResult, checked_base_dim, extended_bracket
 
 
 @record
@@ -76,18 +76,18 @@ class TorsionSpace:
 
     pairs_m lists the wedge pairs (a, b), a < b, of m-part indices in
     lexicographic order; each contributes the local coordinates of the
-    target component of degree deg(a) + deg(b) + level. pairs_hom
-    lists (x, w) with x in m^-1 and w a positive-level tower index,
-    grouped by the level of w ascending; each contributes the
-    component of degree level - 2. space is the tower space m_n the
-    values live in.
+    target component of degree deg(a) + deg(b) + level. legs lists the
+    x in m^-1 of the Hom pairs (x, w), w running through g^0..g^{level-2}
+    outer and x inner: w_count * len(legs) pairs, each contributing the
+    component of degree level - 2, and none when there is no w or no
+    such component. space is the tower space m_n the values live in.
     """
 
     level: int
     space: GradedSpace
     nm: int
     pairs_m: tuple[tuple[int, int], ...]
-    pairs_hom: tuple[tuple[int, int], ...]
+    legs: tuple[int, ...]
 
     def pair_m_dim(self, a: int, b: int) -> int:
         return self.space.dim(self.space.degree_of_index(a)
@@ -105,7 +105,7 @@ class TorsionSpace:
     @property
     def part_dims(self) -> tuple[int, int]:
         first = sum(self.pair_m_dim(a, b) for a, b in self.pairs_m)
-        return first, len(self.pairs_hom) * self.hom_block_dim
+        return first, self.w_count * len(self.legs) * self.hom_block_dim
 
     @property
     def total_dim(self) -> int:
@@ -116,16 +116,16 @@ def _torsion_space(space: GradedSpace, nm: int, n: int) -> TorsionSpace:
     """Level n + 1 over m_n, the first nm indices of space being m.
 
     A wedge pair of m is kept when its target degree is present and,
-    above the first level, one of its legs lies in m^-1; the Hom pairs
-    (x, w) run through x in m^-1 for each w in g^0..g^{n-1}.
+    above the first level, one of its legs lies in m^-1; the legs of the
+    Hom pairs (x, w) are the x in m^-1, when g^0..g^{n-1} has a w.
     """
     level, degree = n + 1, space.degree_of_index
     pairs = tuple((a, b) for a in range(nm) for b in range(a + 1, nm)
                   if (n == 0 or -1 in (degree(a), degree(b)))
                   and space.dim(degree(a) + degree(b) + level))
-    legs = [x for x in range(nm) if degree(x) == -1] if space.dim(level - 2) else []
-    ws = range(nm, nm + sum(space.dim(i) for i in range(n)))
-    return TorsionSpace(level, space, nm, pairs, tuple((x, w) for w in ws for x in legs))
+    has_w = space.dim(level - 2) and any(space.dim(i) for i in range(n))
+    legs = tuple(x for x in range(nm) if degree(x) == -1) if has_w else ()
+    return TorsionSpace(level, space, nm, pairs, legs)
 
 
 def torsion_space(result: ProlongationResult, n: int) -> TorsionSpace:
@@ -180,10 +180,10 @@ def _boundary_matrix(tor: TorsionSpace, act: Sequence[Sequence[Sparse]]
     # of m_n: B's rows are (x, k), x in m^-1 outer and k in g^{n-1}
     # inner, its columns t; the units of Hom(g^i, g^n), i < n, run
     # through w, then t
-    r_n, xs = space.dim(n), sorted({x for x, _ in tor.pairs_hom})
+    r_n = space.dim(n)
     top = space.total_dim - r_n
-    b_rows: list[dict[int, Fraction]] = [{} for _ in range(len(xs) * tor.hom_block_dim)]
-    for i, x in enumerate(xs):
+    b_rows: list[dict[int, Fraction]] = [{} for _ in range(len(tor.legs) * tor.hom_block_dim)]
+    for i, x in enumerate(tor.legs):
         shift = i * tor.hom_block_dim - space.offset(n - 1)
         for t in range(r_n):
             for k, e in act[top + t][x].items():
@@ -431,11 +431,7 @@ def tower_report(result: ProlongationResult, base_dim: Optional[int] = None) -> 
     Each row's level passes the kernel identity where g^{n+1} is known
     (see kernel_reports); a failure raises ValueError.
     """
-    dim_m = result.negative.space.total_dim
-    if base_dim is None:
-        base_dim = dim_m
-    if base_dim < dim_m:
-        raise ValueError(f"base_dim {base_dim} is smaller than dim m = {dim_m}")
+    base_dim = checked_base_dim(result, base_dim)
     order = result.status.order
     top = result.depth if order is None else min(result.depth, order + 1)
     rows = []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tanaka.catalog import EXPECTED, entries, expected_oracle, make_algebra
+from tanaka.catalog import EXPECTED, entries, make_algebra
 from tanaka.lie import is_fundamental, validate
 
 
@@ -48,5 +48,7 @@ def test_expected_records_are_reachable():
     for entry in entries():
         assert validate(entry.algebra) == []
         assert entry.expected
-    assert expected_oracle("Abelian(2)") == EXPECTED["abelian2"]
-    assert expected_oracle("unknown") == ()
+    # a parenthesised, capitalised name reaches the entry's algebra
+    by_name = {entry.name: entry for entry in entries()}
+    assert make_algebra("Abelian(2)") == by_name["abelian2"].algebra
+    assert by_name["abelian2"].expected == EXPECTED["abelian2"]

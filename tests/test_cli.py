@@ -219,6 +219,27 @@ def test_over_long_degree_key_exits_2_without_echoing_it(capsys, tmp_path):
         assert run(capsys, *args)[0] == 0, args
 
 
+def test_a_degree_given_twice_exits_2_naming_it(capsys, tmp_path):
+    """Keys "-1" and " -1" read as one degree. In an algebra's degrees, or
+
+    within one map of a g^0 document, the second would overwrite the
+    first, so either is an input error naming the degree.
+    """
+    algebra = tmp_path / "dup.json"
+    algebra.write_text('{"name": "dup", "degrees": {"-1": ["a", "b"], " -1": ["c"]}, '
+                       '"brackets": []}')
+    for args in (("check", str(algebra)),
+                 ("prolong", str(algebra), "--g0", "gl", "--max-degree", "2")):
+        assert run(capsys, *args) == (2, "", "error: degrees: degree -1 given twice\n"), args
+    g0 = tmp_path / "g0.json"
+    g0.write_text('{"generators": [{"-1": [[1, 0], [0, 1]], " -1": [[0, 1], [0, 0]]}]}')
+    assert run(capsys, "prolong", "preset:abelian2", "--g0", f"file:{g0}") == (
+        2, "", "error: g0 generators[0]: degree -1 given twice\n")
+    # one key per degree reads as before, in any spelling
+    g0.write_text('{"generators": [{" -01": [[1, 0], [0, 1]]}]}')
+    assert run(capsys, "prolong", "preset:abelian2", "--g0", f"file:{g0}")[0] == 0
+
+
 def test_integer_past_a_lower_interpreter_limit_exits_2_with_one_line(tmp_path):
     """Under PYTHONINTMAXSTRDIGITS below the cap, an integer literal or a
 

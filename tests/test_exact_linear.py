@@ -19,7 +19,6 @@ from tanaka.exact_linear import (
     inverse,
     kernel,
     rank,
-    rat,
     rref_canonicalize,
     solve,
     zero_vector,
@@ -52,7 +51,7 @@ def test_rref_worked_example():
 
 def test_kernel_canonical_basis():
     k = kernel(Matrix.from_rows([[1, 2], [2, 4]]))
-    assert k.basis == Matrix.from_rows([[1, rat(-1, 2)]])
+    assert k.basis == Matrix.from_rows([[1, Fraction(-1, 2)]])
     assert k.dim == 1
 
 
@@ -73,14 +72,14 @@ def _quotient(within: Subspace, mod: Subspace) -> FilteredSpace:
 
 def test_quotient_coords_worked_example():
     mod = Subspace.span(3, [[0, 0, 1]])
-    v = (rat(1), rat(2), rat(3))
-    assert _quotient(Subspace.full(3), mod).quotient_of(v, 1, 1) == (rat(1), rat(2))
+    v = (Fraction(1), Fraction(2), Fraction(3))
+    assert _quotient(Subspace.full(3), mod).quotient_of(v, 1, 1) == (Fraction(1), Fraction(2))
 
 
 def test_quotient_coords_zero_mod_gives_basis_coords():
     within = Subspace.span(3, [[1, 0, 1], [0, 1, 0]])
-    v = (rat(2), rat(-1), rat(2))
-    assert _quotient(within, Subspace.zero(3)).quotient_of(v, 1, 1) == (rat(2), rat(-1))
+    v = (Fraction(2), Fraction(-1), Fraction(2))
+    assert _quotient(within, Subspace.zero(3)).quotient_of(v, 1, 1) == (Fraction(2), Fraction(-1))
 
 
 def test_subspace_equality_is_representation_free():
@@ -192,7 +191,7 @@ def test_product_through_empty_inner_dimension():
 
 def test_solve_without_equations_returns_zero_vector():
     assert solve(Matrix.zeros(0, 3), Matrix.zeros(0, 2)) == Matrix.zeros(3, 2)
-    assert solve(Matrix.zeros(0, 3), Matrix.zeros(0, 1)).col(0) == (rat(0), rat(0), rat(0))
+    assert solve(Matrix.zeros(0, 3), Matrix.zeros(0, 1)).col(0) == (Fraction(0), Fraction(0), Fraction(0))
 
 
 def test_stack_rejects_width_mismatch_of_empty_matrix():
@@ -424,7 +423,7 @@ def _long_product(a: Matrix, b: Matrix) -> Matrix:
 
 def _degenerate_pairs():
     """(s, t) with a zero or a full operand on either side, ambient 0..4."""
-    middle = [Subspace.span(3, [[1, 2, 0]]), Subspace.span(4, [[0, 1, rat(1, 2), 0], [0, 0, 3, 1]]),
+    middle = [Subspace.span(3, [[1, 2, 0]]), Subspace.span(4, [[0, 1, Fraction(1, 2), 0], [0, 0, 3, 1]]),
               Subspace.span(2, [[0, 5]])]
     for n in range(5):
         for other in [Subspace.zero(n), Subspace.full(n)] + [s for s in middle if s.ambient_dim == n]:
@@ -473,12 +472,12 @@ def test_adding_a_row_once_matches_the_product_path(one):
 
 def test_coords_in_the_full_space_match_the_long_way():
     full = Subspace.full(4)
-    v = [rat(1, 2), Fraction(0), rat(-3), rat(7, 5)]
+    v = [Fraction(1, 2), Fraction(0), Fraction(-3), Fraction(7, 5)]
     expected = _dense_solve(full.basis.transpose(), v)
     nonzero = {j: e for j, e in enumerate(expected) if e}
     assert full.coords_of(v) == nonzero  # dense
-    assert full.coords_of({0: rat(1, 2), 2: rat(-3), 3: rat(7, 5)}) == nonzero  # sparse
-    assert full.coords_of({0: rat(1, 2), 1: Fraction(0), 2: rat(-3), 3: rat(7, 5)}) == nonzero
+    assert full.coords_of({0: Fraction(1, 2), 2: Fraction(-3), 3: Fraction(7, 5)}) == nonzero  # sparse
+    assert full.coords_of({0: Fraction(1, 2), 1: Fraction(0), 2: Fraction(-3), 3: Fraction(7, 5)}) == nonzero
     assert full.coords_of((0, 1, 0, 0)) == {1: 1}  # ints come back as Fractions
     assert all(type(e) is Fraction for e in full.coords_of((0, 1, 0, 0)).values())
     assert Subspace.full(0).coords_of(()) == {} and Subspace.full(0).coords_of({}) == {}
@@ -486,22 +485,22 @@ def test_coords_in_the_full_space_match_the_long_way():
 
 def test_coords_in_the_full_space_keep_the_edge_behaviour():
     full = Subspace.full(3)
-    assert full.coords_of({3: rat(1)}) is None  # outside 0..n-1, as the residual says
-    assert full.coords_of({0: rat(1), -1: rat(2)}) is None
-    assert not full.contains({5: rat(1)})
+    assert full.coords_of({3: Fraction(1)}) is None  # outside 0..n-1, as the residual says
+    assert full.coords_of({0: Fraction(1), -1: Fraction(2)}) is None
+    assert not full.contains({5: Fraction(1)})
     with pytest.raises(ValueError):
-        full.coords_of((rat(1), rat(2)))
+        full.coords_of((Fraction(1), Fraction(2)))
     with pytest.raises(ValueError):
-        full.coords_of((rat(1),) * 4)
+        full.coords_of((Fraction(1),) * 4)
 
 
 def _coords_cases():
     """(name, subspace): the degenerate subspaces, then seeded random ones."""
     cases = [(f"zero({n})", Subspace.zero(n)) for n in (0, 1, 4)]
     cases += [(f"full({n})", Subspace.full(n)) for n in (0, 1, 4)]
-    cases += [("dim 1 of 1", Subspace.span(1, [[rat(-2, 3)]])),
-              ("dim 1 of 4", Subspace.span(4, [[0, rat(2, 3), 0, 1]])),
-              ("dim 1 of 5", Subspace.span(5, [[0, 0, 0, 0, rat(5)]]))]
+    cases += [("dim 1 of 1", Subspace.span(1, [[Fraction(-2, 3)]])),
+              ("dim 1 of 4", Subspace.span(4, [[0, Fraction(2, 3), 0, 1]])),
+              ("dim 1 of 5", Subspace.span(5, [[0, 0, 0, 0, Fraction(5)]]))]
     rng = random.Random(29)
     for k in range(40):
         n = rng.randint(2, 7)
@@ -553,14 +552,14 @@ def test_coords_of_agrees_with_a_dense_solve(name, s):
             assert got == {r: c for r, c in enumerate(expected) if c}, v
             assert all(type(c) is Fraction and c for c in got.values()), v
             assert densify(combination(got, s.basis.sparse), n) == v, v
-        assert s.coords_of({**sparse, n: rat(1)}) is None  # a nonzero past the ambient
+        assert s.coords_of({**sparse, n: Fraction(1)}) is None  # a nonzero past the ambient
         assert s.coords_of({**sparse, n + 3: Fraction(0)}) == s.coords_of(sparse)
         with pytest.raises(ValueError):
             s.coords_of(v + (Fraction(0),))
 
 
 def test_solve_with_the_identity_matches_the_long_way():
-    b = Matrix.from_rows([[rat(1, 2), 0], [0, 0], [rat(-3), rat(4, 7)]])
+    b = Matrix.from_rows([[Fraction(1, 2), 0], [0, 0], [Fraction(-3), Fraction(4, 7)]])
     got = solve(Matrix.identity(3), b)
     assert got == b
     assert all(got.col(j) == _dense_solve(Matrix.identity(3), b.col(j)) for j in range(2))

@@ -398,8 +398,11 @@ def test_action_requires_identity_degree_zero_part():
     doubled = GradedMap.make(
         model, model,
         {0: GradedMap.identity(model).part(0).scale(2)})
-    with pytest.raises(ValueError):
-        act_quasi(f, doubled)
+    swapped = HomogeneousMap.make(model, model, 0, {-2: Matrix.identity(1),
+                                                     -1: Matrix.from_rows([[0, 1], [1, 0]])})
+    for a in (doubled, GradedMap.make(model, model, {0: swapped})):
+        with pytest.raises(ValueError, match="^action argument must have identity degree-0 part$"):
+            act_quasi(f, a)
 
 
 def test_transition_of_equal_lifts_is_the_identity_class():

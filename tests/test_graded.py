@@ -5,21 +5,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tanaka.exact_linear import Matrix
+from tanaka.exact_linear import Matrix, densify
 from tanaka.graded import (
     GradedMap,
     GradedSpace,
     HomogeneousMap,
-    gl_degree_subspace,
     hom_basis,
-    hom_coords,
     hom_from_coords,
     hom_space_dim,
+    hom_terms,
     hom_terms_of_columns,
     hom_units,
     unipotent_inverse,
-    wedge_basis,
 )
+from tanaka.torsion import _torsion_space
 
 TwoOne = GradedSpace.make({-1: ("e1", "e2"), -2: ("e3",)})
 
@@ -78,9 +77,10 @@ def test_hom_coords_round_trip():
     units = hom_basis(TwoOne, TwoOne, 0)
     assert len(units) == 5
     for k, u in enumerate(units):
-        coords = hom_coords(u)
-        assert coords[k] == 1 and sum(abs(c) for c in coords) == 1
+        coords = hom_terms(u)
+        assert coords == {k: 1}
         assert hom_from_coords(TwoOne, TwoOne, 0, coords) == u
+        assert hom_from_coords(TwoOne, TwoOne, 0, densify(coords, len(units))) == u
 
 
 def test_hom_units_name_the_hom_basis():
@@ -168,16 +168,26 @@ def test_hom_terms_of_columns_rejects_values_off_the_block():
 
 
 def test_wedge_basis_by_degree():
-    assert wedge_basis(TwoOne, -2) == [(1, 2)]
-    assert wedge_basis(TwoOne, -3) == [(0, 1), (0, 2)]
-    assert wedge_basis(TwoOne, -4) == []
+    """The wedge pairs of the first torsion level, where every pair of
+
+    TwoOne has a target component, in lexicographic order.
+    """
+    pairs = _torsion_space(TwoOne, TwoOne.total_dim, 0).pairs_m
+    degree = TwoOne.degree_of_index
+
+    def of_degree(d):
+        return [(a, b) for a, b in pairs if degree(a) + degree(b) == d]
+
+    assert of_degree(-2) == [(1, 2)]
+    assert of_degree(-3) == [(0, 1), (0, 2)]
+    assert of_degree(-4) == []
+    assert pairs == ((0, 1), (0, 2), (1, 2))
 
 
 def test_gl_degree_dims():
-    assert gl_degree_subspace(TwoOne, 0).dim == 5
-    assert gl_degree_subspace(TwoOne, 1).dim == 2
-    assert gl_degree_subspace(TwoOne, -1).dim == 2
-    assert gl_degree_subspace(TwoOne, 2).dim == 0
+    for degree, dim in ((0, 5), (1, 2), (-1, 2), (2, 0)):
+        assert hom_space_dim(TwoOne, TwoOne, degree) == dim
+        assert len(hom_units(TwoOne, TwoOne, degree)) == dim
 
 
 @settings(max_examples=100, derandomize=True)
@@ -239,6 +249,33 @@ def test_unipotent_inverse_both_sides(data):
     h = unipotent_inverse(g)
     assert g.compose(h).is_identity()
     assert h.compose(g).is_identity()
+
+
+def test_is_identity_at_its_edges():
+    """The sparse identity test: true on the empty space, false for a
+
+    degree-0 permutation, for the identity plus a degree-1 part, and for
+    the identity matrix between two distinct spaces of one dimension.
+    """
+    empty = GradedSpace.make({})
+    assert GradedMap.identity(empty).is_identity()
+    assert GradedMap.identity(empty).parts == ()
+    assert GradedMap.identity(TwoOne).is_identity()
+
+    swap = HomogeneousMap.make(TwoOne, TwoOne, 0, {-2: Matrix.identity(1),
+                                                    -1: Matrix.from_rows([[0, 1], [1, 0]])})
+    assert not GradedMap.make(TwoOne, TwoOne, {0: swap}).is_identity()
+
+    one = HomogeneousMap.make(TwoOne, TwoOne, 1, {-2: Matrix.from_rows([[0], [5]])})
+    plus = GradedMap.make(TwoOne, TwoOne, {0: GradedMap.identity(TwoOne).part(0), 1: one})
+    assert not plus.is_identity()
+
+    other = GradedSpace.make({-1: ("f1", "f2"), -2: ("f3",)})
+    across = HomogeneousMap.make(TwoOne, other, 0, {-2: Matrix.identity(1), -1: Matrix.identity(2)})
+    assert across.to_matrix() == Matrix.identity(3)
+    assert not GradedMap.make(TwoOne, other, {0: across}).is_identity()
+    with pytest.raises(ValueError, match="^degree-0 part is not the identity$"):
+        unipotent_inverse(GradedMap.make(TwoOne, TwoOne, {0: swap}))
 
 
 def test_unipotent_inverse_degree_two_formula():

@@ -119,7 +119,7 @@ def test_antisymmetry_violations_follow_the_entry_order():
     assert loaded.violations == ("antisymmetry fails on (b, a)", "antisymmetry fails on (c, c)")
     # the first entry's value is kept: [b, a] = c, so [a, b] = -c
     a, b, c = (loaded.algebra.space.index_of_label(x) for x in "abc")
-    assert loaded.algebra.bracket_row(a, b) == {c: Fraction(-1)}
+    assert loaded.algebra.act[a][b] == {c: Fraction(-1)}
 
 
 def test_grading_and_jacobi_violations_surface():
@@ -460,6 +460,11 @@ def _drop_level(doc):
     del doc["levels"][-1]
 
 
+def _repeat_degree(block_map):
+    """A second key for the map's degree -1 block, spelled " -1"."""
+    block_map[" -1"] = block_map["-1"]
+
+
 @pytest.mark.parametrize("name, preset, depth, edit, fragment", [
     # level blocks are shape-checked like g0 generators
     ("abelian2", "gl", 2, _drop_row, "levels[0].basis[0][-1]: expected a 4x2 matrix"),
@@ -489,6 +494,11 @@ def _drop_level(doc):
     ("abelian2", "gl", 2, lambda d: d["status"].update({"order": 1}), "status.order"),
     ("abelian2", "gl", 2, lambda d: d.update({"g0": {"preset": "gl"}}), "g0: expected keys"),
     ("abelian2", "zero", 2, lambda d: d["g0"].update({"generators": {}}), "expected a list"),
+    # two keys that read as one degree, in the g^0 generators and the level bases alike
+    ("abelian2", "gl", 2, lambda d: _repeat_degree(d["g0"]["generators"][1]),
+     "g0 generators[1]: degree -1 given twice"),
+    ("abelian2", "gl", 2, lambda d: _repeat_degree(d["levels"][1]["basis"][0]),
+     "levels[1].basis[0]: degree -1 given twice"),
 ])
 def test_result_document_counts_and_shapes_are_checked(name, preset, depth, edit, fragment):
     text = emit_result(_prolonged(name, preset, depth))

@@ -6,21 +6,26 @@ from fractions import Fraction
 import pytest
 
 from tanaka.catalog import make_algebra
-from tanaka.exact_linear import Matrix, Subspace
-from tanaka.graded import GradedSpace, HomogeneousMap, hom_basis, hom_coords
+from tanaka.exact_linear import Matrix, Subspace, densify
+from tanaka.graded import GradedSpace, HomogeneousMap, hom_basis, hom_space_dim, hom_terms
 from tanaka.lie import (
     G0Spec,
     GradedLieAlgebra,
     LevelInconsistency,
     adjoin_g0,
     bracket_eval,
-    der0,
     der0_basis,
     is_fundamental,
     resolve_g0,
     resubstitute,
     validate,
 )
+
+
+def der0_span(alg):
+    """The degree-0 derivations as a subspace of Hom^0(m, m), in hom coordinates."""
+    return Subspace.row_space(Matrix(tuple(hom_terms(f) for f in der0_basis(alg)),
+                                     hom_space_dim(alg.space, alg.space, 0)))
 
 
 def heisenberg_space():
@@ -147,7 +152,7 @@ def test_der0_of_abelian_is_every_endomorphism():
     for n in (1, 2, 3):
         alg = make_algebra(f"abelian{n}")
         assert len(der0_basis(alg)) == n * n
-        assert der0(alg).dim == n * n
+        assert der0_span(alg).dim == n * n
 
 
 def test_der0_of_heisenberg3():
@@ -158,20 +163,19 @@ def test_der0_of_heisenberg3():
     alg = make_algebra("heisenberg3")
     basis = der0_basis(alg)
     assert len(basis) == 4
-    n = alg.space.total_dim
-    degree_der = Matrix.from_rows(
-        [[-alg.space.degree_of_index(i) if i == j else 0 for j in range(n)]
-         for i in range(n)])
-    assert der0(alg).contains(degree_der.flatten())
+    n, space = alg.space.total_dim, alg.space
+    degree_der = HomogeneousMap.make(space, space, 0, {
+        d: Matrix.identity(space.dim(d)).scale(-d) for d in space.degrees})
+    assert der0_span(alg).contains(hom_terms(degree_der))
     for f in basis:
         for a in range(n):
             for b in range(a + 1, n):
                 lhs = f.apply(alg.bracket_basis(a, b))
                 ea = tuple(Fraction(1 if i == a else 0) for i in range(n))
                 eb = tuple(Fraction(1 if i == b else 0) for i in range(n))
-                rhs_parts = bracket_eval(alg, f.apply_basis(a), eb)
+                rhs_parts = bracket_eval(alg, densify(f.columns[a], n), eb)
                 rhs = tuple(x + y for x, y in
-                            zip(rhs_parts, bracket_eval(alg, ea, f.apply_basis(b))))
+                            zip(rhs_parts, bracket_eval(alg, ea, densify(f.columns[b], n))))
                 assert lhs == rhs
 
 
@@ -198,6 +202,40 @@ def test_presets_respect_their_defining_conditions():
     for f in resolve_g0(G0Spec("sp"), make_algebra("abelian2")):
         m = f.to_matrix()
         assert m.transpose() @ sp + sp @ m == Matrix.zeros(2, 2)
+
+
+FORMS = {
+    # symmetric, not diagonal: det -1 and -14
+    "sym3": Matrix.from_rows([[2, 1, 0], [1, 0, 1], [0, 1, -1]]),
+    "sym4": Matrix.from_rows([[1, 1, 0, 0], [1, 0, 2, 0], [0, 2, 1, 1], [0, 0, 1, 3]]),
+    # antisymmetric, not the standard one: Pfaffian 1*1 - 2*3 + 0*0 = -5, det 25
+    "anti4": Matrix.from_rows([[0, 1, 2, 0], [-1, 0, 0, 3], [-2, 0, 0, 1], [0, -3, -1, 0]]),
+}
+
+
+@pytest.mark.parametrize("n,preset,form", [
+    (3, "so", "sym3"), (3, "co", "sym3"), (4, "so", "sym4"), (4, "co", "sym4"), (4, "sp", "anti4"),
+])
+def test_form_presets_with_non_default_forms(n, preset, form):
+    """Each basis map A of so(S), sp(S) satisfies A^T S + S A = 0, and of
+
+    co(S) A^T S + S A = c S, computed here from the dense matrices; the
+    dimensions are n(n-1)/2, n(n-1)/2 + 1 and m(2m+1) for n = 2m.
+    Condition and dimension together pin the span, so the canonical basis.
+    """
+    S = FORMS[form]
+    basis = resolve_g0(G0Spec(preset, form=S), make_algebra(f"abelian{n}"))
+    expected = {"so": n * (n - 1) // 2, "co": n * (n - 1) // 2 + 1, "sp": n // 2 * (n + 1)}
+    assert len(basis) == expected[preset]
+    i, j = next((i, j) for i, row in enumerate(S.sparse) for j in row)
+    for f in basis:
+        A = f.to_matrix()
+        value = A.transpose() @ S + S @ A
+        c = value.entries[i][j] / S.entries[i][j] if preset == "co" else 0
+        assert value == S.scale(c), (preset, form)
+    if preset == "co":
+        assert any(
+            (f.to_matrix().transpose() @ S + S @ f.to_matrix()) != Matrix.zeros(n, n) for f in basis)
 
 
 def test_preset_guards():
@@ -247,7 +285,7 @@ def test_resubstitution_catches_a_perturbed_der0_map(monkeypatch):
     alg = make_algebra("heisenberg3")
     basis = der0_basis(alg)
     unit = next(u for u in hom_basis(alg.space, alg.space, 0)
-                if not der0(alg).contains(u.to_matrix().flatten()))
+                if not der0_span(alg).contains(hom_terms(u)))
     with pytest.raises(LevelInconsistency, match="bracket identity"):
         resubstitute(alg, alg.act, [basis[0].add(unit)] + basis[1:])
     resubstitute(alg, alg.act, basis)
@@ -258,7 +296,7 @@ def test_resubstitution_catches_a_perturbed_der0_map(monkeypatch):
     def perturbed_kernel(m):
         found = kernel(m)
         rows = found.basis.entries
-        first = tuple(x + y for x, y in zip(rows[0], hom_coords(unit)))
+        first = tuple(x + y for x, y in zip(rows[0], densify(hom_terms(unit), found.ambient_dim)))
         return Subspace(found.ambient_dim, Matrix.from_rows((first,) + rows[1:], found.ambient_dim))
 
     monkeypatch.setattr(lie, "kernel", perturbed_kernel)
@@ -293,7 +331,7 @@ def test_adjoin_g0_structure():
         n_old = alg.space.total_dim
         for i, f in enumerate(basis):
             for a in range(n_old):
-                expect = tuple(-e for e in f.apply_basis(a)) + (Fraction(0),) * len(basis)
+                expect = tuple(-e for e in densify(f.columns[a], n_old)) + (Fraction(0),) * len(basis)
                 assert full.bracket_basis(a, n_old + i) == expect, (name, i, a)
 
         # degree-0 brackets match matrix commutators after mapping back

@@ -8,9 +8,9 @@ import pytest
 from slow_oracle import slow_prolong_dims
 from tanaka.catalog import make_algebra
 from tanaka.exact_linear import Matrix, Subspace, densify
-from tanaka.graded import HomogeneousMap, hom_basis, hom_coords, hom_space_dim
-from tanaka.lie import (G0Spec, GradedLieAlgebra, adjoin_g0, derivations, jacobi_triples, resubstitute,
-                        validate)
+from tanaka.graded import HomogeneousMap, hom_basis, hom_space_dim, hom_terms
+from tanaka.lie import (G0Spec, GradedLieAlgebra, adjoin_g0, bracket_eval, derivations, jacobi_triples,
+                        resubstitute, validate)
 from tanaka.prolong import (
     ExtendedBracket,
     LevelInconsistency,
@@ -23,6 +23,21 @@ from tanaka.prolong import (
     prolong,
     prolong_step,
 )
+
+
+def _table(eb):
+    """The nonzero brackets of an extended bracket, pairs a < b ascending,
+
+    in the layout of GradedLieAlgebra.brackets; the placeholders of its
+    out-of-range pairs are empty, so none is listed.
+    """
+    return tuple(((a, b), row) for a, rows in enumerate(eb.act)
+                 for b, row in enumerate(rows) if a < b and row)
+
+
+def _escaped(eb):
+    """The out-of-range pairs of an extended bracket, in both orders."""
+    return {p for a, b in eb.out_of_range for p in ((a, b), (b, a))}
 
 
 def test_zero_g0_stops_immediately():
@@ -141,7 +156,7 @@ def test_levels_live_in_hom_coordinates():
         assert level.carrier.ambient_dim == ambient
         assert len(level.basis) == level.carrier.dim
         for A in level.basis:
-            assert level.carrier.contains(hom_coords(A))
+            assert level.carrier.contains(hom_terms(A))
 
 
 def test_tower_coordinates_are_prefix_compatible():
@@ -196,16 +211,14 @@ def test_mixed_bracket_is_evaluation():
     """[z, x] = z(x) and [x, z] = -z(x) for z in a positive level."""
     res = prolong(make_algebra("abelian2"), G0Spec("sl"), max_degree=1)
     eb = extended_bracket(res)
-    n = eb.space.total_dim
     nm = res.negative.space.total_dim
     start = eb.space.offset(1)
     for t, A in enumerate(res.level(1).basis):
         z = start + t
         for x in range(nm):
-            value = A.apply_basis(x)
-            padded = tuple(value) + (Fraction(0),) * (n - len(value))
-            assert eb.bracket_basis(z, x) == padded
-            assert eb.bracket_basis(x, z) == tuple(-e for e in padded)
+            value = A.columns[x]
+            assert eb.act[z][x] == value
+            assert eb.act[x][z] == {k: -e for k, e in value.items()}
 
 
 def test_extended_bracket_laws():
@@ -215,11 +228,13 @@ def test_extended_bracket_laws():
     assert eb.out_of_range == ()
 
     degs = [eb.space.degree_of_index(i) for i in range(14)]
-    for (a, b), row in eb.table:
-        assert row and all(row.values())
-        assert eb.bracket_basis(a, b) == densify(row, 14)
-        assert eb.bracket_basis(b, a) == tuple(-e for e in densify(row, 14))
+    table = _table(eb)
+    assert table
+    for (a, b), row in table:
+        assert all(row.values())
+        assert eb.act[b][a] == {k: -e for k, e in row.items()}
         assert {degs[i] for i in row} == {degs[a] + degs[b]}
+    assert all(not eb.act[a][a] for a in range(14))
     assert jacobi_failures(eb) == []
 
 
@@ -232,9 +247,8 @@ def test_extended_bracket_truncated_range():
                 for b in range(a + 1, eb.space.total_dim)
                 if degs[a] >= 0 and degs[b] >= 0 and degs[a] + degs[b] > 2}
     assert set(eb.out_of_range) == expected
-    with pytest.raises(ValueError, match="above degree"):
-        a, b = next(iter(expected))
-        eb.bracket_basis(a, b)
+    # their entries are empty placeholders, which jacobi_failures skips
+    assert all(not eb.act[a][b] and not eb.act[b][a] for a, b in expected)
     assert jacobi_failures(eb) == []
 
 
@@ -249,7 +263,8 @@ def test_jacobi_failures_finds_a_perturbed_bracket():
     eb = extended_bracket(res)
     space = eb.space
     a, b = space.offset(0), space.offset(1)
-    assert eb.in_range(a, b)
+    escaped = _escaped(eb)
+    assert (a, b) not in escaped
     act = [list(row) for row in eb.act]
     bumped = dict(act[a][b])
     bumped[b] = bumped.get(b, 0) + 1
@@ -259,13 +274,13 @@ def test_jacobi_failures_finds_a_perturbed_bracket():
 
     bad = jacobi_failures(broken)
     # [[a, b], x] moves by [e_b, e_x] = g1_0(x), nonzero for some x in m
-    x = next(x for x in range(res.negative.space.total_dim) if eb.row(b, x))
+    x = next(x for x in range(res.negative.space.total_dim) if eb.act[b][x])
     assert (x, a, b) in bad
 
     def needs_escaped(triple):
         p, q, r = triple
-        return any(not broken.in_range(u, v)
-                   or any(not broken.in_range(k, w) for k in broken.act[u][v])
+        return any((u, v) in escaped
+                   or any((k, w) in escaped for k in broken.act[u][v])
                    for u, v, w in ((p, q, r), (q, r, p), (r, p, q)))
 
     assert not any(needs_escaped(t) for t in bad)
@@ -273,7 +288,7 @@ def test_jacobi_failures_finds_a_perturbed_bracket():
     unchecked = set(jacobi_triples(broken.act)) - set(bad)
     assert unchecked and all(needs_escaped(t) for t in unchecked)
 
-    problems = validate(GradedLieAlgebra(space, broken.table))
+    problems = validate(GradedLieAlgebra(space, _table(broken)))
     label = space.label_of_index
     n = space.total_dim
     named = [(p, q, r) for p in range(n) for q in range(p + 1, n) for r in range(q + 1, n)
@@ -287,12 +302,10 @@ def test_jacobi_failures_finds_a_perturbed_bracket():
 def test_degree_zero_block_matches_base_algebra():
     res = prolong(make_algebra("abelian3"), G0Spec("co"), max_degree=3)
     eb = extended_bracket(res)
-    n = eb.space.total_dim
     n0 = res.base.space.total_dim
     for a in range(n0):
         for b in range(a + 1, n0):
-            expect = tuple(res.base.bracket_basis(a, b)) + (Fraction(0),) * (n - n0)
-            assert eb.bracket_basis(a, b) == expect
+            assert eb.act[a][b] == res.base.act[a][b]
 
 
 def _first_level_in_bigger_g0(small, big) -> bool:
@@ -303,25 +316,25 @@ def _first_level_in_bigger_g0(small, big) -> bool:
     m = small.negative
     nm = m.space.total_dim
     amb0 = hom_space_dim(m.space, m.space, 0)
-    big_span = Subspace.span(amb0, [hom_coords(f) for f in big.g0])
+    big_span = Subspace.row_space(Matrix(tuple(hom_terms(f) for f in big.g0), amb0))
     big_below = big.tower_space(0)
     for A in small.level(1).basis:
         cols = []
         for x in range(nm):
-            v = A.apply_basis(x)
+            v = densify(A.columns[x], A.target.total_dim)
             assert all(e == 0 for e in v[:nm])
             f = HomogeneousMap.zero(m.space, m.space, 0)
             for i, c in enumerate(v[nm:]):
                 if c != 0:
                     f = f.add(small.g0[i].scale(c))
-            coords = big_span.coords_of(hom_coords(f))
+            coords = big_span.coords_of(hom_terms(f))
             if coords is None:
                 return False
             cols.append(coords)
         block = Matrix.from_rows(
             [[cols[s].get(t, 0) for s in range(nm)] for t in range(len(big.g0))])
         lifted = HomogeneousMap.make(m.space, big_below, 1, {-1: block})
-        if not big.level(1).carrier.contains(hom_coords(lifted)):
+        if not big.level(1).carrier.contains(hom_terms(lifted)):
             return False
     return True
 
@@ -345,14 +358,16 @@ def test_extended_bracket_is_built_once_per_result():
 
 
 def test_extended_bracket_eval_rejects_wrong_length():
+    """bracket_eval reads an extended bracket's space and act as it reads an algebra's."""
     eb = extended_bracket(prolong(make_algebra("free_235"), G0Spec("der0"), max_degree=10))
     n = eb.space.total_dim
     ok = (Fraction(1),) + (Fraction(0),) * (n - 1)
     for bad in (ok[:-1], ok + (Fraction(1),)):
         with pytest.raises(ValueError, match="length"):
-            eb.bracket_eval(bad, ok)
+            bracket_eval(eb, bad, ok)
         with pytest.raises(ValueError, match="length"):
-            eb.bracket_eval(ok, bad)
+            bracket_eval(eb, ok, bad)
+    assert bracket_eval(eb, ok, ok) == (Fraction(0),) * n
 
 
 def test_express_in_level_rejects_off_block_values():
@@ -382,11 +397,11 @@ def test_resubstitution_catches_a_perturbed_basis_map():
     level = res.level(1)
     below = level.space_below
     unit = next(u for u in hom_basis(m.space, below, 1)
-                if not level.carrier.contains(hom_coords(u)))
+                if not level.carrier.contains(hom_terms(u)))
     perturbed = level.basis[0].add(unit)
     bad = ProlongationLevel(level.degree, level.space_below, level.carrier,
                             (perturbed,) + level.basis[1:])
-    act = res._tower().act
+    act = res._tower.act
     with pytest.raises(LevelInconsistency, match="bracket identity"):
         resubstitute(m, act, bad.basis)
     resubstitute(m, act, level.basis)

@@ -85,10 +85,11 @@ def test_cache_fields_stay_out_of_equality_and_hash():
     assert m == other and hash(m) == hash(other)
 
     res = prolong(m, G0Spec("der0"), max_degree=1)
+    res.tower_space(1)  # builds the tower
     copy = ProlongationResult(res.base, res.negative, res.g0, res.levels, res.status)
-    assert res._memo and "_memo" not in copy.__dict__
+    assert "_tower" in res.__dict__ and "_tower" not in copy.__dict__
     assert res == copy and hash(res) == hash(copy)
-    assert copy._memo == {} and res == copy
+    assert copy.tower_space(1) == res.tower_space(1) and res == copy
 
     @record
     class Cached:

@@ -7,9 +7,9 @@ import pytest
 
 from tanaka import cli
 from tanaka.catalog import make_algebra
-from tanaka.exact_linear import Matrix, Subspace, complement, kernel, rank
+from tanaka.exact_linear import Matrix, Subspace, complement, densify, kernel, rank
 from tanaka.graded import (GradedMap, GradedSpace, HomogeneousMap, hom_basis,
-                           hom_coords, hom_space_dim, hom_terms_of_columns, hom_units)
+                           hom_space_dim, hom_terms, hom_terms_of_columns, hom_units)
 from tanaka.lie import G0Spec, GradedLieAlgebra, adjoin_g0, bracket_eval, resolve_g0
 from tanaka.prolong import (ProlongationLevel, ProlongationResult, extended_bracket,
                            prolong)
@@ -105,7 +105,7 @@ def test_level1_kernel_as_full_domain_subspace_identity(name, preset):
     for a in res.level(1).basis:
         emb = HomogeneousMap.make(m0.space, m0.space, 1,
                                   {d: a.block(d) for d in res.negative.space.degrees})
-        rows.append(tuple(hom_coords(emb)) + (Fraction(0),) * tail)
+        rows.append(densify(hom_terms(emb), n1) + (Fraction(0),) * tail)
     for j in range(tail):
         rows.append((Fraction(0),) * n1
                     + tuple(Fraction(1 if i == j else 0) for i in range(tail)))
@@ -196,21 +196,37 @@ def test_partial_np1_matches_matrix_columns():
         assert c == mat.cols == sum(layout)
 
 
+def test_hom_pairs_are_the_legs_of_each_w():
+    """The Hom pairs (x, w) are the legs x in m^-1 for each w in
+
+    g^0..g^{n-1}; with no w there are none, and B has no rows.
+    """
+    res = prolong(make_algebra("heisenberg3"), G0Spec("der0"), max_degree=2)
+    tor, gl, b, layout = partial_np1_matrix(res, 0)
+    assert tor.legs == () and b.rows == 0 and layout == (gl.cols,)
+    tor, gl, b, layout = partial_np1_matrix(res, 1)
+    m = res.negative.space
+    legs = tuple(range(m.offset(-1), m.offset(-1) + m.dim(-1)))
+    assert tor.legs == legs and tor.w_count == len(res.g0) == 4
+    assert tor.part_dims[1] == 4 * len(legs) * tor.hom_block_dim
+    assert b.shape == (len(legs) * tor.hom_block_dim, res.dim_g(1))
+    closed = prolong(make_algebra("heisenberg3"), G0Spec("zero"), max_degree=2)
+    tor, _, b, _ = partial_np1_matrix(closed, 1)
+    assert tor.w_count == 0 and tor.legs == () and b.rows == 0
+
+
 def _formula_columns(res, n):
     """The columns of the level-(n+1) boundary matrix, evaluated densely
 
     from the formula: each unit map is applied with HomogeneousMap.apply
-    and bracketed through bracket_eval, on vectors padded to the
-    bracket's dimension.
+    and bracketed through bracket_eval, of m + g^0 or of the extended
+    bracket, on vectors padded to the bracket's dimension.
     """
     tor = torsion_space(res, n)
     space, level = tor.space, n + 1
     size = space.total_dim
-    if n == 0:
-        full, br = size, partial(bracket_eval, res.base)
-    else:
-        ext = extended_bracket(res)
-        full, br = ext.space.total_dim, ext.bracket_eval
+    alg = res.base if n == 0 else extended_bracket(res)
+    full, br = alg.space.total_dim, partial(bracket_eval, alg)
 
     def pad(v):
         return tuple(v) + (Fraction(0),) * (full - len(v))
@@ -239,9 +255,10 @@ def _formula_columns(res, n):
             if space.degree_of_index(w) != i:
                 continue
             col = []
-            for x, w2 in tor.pairs_hom:
-                image = e_map.apply(unit[w2]) if w2 == w else (Fraction(0),) * size
-                col.extend(block(br(pad(image), pad(unit[x])), n - 1))
+            for w2 in range(tor.nm, tor.nm + tor.w_count):
+                for x in tor.legs:
+                    image = e_map.apply(unit[w2]) if w2 == w else (Fraction(0),) * size
+                    col.extend(block(br(pad(image), pad(unit[x])), n - 1))
             cols.append((Fraction(0),) * first + tuple(col))
     return cols
 
@@ -469,14 +486,15 @@ def _with_level_basis(res, s, basis):
     levels = list(res.levels)
     levels[s - 1] = ProlongationLevel(old.degree, old.space_below, old.carrier, tuple(basis))
     broken = ProlongationResult(res.base, res.negative, res.g0, tuple(levels), res.status)
-    broken._memo.update(res._memo)
+    for kept in ("_tower", "_bracket"):  # built by res, before the swap
+        broken.__dict__[kept] = getattr(res, kept)
     return broken
 
 
 def _unit_outside_the_kernel(res, s):
     level = res.level(s)
     unit = next(u for u in hom_basis(res.negative.space, level.space_below, s)
-                if not level.carrier.contains(hom_coords(u)))
+                if not level.carrier.contains(hom_terms(u)))
     return (unit,) + level.basis[1:]
 
 
